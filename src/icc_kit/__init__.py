@@ -27,6 +27,7 @@ from .infometrics import (
     conditional_encoded,
     keysize_lower_bound,
     kl_divergence,
+    leakage_audit,
     leakage_bound,
     mutual_information,
     pinsker_check,
@@ -44,7 +45,6 @@ from .protocol import (
     SessionState,
     computation_phase,
     download_cost,
-    leakage_audit,
     plan,
     storage_phase,
 )

@@ -20,7 +20,7 @@ from . import protocol
 from .codes import sample_code
 from .gf import FieldVector
 from .poly import MultiPoly, evaluate, random_poly
-from .protocol import SchemeParams, computation_phase, leakage_audit, storage_phase
+from .protocol import SchemeParams, computation_phase, storage_phase
 
 
 class UsageError(Exception):
@@ -138,16 +138,14 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
     dist_seed, *code_seeds = _child_seeds(seed, num_codes + 1)
     dist = _dist_from_config(config.get("dist", {}), q, n, dist_seed)
 
-    max_subset_entropy = max(
-        im.renyi_entropy(im.marginal(dist, sel), p) for sel in im.all_subsets(n, r)
-    )
+    data_entropy, max_subset_entropy = im.subset_entropies(dist, p, r)
     bp = im.BoundParams(
         n=n,
         q=q,
         p=p,
         epsilon=epsilon,
         a=a,
-        data_entropy=im.renyi_entropy(dist, p),
+        data_entropy=data_entropy,
         max_subset_entropy=max_subset_entropy,
     )
     m = math.ceil(im.keysize_lower_bound(bp))
@@ -165,9 +163,7 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
     passes = 0
     for code_seed in code_seeds:
         code = sample_code(n, m, q, code_seed)
-        max_mi = max(
-            im.mutual_information(dist, code, sel, cap) for sel in im.all_subsets(n, r)
-        )
+        max_mi = max(im.subset_leakages(dist, code, r, cap).values())
         ok = max_mi <= chosen_bound + im.VERDICT_TOL
         passes += ok
         rows.append(
@@ -291,9 +287,7 @@ def cmd_metrics_check(config: dict, cap=None) -> tuple:
         a = 2.0
         alpha = [20.0, 50.0, 100.0][i % 3]
         dist = im.random_dirichlet(q, n, rng.integers(0, 2 ** 63), alpha=alpha)
-        entropy = im.renyi_entropy(dist, p)
-        subsets = im.all_subsets(n, 1)
-        max_sub = max(im.renyi_entropy(im.marginal(dist, s), p) for s in subsets)
+        entropy, max_sub = im.subset_entropies(dist, p, 1)
         budget = entropy - max_sub - p
         if budget <= 0.05:
             relation_skipped += 1
@@ -308,17 +302,13 @@ def cmd_metrics_check(config: dict, cap=None) -> tuple:
         envelope = a * 2 ** ((2 * p - 1) / p) * (1 + q ** (-max_sub / p)) * epsilon ** (1 / p)
         code = sample_code(n, m, q, int(rng.integers(0, 2 ** 63)))
         encoded = im.pushforward_encode(dist, code, cap)
-        reports = []
-        worst = 0.0
-        for selector in subsets:
-            marg = im.marginal(dist, selector)
-            for z_idx in range(q):
-                if marg.probs[z_idx] <= 0:
-                    continue
-                cond = im.conditional_encoded(dist, code, selector, (z_idx,), cap)
-                report = im.check_divergence_distance_relation(cond, encoded, p)
-                worst = max(worst, report["vp"])
-                reports.append(report)
+        reports = [
+            im.check_divergence_distance_relation(
+                im.conditional_encoded(dist, code, selector, z, cap), encoded, p
+            )
+            for selector, z in im.conditioning_events(dist, 1)
+        ]
+        worst = max((report["vp"] for report in reports), default=0.0)
         if worst > envelope:
             relation_skipped += 1
             continue
@@ -432,7 +422,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}))
         return 2
-    except (ValueError, KeyError, TypeError) as exc:
+    except Exception as exc:
+        # anything else is a crash, not a failed property: report it as a
+        # usage/config error so exit code 1 keeps its meaning
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
         return 2
 

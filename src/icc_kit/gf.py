@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def is_prime(q: int) -> bool:
     if q < 2:
@@ -215,44 +217,46 @@ def mat_vec_left(k: FieldVector, matrix: FieldMatrix) -> FieldVector:
     return FieldVector(tuple(out), matrix.q)
 
 
-def _echelon(rows: list, q: int):
-    # In-place forward elimination with back-substitution; returns pivot columns.
+def row_reduce(mat, q: int) -> tuple:
+    """Reduced row echelon form over F_q of an integer matrix.
+
+    Returns (reduced copy, pivot column indices in left-to-right order).
+    The only Gaussian-elimination routine in the package: rank, pivots,
+    information sets and decoding all go through it.
+    """
+    # int64 holds every product of two residues while (q-1)^2 < 2^63;
+    # beyond that, exact Python ints
+    red = np.array(mat, dtype=np.int64 if (q - 1) ** 2 < 2 ** 63 else object) % q
     pivots = []
     pr = 0
-    num_rows = len(rows)
-    num_cols = len(rows[0]) if rows else 0
-    for col in range(num_cols):
-        piv = None
-        for i in range(pr, num_rows):
-            if rows[i][col] % q:
-                piv = i
-                break
-        if piv is None:
+    for col in range(red.shape[1]):
+        nz = np.nonzero(red[pr:, col])[0]
+        if nz.size == 0:
             continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = inverse_mod(rows[pr][col], q)
-        rows[pr] = [(v * inv) % q for v in rows[pr]]
-        for i in range(num_rows):
-            if i != pr and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [(a - factor * b) % q for a, b in zip(rows[i], rows[pr])]
+        piv = pr + int(nz[0])
+        if piv != pr:
+            red[[pr, piv]] = red[[piv, pr]]
+        inv = inverse_mod(int(red[pr, col]), q)
+        red[pr] = red[pr] * inv % q
+        others = np.nonzero(red[:, col])[0]
+        others = others[others != pr]
+        if others.size:
+            red[others] = (red[others] - np.outer(red[others, col], red[pr])) % q
         pivots.append(col)
         pr += 1
-        if pr == num_rows:
+        if pr == red.shape[0]:
             break
-    return pivots
+    return red, pivots
 
 
 def rank(matrix: FieldMatrix) -> int:
     """Rank over F_q by Gaussian elimination."""
-    rows = [list(row) for row in matrix.entries]
-    return len(_echelon(rows, matrix.q))
+    return len(pivot_columns(matrix))
 
 
 def pivot_columns(matrix: FieldMatrix) -> tuple:
     """Pivot column indices found by elimination in left-to-right order."""
-    rows = [list(row) for row in matrix.entries]
-    return tuple(_echelon(rows, matrix.q))
+    return tuple(row_reduce(matrix.entries, matrix.q)[1])
 
 
 def submatrix_columns(matrix: FieldMatrix, cols: Sequence[int]) -> FieldMatrix:

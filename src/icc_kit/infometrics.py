@@ -406,6 +406,89 @@ def smoothing_threshold(p: int, epsilon: float) -> float:
     return 2 ** ((p - 1) / p) * ((1 + epsilon) ** p - 1) ** (1.0 / p)
 
 
+# ---------------------------------------------------------------------------
+# the audit loop: every caller that measures leakage goes through these
+
+def subset_entropies(dist: Distribution, p: int, r: int) -> tuple:
+    """Measured entropy inputs of BoundParams: (order-p entropy of the data
+    law, largest order-p entropy among its size-r marginals)."""
+    max_subset = max(renyi_entropy(marginal(dist, sel), p) for sel in all_subsets(dist.n, r))
+    return renyi_entropy(dist, p), max_subset
+
+
+def subset_leakages(dist: Distribution, code: LinearCode, r: int, cap=None) -> dict:
+    """Exact I(encoded vector; X_R) for every size-r coordinate subset R,
+    keyed by R's indices in lexicographic subset order."""
+    return {
+        sel.indices: mutual_information(dist, code, sel, cap)
+        for sel in all_subsets(dist.n, r)
+    }
+
+
+def conditioning_events(dist: Distribution, r: int):
+    """Yield (selector, z) for every size-r coordinate subset and every
+    value z it takes with positive probability, both in lexicographic
+    order."""
+    z_digits = _digit_table(dist.q, r)
+    for selector in all_subsets(dist.n, r):
+        for z_idx in np.nonzero(marginal(dist, selector).probs > 0)[0]:
+            yield selector, tuple(int(v) for v in z_digits[z_idx])
+
+
+def leakage_audit(
+    dist: Distribution,
+    code: LinearCode,
+    subset_size: int,
+    *,
+    p: int,
+    epsilon: float,
+    a: float,
+    cap=None,
+    code_seed=None,
+) -> dict:
+    """Exact leakage of one encoder against the bound calculators.
+
+    Measures I(encoded; selected coordinates) for every coordinate subset
+    of the given size (the adversary sees the whole encoded vector), then
+    compares the maximum against both variants of the leakage bound
+    computed from the measured entropies.
+    """
+    data_entropy, max_subset_entropy = subset_entropies(dist, p, subset_size)
+    per_subset = [
+        {"indices": indices, "mi": mi}
+        for indices, mi in subset_leakages(dist, code, subset_size, cap).items()
+    ]
+    max_mi = max(row["mi"] for row in per_subset)
+    bp = BoundParams(
+        n=dist.n,
+        q=dist.q,
+        p=p,
+        epsilon=epsilon,
+        a=a,
+        data_entropy=data_entropy,
+        max_subset_entropy=max_subset_entropy,
+    )
+    bounds = leakage_bounds_both(bp)
+    return {
+        "code_seed": code_seed,
+        "subset_size": subset_size,
+        "p": p,
+        "epsilon": epsilon,
+        "a": a,
+        "key_length": code.m,
+        "keysize_bound": keysize_lower_bound(bp),
+        "data_entropy": bp.data_entropy,
+        "max_subset_entropy": bp.max_subset_entropy,
+        "per_subset": per_subset,
+        "max_mi": max_mi,
+        "epsilon_c": bounds,
+        "passes": {
+            variant: bool(max_mi <= bound + VERDICT_TOL)
+            for variant, bound in bounds.items()
+        },
+    }
+
+
 @dataclass(frozen=True)
 class SmoothingReport:
     """Measured smoothing quality of one code against its targets."""
@@ -432,23 +515,20 @@ def smoothing_report(
     v_p of each conditional encoded law against the unconditioned one."""
     encoded = pushforward_encode(dist, code, cap)
     unif = uniform(dist.q, dist.n)
-    conditionals = []
+    conditionals = ()
     if subset_size is not None:
-        for selector in all_subsets(dist.n, subset_size):
-            marg = marginal(dist, selector)
-            for z_idx in np.nonzero(marg.probs > 0)[0]:
-                z = tuple(int(v) for v in _digit_table(dist.q, selector.size)[z_idx])
-                cond = conditional_encoded(dist, code, selector, z, cap)
-                conditionals.append(
-                    ((selector.indices, z), v_p_distance(cond, encoded, p))
-                )
+        conditionals = tuple(
+            ((selector.indices, z),
+             v_p_distance(conditional_encoded(dist, code, selector, z, cap), encoded, p))
+            for selector, z in conditioning_events(dist, subset_size)
+        )
     relaxed = 2 ** ((2 * p - 1) / p) * epsilon ** (1.0 / p) if epsilon < 1 else math.inf
     return SmoothingReport(
         code_seed=code_seed,
         p=p,
         epsilon=epsilon,
         vp_uniform=v_p_distance(encoded, unif, p),
-        conditional_vps=tuple(conditionals),
+        conditional_vps=conditionals,
         threshold=smoothing_threshold(p, epsilon),
         threshold_relaxed=relaxed,
     )
@@ -468,19 +548,12 @@ def check_entropy_gap(dist: Distribution, p: int, r: int) -> dict:
     _check_order(p)
     if not 1 <= r < dist.n:
         raise ValueError("need 1 <= r < n")
-    full_entropy = renyi_entropy(dist, p)
-    max_subset = -math.inf
-    min_conditional = math.inf
-    for selector in all_subsets(dist.n, r):
-        marg = marginal(dist, selector)
-        max_subset = max(max_subset, renyi_entropy(marg, p))
-        z_digits = _digit_table(dist.q, r)
-        for z_idx in np.nonzero(marg.probs > 0)[0]:
-            z = tuple(int(v) for v in z_digits[z_idx])
-            cond = conditional_given(dist, selector, z)
-            min_conditional = min(min_conditional, renyi_entropy(cond, p))
+    full_entropy, max_subset = subset_entropies(dist, p, r)
+    rhs = min(
+        renyi_entropy(conditional_given(dist, selector, z), p)
+        for selector, z in conditioning_events(dist, r)
+    )
     lhs = full_entropy - max_subset
-    rhs = min_conditional
     return {
         "lhs": lhs,
         "rhs": rhs,

@@ -24,17 +24,6 @@ import numpy as np
 
 from .codes import LinearCode, SecretKey, encode, key_gen, shift
 from .gf import FieldElement, FieldVector, _check_prime
-from .infometrics import (
-    BoundParams,
-    Distribution,
-    all_subsets,
-    keysize_lower_bound,
-    leakage_bounds_both,
-    marginal,
-    mutual_information,
-    renyi_entropy,
-    VERDICT_TOL,
-)
 from .poly import MultiPoly, evaluate_batch, total_degree
 from .rm import (
     RMCode,
@@ -289,84 +278,3 @@ def straggler_patterns(num_workers: int, budget: int):
 
 def count_straggler_patterns(num_workers: int, budget: int) -> int:
     return sum(comb(num_workers, size) for size in range(budget + 1))
-
-
-def leakage_audit(
-    dist: Distribution,
-    code_or_session,
-    subset_size: int,
-    *,
-    p: int,
-    epsilon: float,
-    a: float,
-    cap=None,
-    code_seed=None,
-) -> dict:
-    """Exact leakage of one encoder against the bound calculators.
-
-    Measures I(encoded; selected coordinates) for every coordinate subset
-    of the given size (the adversary sees the whole encoded vector), then
-    compares the maximum against both variants of the leakage bound
-    computed from the measured entropies. Works from a LinearCode or
-    from a session (whose code is audited).
-    """
-    code = (
-        code_or_session.admin.code
-        if isinstance(code_or_session, SessionState)
-        else code_or_session
-    )
-    per_subset = []
-    max_subset_entropy = 0.0
-    for selector in all_subsets(dist.n, subset_size):
-        mi = mutual_information(dist, code, selector, cap)
-        per_subset.append({"indices": selector.indices, "mi": mi})
-        max_subset_entropy = max(
-            max_subset_entropy, renyi_entropy(marginal(dist, selector), p)
-        )
-    max_mi = max(row["mi"] for row in per_subset)
-    bp = BoundParams(
-        n=dist.n,
-        q=dist.q,
-        p=p,
-        epsilon=epsilon,
-        a=a,
-        data_entropy=renyi_entropy(dist, p),
-        max_subset_entropy=max_subset_entropy,
-    )
-    bounds = leakage_bounds_both(bp)
-    return {
-        "code_seed": code_seed,
-        "subset_size": subset_size,
-        "p": p,
-        "epsilon": epsilon,
-        "a": a,
-        "key_length": code.m,
-        "keysize_bound": keysize_lower_bound(bp),
-        "data_entropy": bp.data_entropy,
-        "max_subset_entropy": bp.max_subset_entropy,
-        "per_subset": per_subset,
-        "max_mi": max_mi,
-        "epsilon_c": bounds,
-        "passes": {
-            variant: bool(max_mi <= bound + VERDICT_TOL)
-            for variant, bound in bounds.items()
-        },
-    }
-
-
-def audit_csv_rows(report: dict) -> list:
-    """Flat per-subset rows (code_seed, subset, mi, bound, pass) for CSV export."""
-    bound = report["epsilon_c"]["theorem"]
-    rows = []
-    for entry in report["per_subset"]:
-        subset_label = "-".join(str(i) for i in entry["indices"])
-        rows.append(
-            (
-                report["code_seed"],
-                subset_label,
-                entry["mi"],
-                bound,
-                entry["mi"] <= bound + VERDICT_TOL,
-            )
-        )
-    return rows

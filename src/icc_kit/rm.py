@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldVector, _check_prime, inverse_mod
+from .gf import FieldElement, FieldVector, _check_prime, row_reduce
 from .poly import _pow_table, monomials
 
 
@@ -109,59 +109,19 @@ def _generator_matrix(q: int, d: int, m: int) -> np.ndarray:
     return out
 
 
-def _eliminate_rows(mat: np.ndarray, q: int):
-    """Row-reduce in place; returns pivot column indices."""
-    pivots = []
-    pr = 0
-    for col in range(mat.shape[1]):
-        nz = np.nonzero(mat[pr:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = pr + int(nz[0])
-        if piv != pr:
-            mat[[pr, piv]] = mat[[piv, pr]]
-        inv = inverse_mod(int(mat[pr, col]), q)
-        mat[pr] = mat[pr] * inv % q
-        others = np.nonzero(mat[:, col])[0]
-        others = others[others != pr]
-        if others.size:
-            mat[others] = (mat[others] - np.outer(mat[others, col], mat[pr])) % q
-        pivots.append(col)
-        pr += 1
-        if pr == mat.shape[0]:
-            break
-    return pivots
+def _point_columns(points, q: int, m: int) -> np.ndarray:
+    """Generator-matrix column of each point, coordinates reduced mod q."""
+    pts = np.array(points, dtype=np.int64).reshape(-1, m) % q
+    return pts @ q ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
 def _info_pivots(q: int, d: int, m: int) -> tuple:
-    mat = _generator_matrix(q, d, m).copy()
-    pivots = _eliminate_rows(mat, q)
+    gen = _generator_matrix(q, d, m)
+    pivots = row_reduce(gen, q)[1]
     # full row rank is guaranteed for d < m(q-1)
-    assert len(pivots) == mat.shape[0]
+    assert len(pivots) == gen.shape[0]
     return tuple(pivots)
-
-
-def _matrix_inverse_mod(mat: np.ndarray, q: int) -> np.ndarray:
-    size = mat.shape[0]
-    if mat.shape != (size, size):
-        raise ValueError("matrix must be square")
-    aug = np.concatenate([mat % q, np.eye(size, dtype=np.int64)], axis=1)
-    pivots = _eliminate_rows(aug, q)
-    if pivots != list(range(size)):
-        raise ValueError("matrix is singular over F_q")
-    return aug[:, size:]
-
-
-@lru_cache(maxsize=None)
-def _restricted_inverse(q: int, d: int, m: int) -> np.ndarray:
-    """Inverse of the points-by-monomials matrix on the canonical
-    information set; rows follow the canonical point order."""
-    pivots = _info_pivots(q, d, m)
-    restricted = _generator_matrix(q, d, m)[:, pivots].T.copy()
-    inv = _matrix_inverse_mod(restricted, q)
-    inv.setflags(write=False)
-    return inv
 
 
 def information_set(rm: RMCode) -> InfoSet:
@@ -225,61 +185,46 @@ def select_available_infoset(ss: SuperSet, responded) -> InfoSet:
             return InfoSet(points=ss.entries[:size], sources=tuple(sources))
 
     q, d, m = ss.code_params
-    rm = rm_code(q, d, m)
-    dim = rm.dimension
     first_source = {}
     for idx in resp:
         first_source.setdefault(ss.entries[idx], idx)
-    rows = np.zeros((dim, dim), dtype=np.int64)
-    filled = 0
-    chosen_points = []
-    chosen_sources = []
-    for point in sorted(first_source):
-        cand = basis_at(rm, point)
-        trial = rows.copy()
-        trial[filled] = cand
-        if len(_eliminate_rows(trial[: filled + 1], q)) == filled + 1:
-            rows[filled] = cand
-            filled += 1
-            chosen_points.append(point)
-            chosen_sources.append(first_source[point])
-            if filled == dim:
-                return InfoSet(points=tuple(chosen_points), sources=tuple(chosen_sources))
-    raise ValueError("responding entries do not contain an information set")
+    points = sorted(first_source)
+    # a column is a pivot exactly when its point grows the span of the
+    # points before it, so the pivots are the greedy choice in this order
+    gen = _generator_matrix(q, d, m)
+    pivots = row_reduce(gen[:, _point_columns(points, q, m)], q)[1]
+    if len(pivots) < gen.shape[0]:
+        raise ValueError("responding entries do not contain an information set")
+    chosen = [points[c] for c in pivots]
+    return InfoSet(points=tuple(chosen), sources=tuple(first_source[pt] for pt in chosen))
 
 
-def decode_at_key(rm: RMCode, answers, key: FieldVector):
+def decode_at_key(rm: RMCode, answers, key: FieldVector) -> FieldElement:
     """Interpolate the unique degree-bounded polynomial matching the
     answers on an information set, then evaluate it at the key point.
 
     answers: mapping from evaluation point (tuple) to value in F_q.
     Raises ValueError when the answered points do not pin the polynomial
-    down (the restricted system is singular).
+    down (the restricted system is singular) or contradict each other.
     """
-    from .gf import FieldElement
-
     if key.q != rm.q:
         raise ValueError(f"modulus mismatch: {rm.q} vs {key.q}")
     if len(key) != rm.m:
         raise ValueError(f"key length {len(key)} does not match {rm.m} variables")
+    q, dim = rm.q, rm.dimension
     pts = sorted(answers)
-    values = np.array([int(answers[z]) % rm.q for z in pts], dtype=np.int64)
-    dim = rm.dimension
-    canonical = information_set(rm).points
-    if tuple(pts) == canonical:
-        coeffs = _restricted_inverse(rm.q, rm.d, rm.m) @ values % rm.q
-    else:
-        if len(pts) < dim:
-            raise ValueError(f"need at least {dim} answered points, got {len(pts)}")
-        system = np.zeros((len(pts), dim + 1), dtype=np.int64)
-        for i, z in enumerate(pts):
-            system[i, :dim] = basis_at(rm, z)
-        system[:, dim] = values
-        pivots = _eliminate_rows(system, rm.q)
-        if dim in pivots:
-            raise ValueError("answers are inconsistent with a degree-bounded polynomial")
-        if pivots != list(range(dim)):
-            raise ValueError("answered points do not cover an information set")
-        coeffs = system[:dim, dim]
-    value = int(basis_at(rm, key.values) @ coeffs % rm.q)
-    return FieldElement(value, rm.q)
+    if len(pts) < dim:
+        raise ValueError(f"need at least {dim} answered points, got {len(pts)}")
+    gen = _generator_matrix(q, rm.d, rm.m)
+    values = np.array([int(answers[z]) % q for z in pts], dtype=np.int64)
+    # rows are the answered points: [basis values at the point | answer]
+    system, pivots = row_reduce(
+        np.concatenate([gen[:, _point_columns(pts, q, rm.m)].T, values[:, None]], axis=1), q
+    )
+    if dim in pivots:
+        raise ValueError("answers are inconsistent with a degree-bounded polynomial")
+    if pivots != list(range(dim)):
+        raise ValueError("answered points do not cover an information set")
+    coeffs = system[:dim, dim]
+    at_key = gen[:, _point_columns([key.values], q, rm.m)[0]]
+    return FieldElement(int(at_key @ coeffs % q), q)

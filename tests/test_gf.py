@@ -3,6 +3,7 @@ independent span-enumeration oracle for rank."""
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -168,6 +169,23 @@ def test_zero_matrix_rank():
 
 def test_repeated_row_rank():
     assert rank(FieldMatrix(((1, 1), (1, 1)), 2)) == 1
+
+
+def test_elimination_is_exact_above_int64_products():
+    # the first prime above 2^32: products of two residues overflow int64
+    q = 4294967311
+    assert is_prime(q)
+    rng = random.Random(4294967311)
+    for _ in range(20):
+        row = [rng.randrange(1, q) for _ in range(3)]
+        k = rng.randrange(2, q)
+        other = [rng.randrange(q) for _ in range(3)]
+        mat = FieldMatrix((tuple(row), tuple(k * v for v in row), tuple(other)), q)
+        # pivot columns by 2x2 minors against the first row, in exact ints
+        minor = [(row[0] * other[j] - row[j] * other[0]) % q for j in (1, 2)]
+        expected = (0, 1) if minor[0] else (0, 2) if minor[1] else (0,)
+        assert rank(mat) == len(expected) == 2
+        assert pivot_columns(mat) == expected
 
 
 def span_size(rows, q):

@@ -23,6 +23,7 @@ from icc_kit.infometrics import (
     check_cap,
     check_divergence_distance_relation,
     check_entropy_gap,
+    conditioning_events,
     conditional_encoded,
     conditional_given,
     keysize_lower_bound,
@@ -414,6 +415,15 @@ def test_entropy_gap_product_distribution_equality():
     report = check_entropy_gap(d, 2, 1)
     assert report["holds"]
     assert abs(report["lhs"] - report["rhs"]) < 1e-9
+
+
+def test_conditioning_events_skip_zero_probability_values():
+    d = point_mass(2, 3, (0, 1, 1))
+    events = [(sel.indices, z) for sel, z in conditioning_events(d, 1)]
+    assert events == [((0,), (0,)), ((1,), (1,)), ((2,), (1,))]
+    pairs = [(sel.indices, z) for sel, z in conditioning_events(uniform(2, 3), 2)]
+    assert len(pairs) == 3 * 4
+    assert pairs[:4] == [((0, 1), z) for z in ((0, 0), (0, 1), (1, 0), (1, 1))]
 
 
 def test_entropy_gap_random_distributions():

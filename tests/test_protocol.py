@@ -9,15 +9,13 @@ import pytest
 
 from icc_kit.codes import LinearCode, key_gen, sample_code, shift
 from icc_kit.gf import FieldElement, FieldMatrix, FieldVector
-from icc_kit.infometrics import Distribution, random_dirichlet, uniform
+from icc_kit.infometrics import Distribution, leakage_audit, uniform
 from icc_kit.poly import MultiPoly, evaluate, random_poly, total_degree
 from icc_kit.protocol import (
     SchemeParams,
-    audit_csv_rows,
     computation_phase,
     count_straggler_patterns,
     download_cost,
-    leakage_audit,
     plan,
     storage_phase,
     straggler_patterns,
@@ -211,29 +209,6 @@ def test_leakage_audit_detects_untouched_coordinate():
     assert by_subset[(1,)] == 1.0
     assert report["max_mi"] == 1.0
     assert not report["passes"]["theorem"]
-
-
-def test_leakage_audit_accepts_session():
-    params = make_params(n=3, q=2, r=1, d=1, S=0)
-    code = sample_code(3, 2, 2, 57)
-    session = storage_phase(FieldVector((1, 0, 1), 2), params, code, 3)
-    d = random_dirichlet(2, 3, 5)
-    from_code = leakage_audit(d, code, 1, p=2, epsilon=1e-2, a=2.0, code_seed=57)
-    from_session = leakage_audit(d, session, 1, p=2, epsilon=1e-2, a=2.0, code_seed=57)
-    assert from_code["per_subset"] == from_session["per_subset"]
-
-
-def test_audit_csv_rows_shape():
-    d = random_dirichlet(2, 3, 5)
-    code = sample_code(3, 2, 2, 57)
-    report = leakage_audit(d, code, 2, p=2, epsilon=1e-2, a=2.0, code_seed=57)
-    rows = audit_csv_rows(report)
-    assert len(rows) == len(report["per_subset"]) == 3
-    for seed, label, mi, bound, ok in rows:
-        assert seed == 57
-        assert "-" in label
-        assert mi >= 0 and bound > 0
-        assert ok in (True, False)
 
 
 def test_scheme_params_json_round_trip():

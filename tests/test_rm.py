@@ -11,8 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from icc_kit.gf import FieldElement, FieldMatrix, FieldVector, rank
+from icc_kit.gf import FieldElement, FieldMatrix, FieldVector, pivot_columns, rank
 from icc_kit.poly import evaluate, random_poly
 from icc_kit.rm import (
     InfoSet,
@@ -27,6 +29,7 @@ from icc_kit.rm import (
     select_available_infoset,
     trivial_superset,
 )
+from test_acceptance import scheme_grid
 
 
 def restricted_rank(rm, points):
@@ -195,6 +198,25 @@ def test_decode_from_non_canonical_information_set():
     for key in itertools.product(range(2), repeat=2):
         kv = FieldVector(key, 2)
         assert decode_at_key(rm, answers, kv) == evaluate(g, kv)
+
+
+RM_PARAMS = sorted({(q, d, m) for q, m, d, _ in scheme_grid()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_decode_from_random_information_set_matches_evaluate(data):
+    q, d, m = data.draw(st.sampled_from(RM_PARAMS), label="q, d, m")
+    rm = rm_code(q, d, m)
+    g = random_poly(m, d, q, data.draw(st.integers(0, 2**32 - 1), label="poly seed"))
+    key = FieldVector(data.draw(st.tuples(*[st.integers(0, q - 1)] * m), label="key"), q)
+    # the points that grow the span in a random order of all q^m points
+    order = data.draw(st.permutations(rm.eval_points), label="point order")
+    basis_cols = tuple(zip(*(tuple(int(v) for v in basis_at(rm, pt)) for pt in order)))
+    info = [order[c] for c in pivot_columns(FieldMatrix(basis_cols, q))]
+    assert len(info) == rm.dimension
+    answers = {pt: int(evaluate(g, FieldVector(pt, q))) for pt in info}
+    assert decode_at_key(rm, answers, key) == evaluate(g, key)
 
 
 def test_decode_insufficient_answers():
