@@ -183,9 +183,9 @@ def test_elimination_is_exact_above_int64_products():
         mat = FieldMatrix((tuple(row), tuple(k * v for v in row), tuple(other)), q)
         # pivot columns by 2x2 minors against the first row, in exact ints
         minor = [(row[0] * other[j] - row[j] * other[0]) % q for j in (1, 2)]
-        expected = (0, 1) if minor[0] else (0, 2) if minor[1] else (0,)
-        assert rank(mat) == len(expected) == 2
-        assert pivot_columns(mat) == expected
+        assert any(minor)  # the third row is independent of the first
+        assert rank(mat) == 2
+        assert pivot_columns(mat) == ((0, 1) if minor[0] else (0, 2))
 
 
 def span_size(rows, q):
