@@ -32,12 +32,19 @@ def monomials(num_vars: int, max_degree: int, q: int) -> tuple:
     _check_prime(q)
     if num_vars < 0 or max_degree < 0:
         raise ValueError("num_vars and max_degree must be non-negative")
-    if num_vars == 0:
-        return ((),)
+    zeros = (0,) * num_vars
     out = []
-    for e in range(min(q - 1, max_degree) + 1):
-        for rest in monomials(num_vars - 1, max_degree - e, q):
-            out.append((e,) + rest)
+    # depth-first over (prefix, degree left): a node emits its prefix padded
+    # with zeros and each child fixes the next nonzero exponent; children come
+    # later place first, smaller value first, so they are pushed in reverse
+    stack = [((), max_degree)]
+    while stack:
+        prefix, left = stack.pop()
+        free = num_vars - len(prefix)
+        out.append(prefix + zeros[:free])
+        for gap in range(free if left else 0):
+            for e in range(min(q - 1, left), 0, -1):
+                stack.append((prefix + zeros[:gap] + (e,), left - e))
     return tuple(out)
 
 
@@ -130,31 +137,50 @@ def evaluate(f: MultiPoly, x: FieldVector) -> FieldElement:
     return FieldElement(total % f.q, f.q)
 
 
-@lru_cache(maxsize=None)
-def _pow_table(q: int) -> np.ndarray:
-    table = np.array([[pow(x, e, q) for e in range(q)] for x in range(q)], dtype=np.int64)
-    table.setflags(write=False)
-    return table
+def monomial_values(exps, points, q: int) -> np.ndarray:
+    """Every monomial at every point mod q, shape (terms, points).
+
+    A term gathers only the coordinates of its nonzero exponents (at most d
+    for total degree d) and raises them by square-and-multiply, so the cost
+    is O(points * terms * d) whatever the number of variables. Entries are
+    int64 while a product of two residues fits, Python ints above.
+    """
+    dtype = np.int64 if (q - 1) ** 2 < 2 ** 63 else object
+    exps = np.asarray(exps, dtype=np.int64)
+    coords = np.ascontiguousarray(np.asarray(points, dtype=dtype).T % q)
+    terms, var = np.nonzero(exps)  # row-major: a term's entries are adjacent
+    slot = np.arange(terms.size) - np.searchsorted(terms, terms)
+    # (variable, exponent) in each slot of each term; empty slots raise to 0
+    at = np.zeros((2, exps.shape[0], slot.max(initial=-1) + 1), dtype=np.int64)
+    at[:, terms, slot] = var, exps[terms, var]
+    vals = np.ones((exps.shape[0], coords.shape[1]), dtype=dtype)
+    for slot_var, e in zip(at[0].T, at[1].T):
+        base = coords[slot_var]
+        for bit in range(int(e.max()).bit_length()):
+            if bit:
+                np.remainder(base * base, q, out=base)
+            odd = ((e >> bit) & 1).astype(bool)[:, None]
+            np.multiply(vals, base, out=vals, where=odd)
+            np.remainder(vals, q, out=vals, where=odd)
+    return vals
 
 
 def evaluate_batch(f: MultiPoly, points: np.ndarray) -> np.ndarray:
     """Evaluate f at many points at once.
 
-    points: integer array of shape (count, num_vars) with entries in [0, q).
-    Returns an int64 array of f values. Matches evaluate() pointwise.
+    points: integer array of shape (count, num_vars); q below 2^63.
+    Returns an int64 array of f values, equal to evaluate() pointwise.
     """
-    pts = np.asarray(points, dtype=np.int64)
+    pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != f.num_vars:
         raise ValueError(f"points must have shape (count, {f.num_vars})")
     if f.is_zero:
         return np.zeros(pts.shape[0], dtype=np.int64)
-    exps = np.array(sorted(f.terms), dtype=np.int64)
-    coefs = np.array([f.terms[tuple(e)] for e in exps.tolist()], dtype=np.int64)
-    pw = _pow_table(f.q)
-    vals = np.ones((pts.shape[0], exps.shape[0]), dtype=np.int64)
-    for v in range(f.num_vars):
-        vals = vals * pw[pts[:, v][:, None], exps[None, :, v]] % f.q
-    return vals @ coefs % f.q
+    vals = monomial_values(list(f.terms), pts, f.q)
+    # the sum over terms of coefficient-times-value products must fit too
+    dtype = vals.dtype if len(f.terms) * (f.q - 1) ** 2 < 2 ** 63 else object
+    coefs = np.array(list(f.terms.values()), dtype=dtype)
+    return (coefs @ vals.astype(dtype, copy=False) % f.q).astype(np.int64)
 
 
 def random_poly(num_vars: int, degree: int, q: int, rng_seed) -> MultiPoly:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import FieldElement, FieldVector, _check_prime, row_reduce
-from .poly import _pow_table, monomials
+from .poly import monomial_values, monomials
 
 
 def _check_rm_params(q: int, d: int, m: int) -> None:
@@ -99,12 +99,7 @@ class SuperSet:
 @lru_cache(maxsize=None)
 def _generator_matrix(q: int, d: int, m: int) -> np.ndarray:
     """Monomials-by-points evaluation matrix, shape (dimension, q^m)."""
-    pts = np.array(eval_points(q, m), dtype=np.int64)
-    mons = np.array(monomials(m, d, q), dtype=np.int64)
-    pw = _pow_table(q)
-    out = np.ones((mons.shape[0], pts.shape[0]), dtype=np.int64)
-    for v in range(m):
-        out = out * pw[pts[None, :, v], mons[:, v][:, None]] % q
+    out = monomial_values(monomials(m, d, q), eval_points(q, m), q)
     out.setflags(write=False)
     return out
 
@@ -129,16 +124,6 @@ def information_set(rm: RMCode) -> InfoSet:
     canonical point order; deterministic for a given (q, d, m)."""
     pts = rm.eval_points
     return InfoSet(points=tuple(pts[c] for c in _info_pivots(rm.q, rm.d, rm.m)))
-
-
-def basis_at(rm: RMCode, point) -> np.ndarray:
-    """Values of every basis monomial at one point, as int64."""
-    pw = _pow_table(rm.q)
-    mons = np.array(rm.monomial_basis, dtype=np.int64)
-    out = np.ones(mons.shape[0], dtype=np.int64)
-    for v in range(rm.m):
-        out = out * pw[point[v] % rm.q, mons[:, v]] % rm.q
-    return out
 
 
 def trivial_superset(rm: RMCode, stragglers: int) -> SuperSet:

@@ -218,14 +218,24 @@ def test_main_metrics_check_defaults_small(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["all_pass"] is True
 
 
-def test_main_crash_exits_2_without_traceback(tmp_path, capsys):
-    # n=1200 is deeper than the recursion limit of monomial enumeration;
-    # the crash must not be reported as exit 1 ("a property failed")
-    path = write_config(tmp_path, dict(BASE_SIM, n=1200, d=1, m=2))
+def test_main_crash_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    # an internal crash must not be reported as exit 1 ("a property failed")
+    def crash(config, cap=None):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(cli, "cmd_simulate", crash)
+    path = write_config(tmp_path, BASE_SIM)
     assert main(["simulate", "--config", path]) == 2
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["error"].startswith("RecursionError: ")
+    assert json.loads(captured.out)["error"].startswith("RuntimeError: ")
     assert "Traceback" not in captured.err
+
+
+def test_main_simulate_many_variables(tmp_path, capsys):
+    # n=1200 is far deeper than the interpreter's recursion limit
+    path = write_config(tmp_path, dict(BASE_SIM, n=1200, d=1, m=2))
+    assert main(["simulate", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["match"] is True
 
 
 def test_main_cap_env_must_be_integer(tmp_path, capsys, monkeypatch):

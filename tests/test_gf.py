@@ -30,6 +30,27 @@ def test_is_prime_small_values():
     assert not is_prime(0)
 
 
+def test_is_prime_matches_trial_division():
+    def trial(q):
+        return q > 1 and all(q % f for f in range(2, math.isqrt(q) + 1))
+
+    assert all(is_prime(q) == trial(q) for q in range(20000))
+    rng = random.Random(2)
+    for q in (rng.randrange(2**31, 2**32) for _ in range(200)):
+        assert is_prime(q) == trial(q)
+
+
+def test_is_prime_large_and_pseudoprime_cases():
+    for q in (2147483647, 4294967311, 2**61 - 1, 2**64 - 59):
+        assert is_prime(q)
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases, and a
+    # Carmichael number
+    for c in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(c)
+    with pytest.raises(ValueError, match="exactly only below"):
+        is_prime(2**89 - 1)
+
+
 def test_non_prime_modulus_rejected():
     with pytest.raises(ValueError):
         FieldElement(1, 4)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icc_kit.gf import FieldElement, FieldVector
 from icc_kit.poly import (
@@ -143,6 +145,46 @@ def test_evaluate_batch_agrees_with_single_point():
         vals = evaluate_batch(f, pts)
         for row, val in zip(pts, vals):
             assert int(evaluate(f, FieldVector(tuple(row), q))) == int(val)
+
+
+LARGE_PRIMES = [2147483647, 4294967311, 2**61 - 1]
+
+
+@st.composite
+def poly_and_points(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 251, 65537] + LARGE_PRIMES))
+    n = draw(st.integers(1, 5))
+    exp = st.tuples(*[st.integers(0, q - 1)] * n)
+    terms = draw(st.lists(st.tuples(exp, st.integers(1, q - 1)), max_size=20))
+    points = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=1, max_size=8))
+    return MultiPoly.from_terms(n, q, terms), points
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=poly_and_points())
+def test_evaluate_batch_matches_evaluate_at_every_prime(case):
+    f, points = case
+    vals = evaluate_batch(f, np.array(points, dtype=np.int64))
+    assert [int(v) for v in vals] == [int(evaluate(f, FieldVector(x, f.q))) for x in points]
+
+
+@pytest.mark.parametrize("q", LARGE_PRIMES)
+def test_evaluate_batch_is_exact_where_int64_sums_overflow(q):
+    # every coefficient-times-value product is near (q-1)^2, so an int64 sum
+    # over the 16 terms wraps already at q = 2^31 - 1; above 2^32 the
+    # product x1*x2 alone wraps
+    terms = {tuple(int(i == v) for i in range(15)): q - 1 for v in range(15)}
+    terms[(1, 1) + (0,) * 13] = q - 1
+    f = MultiPoly.from_terms(15, q, terms)
+    x = (q - 1,) * 15
+    assert int(evaluate_batch(f, np.array([x]))[0]) == int(evaluate(f, FieldVector(x, q))) == 14
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 5), d=st.integers(0, 6), q=st.sampled_from([2, 3, 5, 7]))
+def test_monomials_match_product_filter_oracle(n, d, q):
+    oracle = tuple(e for e in itertools.product(range(q), repeat=n) if sum(e) <= d)
+    assert monomials(n, d, q) == oracle
 
 
 def test_json_round_trip():
