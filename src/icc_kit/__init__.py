@@ -3,9 +3,9 @@ additive masking with random linear codes, evaluation-code based
 distributed computation with straggler tolerance, and exact
 enumeration-based leakage audits."""
 
-from .gf import FieldElement, FieldMatrix, FieldVector, mat_vec_left, rank, vec_add
+from .gf import field_array, rank
 from .poly import MultiPoly, evaluate, random_poly, total_degree
-from .codes import LinearCode, SecretKey, encode, key_gen, sample_code, shift, subcolumns_full_rank
+from .codes import LinearCode, encode, key_gen, sample_code, shift, subcolumns_full_rank
 from .rm import (
     InfoSet,
     RMCode,

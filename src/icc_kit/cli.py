@@ -18,7 +18,6 @@ import numpy as np
 from . import infometrics as im
 from . import protocol
 from .codes import sample_code
-from .gf import FieldVector
 from .poly import MultiPoly, evaluate, random_poly
 from .protocol import SchemeParams, computation_phase, storage_phase
 
@@ -93,12 +92,9 @@ def cmd_simulate(config: dict, cap=None) -> tuple:
     code_seed, key_seed, x_seed, f_seed = _child_seeds(seed, 4)
     code = sample_code(params.n, m, params.q, code_seed)
     if "x" in config:
-        data = FieldVector(tuple(config["x"]), params.q)
+        data = config["x"]
     else:
-        data = FieldVector(
-            tuple(int(v) for v in np.random.default_rng(x_seed).integers(0, params.q, params.n)),
-            params.q,
-        )
+        data = np.random.default_rng(x_seed).integers(0, params.q, params.n)
     if "f" in config:
         f = MultiPoly.from_json(config["f"])
     else:
@@ -108,9 +104,9 @@ def cmd_simulate(config: dict, cap=None) -> tuple:
     decoded = computation_phase(session, f, stragglers)
     direct = evaluate(f, data)
     result = {
-        "decoded": int(decoded),
-        "direct": int(direct),
-        "match": bool(int(decoded) == int(direct)),
+        "decoded": decoded,
+        "direct": direct,
+        "match": decoded == direct,
         "metrics": {
             "N": session.metrics.num_workers,
             "D": session.metrics.download_cost,

@@ -13,61 +13,45 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import (
-    FieldMatrix,
-    FieldVector,
-    _check_prime,
-    mat_vec_left,
-    rank,
-    submatrix_columns,
-    vec_add,
-    vec_sub,
-)
+from .gf import _check_prime, exact_dtype, field_array, rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
     """An [n, m]_q linear code given by its m x n generator matrix."""
 
-    generator: FieldMatrix
+    generator: np.ndarray
+    q: int
 
     def __post_init__(self):
-        if self.generator.num_rows > self.generator.num_cols:
+        gen = field_array(self.generator, self.q, (None, None), "generator")
+        if gen.shape[0] > gen.shape[1]:
             raise ValueError("generator must have m <= n")
+        gen.setflags(write=False)
+        object.__setattr__(self, "generator", gen)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearCode):
+            return NotImplemented
+        return self.q == other.q and np.array_equal(self.generator, other.generator)
 
     @property
     def n(self) -> int:
-        return self.generator.num_cols
+        return self.generator.shape[1]
 
     @property
     def m(self) -> int:
-        return self.generator.num_rows
-
-    @property
-    def q(self) -> int:
-        return self.generator.q
+        return self.generator.shape[0]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "q": self.q,
-            "G": [list(row) for row in self.generator.entries],
-        }
+        return {"n": self.n, "m": self.m, "q": self.q, "G": self.generator.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinearCode":
-        code = cls(FieldMatrix(tuple(tuple(row) for row in obj["G"]), obj["q"]))
+        code = cls(obj["G"], obj["q"])
         if code.n != obj["n"] or code.m != obj["m"]:
             raise ValueError("declared dimensions disagree with the generator")
         return code
-
-
-@dataclass(frozen=True)
-class SecretKey:
-    """Key vector in F_q^m; uniform when produced by key_gen."""
-
-    vector: FieldVector
 
 
 def sample_code(n: int, m: int, q: int, rng_seed) -> LinearCode:
@@ -76,32 +60,35 @@ def sample_code(n: int, m: int, q: int, rng_seed) -> LinearCode:
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(rng_seed)
-    entries = rng.integers(0, q, size=(m, n))
-    return LinearCode(FieldMatrix(tuple(tuple(int(v) for v in row) for row in entries), q))
+    return LinearCode(rng.integers(0, q, size=(m, n)), q)
 
 
-def key_gen(m: int, q: int, rng_seed) -> SecretKey:
+def key_gen(m: int, q: int, rng_seed) -> np.ndarray:
     """Uniform key in F_q^m; pure function of the seed."""
     _check_prime(q)
     if m < 1:
         raise ValueError("key length must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-    values = rng.integers(0, q, size=m)
-    return SecretKey(FieldVector(tuple(int(v) for v in values), q))
+    return np.random.default_rng(rng_seed).integers(0, q, size=m)
 
 
-def encode(x: FieldVector, key: SecretKey, code: LinearCode) -> FieldVector:
-    """x + key.G over F_q."""
-    if len(x) != code.n:
-        raise ValueError(f"data length {len(x)} does not match code length {code.n}")
-    return vec_add(x, mat_vec_left(key.vector, code.generator))
+def _add_codewords(x, t, code: LinearCode, sign: int) -> np.ndarray:
+    x = field_array(x, code.q, (code.n,), "vector")
+    # t is one vector of F_q^m or a stack of them, one output row each
+    t = field_array(t, code.q, (None,) * (np.ndim(t) - 1) + (code.m,), "key")
+    dtype = exact_dtype(code.q, code.m + 1)  # m products plus x
+    out = x.astype(dtype) + sign * (t.astype(dtype) @ code.generator.astype(dtype))
+    return (out % code.q).astype(x.dtype)
 
 
-def shift(encoded: FieldVector, t: FieldVector, code: LinearCode) -> FieldVector:
-    """encoded - t.G over F_q; inverse of encode when t equals the key."""
-    if len(encoded) != code.n:
-        raise ValueError(f"vector length {len(encoded)} does not match code length {code.n}")
-    return vec_sub(encoded, mat_vec_left(t, code.generator))
+def encode(x, key, code: LinearCode) -> np.ndarray:
+    """x + key.G over F_q; a (count, m) stack of keys gives (count, n)."""
+    return _add_codewords(x, key, code, 1)
+
+
+def shift(encoded, t, code: LinearCode) -> np.ndarray:
+    """encoded - t.G over F_q; inverse of encode when t equals the key. A
+    (count, m) stack of t gives the (count, n) stack of shifted vectors."""
+    return _add_codewords(encoded, t, code, -1)
 
 
 def subcolumns_full_rank(code: LinearCode, subset: Sequence[int]) -> bool:
@@ -115,4 +102,6 @@ def subcolumns_full_rank(code: LinearCode, subset: Sequence[int]) -> bool:
         raise ValueError("column subset must not repeat indices")
     if len(cols) > code.m:
         raise ValueError(f"subset size {len(cols)} exceeds key length {code.m}")
-    return rank(submatrix_columns(code.generator, cols)) == len(cols)
+    if any(not 0 <= c < code.n for c in cols):
+        raise ValueError(f"column subset {cols} out of range for n = {code.n}")
+    return rank(code.generator[:, list(cols)], code.q) == len(cols)

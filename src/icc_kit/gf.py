@@ -1,15 +1,14 @@
-"""Exact arithmetic over prime fields F_q: elements, vectors, matrices, rank."""
+"""Prime fields F_q: field data as numpy integer arrays, validated once at
+the API boundary, the one overflow rule, and Gaussian elimination."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
 
-@lru_cache(maxsize=None)  # every field element and vector checks its q
+@lru_cache(maxsize=None)  # every field array checks its q
 def is_prime(q: int) -> bool:
     """Exact below 3.3e24, where Miller-Rabin with the first 13 prime bases
     is deterministic (Sorenson & Webster 2017); larger q is rejected."""
@@ -46,183 +45,52 @@ def inverse_mod(value: int, q: int) -> int:
     return old_t % q
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A single residue in F_q. Immutable; mixing moduli is a hard error."""
-
-    value: int
-    q: int
-
-    def __post_init__(self):
-        _check_prime(self.q)
-        object.__setattr__(self, "value", int(self.value) % self.q)
-
-    def _other_value(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.q != self.q:
-                raise ValueError(f"modulus mismatch: {self.q} vs {other.q}")
-            return other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return other % self.q
-        raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-
-    def __add__(self, other):
-        return FieldElement(self.value + self._other_value(other), self.q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.value - self._other_value(other), self.q)
-
-    def __rsub__(self, other):
-        return FieldElement(self._other_value(other) - self.value, self.q)
-
-    def __mul__(self, other):
-        return FieldElement(self.value * self._other_value(other), self.q)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.q)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return FieldElement(pow(self.value, exponent, self.q), self.q)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(inverse_mod(self.value, self.q), self.q)
-
-    def __truediv__(self, other):
-        divisor = self._other_value(other)
-        return FieldElement(self.value * inverse_mod(divisor, self.q), self.q)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.q})"
+def exact_dtype(q: int, terms: int = 1):
+    """dtype for sums of `terms` products of two residues mod q: int64 while
+    terms * (q-1)^2 < 2^63, exact Python ints (object) above."""
+    return np.int64 if terms * (q - 1) ** 2 < 2 ** 63 else object
 
 
-@dataclass(frozen=True)
-class FieldVector:
-    """Fixed-length vector over F_q. Values are reduced on construction."""
+def field_array(values, q: int, shape=None, name: str = "field data") -> np.ndarray:
+    """Validate field data at the API boundary and reduce it mod q.
 
-    values: tuple
-    q: int
-
-    def __post_init__(self):
-        _check_prime(self.q)
-        reduced = tuple(int(v) % self.q for v in self.values)
-        if not reduced:
-            raise ValueError("vector must have at least one coordinate")
-        object.__setattr__(self, "values", reduced)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i) -> FieldElement:
-        return FieldElement(self.values[i], self.q)
-
-    def __iter__(self):
-        return (FieldElement(v, self.q) for v in self.values)
-
-    def __add__(self, other):
-        return vec_add(self, other)
-
-    def __sub__(self, other):
-        return vec_sub(self, other)
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "elements": list(self.values)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FieldVector":
-        return cls(tuple(obj["elements"]), obj["q"])
+    Entries must be integers (floats and bools are rejected, not
+    truncated) and the array must be non-empty; shape, when given, is the
+    expected shape with None for any length. Returns the residues in
+    exact_dtype(q), so products of two entries never overflow.
+    """
+    _check_prime(q)
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        # numpy promotes Python ints beyond int64 to float; keep them exact
+        arr = np.asarray(values, dtype=object)
+    if arr.dtype.kind == "O":
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.flat):
+            raise ValueError(f"{name} entries must be integers")
+    elif arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} entries must be integers, got dtype {arr.dtype}")
+    if shape is not None and (
+        arr.ndim != len(shape) or any(w is not None and w != s for w, s in zip(shape, arr.shape))
+    ):
+        want = tuple("*" if w is None else w for w in shape)
+        raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{name} must not be empty")
+    dtype = exact_dtype(q)
+    if dtype is object or arr.dtype.kind != "i":  # unsigned or Python ints
+        arr = arr.astype(object)
+    return (arr % q).astype(dtype)
 
 
-@dataclass(frozen=True)
-class FieldMatrix:
-    """Row-major matrix over F_q. Entries are reduced on construction."""
-
-    entries: tuple
-    q: int
-
-    def __post_init__(self):
-        _check_prime(self.q)
-        rows = tuple(tuple(int(v) % self.q for v in row) for row in self.entries)
-        if not rows or not rows[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("matrix rows must all have the same length")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.entries[0])
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.entries[i][j], self.q)
-
-    def row(self, i: int) -> FieldVector:
-        return FieldVector(self.entries[i], self.q)
-
-    def column(self, j: int) -> FieldVector:
-        return FieldVector(tuple(row[j] for row in self.entries), self.q)
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "rows": [list(row) for row in self.entries]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FieldMatrix":
-        return cls(tuple(tuple(row) for row in obj["rows"]), obj["q"])
-
-    @classmethod
-    def identity(cls, size: int, q: int) -> "FieldMatrix":
-        return cls(
-            tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size)),
-            q,
-        )
+DEFAULT_CAP = 2 ** 24
 
 
-def _check_same_modulus(a, b) -> None:
-    if a.q != b.q:
-        raise ValueError(f"modulus mismatch: {a.q} vs {b.q}")
-
-
-def vec_add(a: FieldVector, b: FieldVector) -> FieldVector:
-    """Componentwise sum of two vectors over the same field."""
-    _check_same_modulus(a, b)
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return FieldVector(tuple(x + y for x, y in zip(a.values, b.values)), a.q)
-
-
-def vec_sub(a: FieldVector, b: FieldVector) -> FieldVector:
-    _check_same_modulus(a, b)
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return FieldVector(tuple(x - y for x, y in zip(a.values, b.values)), a.q)
-
-
-def mat_vec_left(k: FieldVector, matrix: FieldMatrix) -> FieldVector:
-    """Row-vector times matrix: returns k.M with length matrix.num_cols."""
-    _check_same_modulus(k, matrix)
-    if len(k) != matrix.num_rows:
-        raise ValueError(
-            f"dimension mismatch: vector length {len(k)} vs {matrix.num_rows} rows"
-        )
-    cols = matrix.num_cols
-    out = [0] * cols
-    for kv, row in zip(k.values, matrix.entries):
-        if kv:
-            for j in range(cols):
-                out[j] += kv * row[j]
-    return FieldVector(tuple(out), matrix.q)
+def check_cap(outcomes: int, cap=None) -> None:
+    """Reject an enumeration of more than cap (default DEFAULT_CAP) outcomes
+    before anything is allocated for it."""
+    limit = DEFAULT_CAP if cap is None else cap
+    if outcomes > limit:
+        raise ValueError(f"enumeration of {outcomes} outcomes exceeds cap {limit}")
 
 
 def row_reduce(mat, q: int) -> tuple:
@@ -232,9 +100,7 @@ def row_reduce(mat, q: int) -> tuple:
     The only Gaussian-elimination routine in the package: rank, pivots,
     information sets and decoding all go through it.
     """
-    # int64 holds every product of two residues while (q-1)^2 < 2^63;
-    # beyond that, exact Python ints
-    red = np.array(mat, dtype=np.int64 if (q - 1) ** 2 < 2 ** 63 else object) % q
+    red = np.array(mat, dtype=exact_dtype(q)) % q
     pivots = []
     pr = 0
     for col in range(red.shape[1]):
@@ -257,21 +123,11 @@ def row_reduce(mat, q: int) -> tuple:
     return red, pivots
 
 
-def rank(matrix: FieldMatrix) -> int:
+def rank(matrix, q: int) -> int:
     """Rank over F_q by Gaussian elimination."""
-    return len(pivot_columns(matrix))
+    return len(pivot_columns(matrix, q))
 
 
-def pivot_columns(matrix: FieldMatrix) -> tuple:
+def pivot_columns(matrix, q: int) -> tuple:
     """Pivot column indices found by elimination in left-to-right order."""
-    return tuple(row_reduce(matrix.entries, matrix.q)[1])
-
-
-def submatrix_columns(matrix: FieldMatrix, cols: Sequence[int]) -> FieldMatrix:
-    """New matrix keeping the given columns, in the given order."""
-    for c in cols:
-        if not 0 <= c < matrix.num_cols:
-            raise ValueError(f"column index {c} out of range")
-    return FieldMatrix(
-        tuple(tuple(row[c] for c in cols) for row in matrix.entries), matrix.q
-    )
+    return tuple(row_reduce(field_array(matrix, q, (None, None), "matrix"), q)[1])

@@ -25,10 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import LinearCode
-from .gf import FieldVector, _check_prime
+from .codes import LinearCode, encode
+from .gf import DEFAULT_CAP, _check_prime, check_cap
 
-DEFAULT_CAP = 2 ** 24
 # absolute slack for floating-point verdicts: far above accumulated
 # double-precision error at cap-sized sums, far below any real effect
 VERDICT_TOL = 1e-9
@@ -38,14 +37,6 @@ def _log_q(x: float, q: int) -> float:
     if q == 2:
         return math.log2(x)
     return math.log(x) / math.log(q)
-
-
-def check_cap(joint_outcomes: int, cap=None) -> None:
-    limit = DEFAULT_CAP if cap is None else cap
-    if joint_outcomes > limit:
-        raise ValueError(
-            f"enumeration of {joint_outcomes} joint outcomes exceeds cap {limit}"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -60,6 +51,19 @@ def _digit_table(q: int, n: int) -> np.ndarray:
 
 def _radix(q: int, n: int) -> np.ndarray:
     return q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _outcome_index(outcome, q: int, n: int) -> int:
+    """Lexicographic index of a point of F_q^n; rejects a wrong length or a
+    digit outside [0, q) instead of wrapping it onto another outcome."""
+    digits = np.asarray(outcome)
+    if (
+        digits.shape != (n,)
+        or digits.dtype.kind not in "iu"
+        or not np.all((digits >= 0) & (digits < q))
+    ):
+        raise ValueError(f"outcome {outcome!r} is not a point of F_{q}^{n}")
+    return int(digits.astype(np.int64) @ _radix(q, n))
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,7 @@ class Distribution:
         object.__setattr__(self, "probs", table)
 
     def prob_of(self, outcome) -> float:
-        index = int(np.dot(np.asarray(outcome, dtype=np.int64), _radix(self.q, self.n)))
-        return float(self.probs[index])
+        return float(self.probs[_outcome_index(outcome, self.q, self.n)])
 
     def to_json(self) -> dict:
         return {"q": self.q, "n": self.n, "probs": [float(p) for p in self.probs]}
@@ -136,7 +139,7 @@ def uniform(q: int, n: int) -> Distribution:
 
 def point_mass(q: int, n: int, at) -> Distribution:
     table = np.zeros(q ** n)
-    table[int(np.dot(np.asarray(at, dtype=np.int64), _radix(q, n)))] = 1.0
+    table[_outcome_index(at, q, n)] = 1.0
     return Distribution(q, n, table)
 
 
@@ -235,9 +238,7 @@ def _check_code_matches(dist: Distribution, code: LinearCode) -> None:
 
 def _key_shifts(code: LinearCode) -> np.ndarray:
     """All q^m codewords key.G, shape (q^m, n)."""
-    gen = np.array(code.generator.entries, dtype=np.int64)
-    keys = _digit_table(code.q, code.m)
-    return keys @ gen % code.q
+    return encode(np.zeros(code.n, dtype=np.int64), _digit_table(code.q, code.m), code)
 
 
 def pushforward_encode(dist: Distribution, code: LinearCode, cap=None) -> Distribution:

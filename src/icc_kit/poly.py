@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldElement, FieldVector, _check_prime
+from .gf import _check_prime, exact_dtype, field_array
 
 
 def reduce_exponent(e: int, q: int) -> int:
@@ -121,20 +121,19 @@ def total_degree(f: MultiPoly) -> int:
     return max((sum(exp) for exp in f.terms), default=0)
 
 
-def evaluate(f: MultiPoly, x: FieldVector) -> FieldElement:
-    """f(x) by term-wise product and sum over F_q."""
-    if x.q != f.q:
-        raise ValueError(f"modulus mismatch: {f.q} vs {x.q}")
-    if len(x) != f.num_vars:
-        raise ValueError(f"point has {len(x)} coordinates, expected {f.num_vars}")
+def evaluate(f: MultiPoly, x) -> int:
+    """f(x) by term-wise product and sum over F_q, in Python ints: the slow
+    reference that evaluate_batch is checked against."""
+    # pow needs Python ints: pow(np.int64, e, q) raises TypeError
+    values = field_array(x, f.q, (f.num_vars,), "point").tolist()
     total = 0
     for exp, coef in f.terms.items():
         prod = coef
-        for xv, e in zip(x.values, exp):
+        for xv, e in zip(values, exp):
             if e:
                 prod = prod * pow(xv, e, f.q) % f.q
         total += prod
-    return FieldElement(total % f.q, f.q)
+    return total % f.q
 
 
 def monomial_values(exps, points, q: int) -> np.ndarray:
@@ -145,7 +144,7 @@ def monomial_values(exps, points, q: int) -> np.ndarray:
     is O(points * terms * d) whatever the number of variables. Entries are
     int64 while a product of two residues fits, Python ints above.
     """
-    dtype = np.int64 if (q - 1) ** 2 < 2 ** 63 else object
+    dtype = exact_dtype(q)
     exps = np.asarray(exps, dtype=np.int64)
     coords = np.ascontiguousarray(np.asarray(points, dtype=dtype).T % q)
     terms, var = np.nonzero(exps)  # row-major: a term's entries are adjacent
@@ -171,14 +170,12 @@ def evaluate_batch(f: MultiPoly, points: np.ndarray) -> np.ndarray:
     points: integer array of shape (count, num_vars); q below 2^63.
     Returns an int64 array of f values, equal to evaluate() pointwise.
     """
-    pts = np.asarray(points)
-    if pts.ndim != 2 or pts.shape[1] != f.num_vars:
-        raise ValueError(f"points must have shape (count, {f.num_vars})")
+    pts = field_array(points, f.q, (None, f.num_vars), "points")
     if f.is_zero:
         return np.zeros(pts.shape[0], dtype=np.int64)
     vals = monomial_values(list(f.terms), pts, f.q)
     # the sum over terms of coefficient-times-value products must fit too
-    dtype = vals.dtype if len(f.terms) * (f.q - 1) ** 2 < 2 ** 63 else object
+    dtype = exact_dtype(f.q, len(f.terms))
     coefs = np.array(list(f.terms.values()), dtype=dtype)
     return (coefs @ vals.astype(dtype, copy=False) % f.q).astype(np.int64)
 

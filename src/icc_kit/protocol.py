@@ -22,8 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .codes import LinearCode, SecretKey, encode, key_gen, shift
-from .gf import FieldElement, FieldVector, _check_prime
+from .codes import LinearCode, encode, key_gen, shift
+from .gf import _check_prime
 from .poly import MultiPoly, evaluate_batch, total_degree
 from .rm import (
     RMCode,
@@ -78,26 +78,20 @@ class SchemeMetrics:
     key_length: int
 
 
-@dataclass(frozen=True)
-class WorkerShare:
-    worker_id: int
-    point: tuple
-    data: FieldVector
-
-
 @dataclass
 class UserRecord:
     # holds the key and public parameters only; never the data vector
-    key: SecretKey
+    key: np.ndarray
     params: SchemeParams
     key_length: int
 
 
 @dataclass
 class AdminRecord:
-    # everything the admin sees: masked vector, shares, super-set, code
-    encoded: FieldVector
-    shares: tuple
+    # everything the admin sees: masked vector, shares, super-set, code;
+    # shares row i is worker i's vector, shifted by super-set entry i
+    encoded: np.ndarray
+    shares: np.ndarray
     superset: SuperSet
     code: LinearCode
 
@@ -111,21 +105,24 @@ class SessionState:
     last_answer_count: int = 0
 
     def to_json(self) -> dict:
+        q = self.user.params.q
         return {
             "user": {
-                "key": self.user.key.vector.to_json(),
+                "key": {"q": q, "elements": self.user.key.tolist()},
                 "params": self.user.params.to_json(),
                 "key_length": self.user.key_length,
             },
             "admin": {
-                "encoded": self.admin.encoded.to_json(),
+                "encoded": {"q": q, "elements": self.admin.encoded.tolist()},
                 "shares": [
                     {
-                        "worker_id": sh.worker_id,
-                        "point": list(sh.point),
-                        "data": sh.data.to_json(),
+                        "worker_id": worker_id,
+                        "point": list(point),
+                        "data": {"q": q, "elements": row},
                     }
-                    for sh in self.admin.shares
+                    for worker_id, (point, row) in enumerate(
+                        zip(self.admin.superset.entries, self.admin.shares.tolist())
+                    )
                 ],
                 "superset": [list(pt) for pt in self.admin.superset.entries],
                 "code": self.admin.code.to_json(),
@@ -156,16 +153,12 @@ def plan(params: SchemeParams, key_length: int) -> SchemeMetrics:
     )
 
 
-def storage_phase(
-    data: FieldVector, params: SchemeParams, code: LinearCode, rng_seed
-) -> SessionState:
+def storage_phase(data, params: SchemeParams, code: LinearCode, rng_seed) -> SessionState:
     """Mask the data, derive all worker shares, and return the session.
 
-    The returned session's user record holds only the key; the data
+    data is n integers, validated and reduced mod q by encode. The returned session's user record holds only the key; the data
     vector is consumed here and recoverable by no record.
     """
-    if len(data) != params.n or data.q != params.q:
-        raise ValueError("data vector does not match the scheme parameters")
     if code.n != params.n or code.q != params.q:
         raise ValueError("code does not match the scheme parameters")
     metrics = plan(params, code.m)
@@ -173,14 +166,7 @@ def storage_phase(
     encoded = encode(data, key, code)
     rm = rm_code(params.q, params.degree_bound, code.m)
     superset = trivial_superset(rm, params.straggler_budget)
-    shares = tuple(
-        WorkerShare(
-            worker_id=i,
-            point=pt,
-            data=shift(encoded, FieldVector(pt, params.q), code),
-        )
-        for i, pt in enumerate(superset.entries)
-    )
+    shares = shift(encoded, superset.entries, code)
     session = SessionState(
         user=UserRecord(key=key, params=params, key_length=code.m),
         admin=AdminRecord(encoded=encoded, shares=shares, superset=superset, code=code),
@@ -197,7 +183,7 @@ def storage_phase(
 
 def computation_phase(
     session: SessionState, f: MultiPoly, stragglers: Iterable[int] = ()
-) -> FieldElement:
+) -> int:
     """Run one polynomial through the session and decode its value.
 
     Stragglers are worker ids that stay silent; the budget is the
@@ -225,10 +211,7 @@ def computation_phase(
     )
 
     responding = [i for i in range(num_workers) if i not in straggler_set]
-    share_rows = np.array(
-        [session.admin.shares[i].data.values for i in responding], dtype=np.int64
-    )
-    answer_values = evaluate_batch(f, share_rows)
+    answer_values = evaluate_batch(f, session.admin.shares[responding])
     answers_by_worker = {
         wid: int(val) for wid, val in zip(responding, answer_values)
     }
@@ -258,7 +241,7 @@ def computation_phase(
     rm = rm_code(params.q, params.degree_bound, session.user.key_length)
     from .rm import decode_at_key
 
-    result = decode_at_key(rm, answer_vector, session.user.key.vector)
+    result = decode_at_key(rm, answer_vector, session.user.key)
     session.transcript.append({"phase": "computation", "event": "user_decoded"})
     return result
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldElement, FieldVector, _check_prime, row_reduce
+from .gf import _check_prime, check_cap, field_array, row_reduce
 from .poly import monomial_values, monomials
 
 
@@ -51,6 +51,9 @@ class RMCode:
 
     def __post_init__(self):
         _check_rm_params(self.q, self.d, self.m)
+        # the generator matrix enumerates all q^m points; refuse before any
+        # of it is allocated
+        check_cap(self.dimension * self.q ** self.m)
 
     @property
     def monomial_basis(self) -> tuple:
@@ -184,7 +187,7 @@ def select_available_infoset(ss: SuperSet, responded) -> InfoSet:
     return InfoSet(points=tuple(chosen), sources=tuple(first_source[pt] for pt in chosen))
 
 
-def decode_at_key(rm: RMCode, answers, key: FieldVector) -> FieldElement:
+def decode_at_key(rm: RMCode, answers, key) -> int:
     """Interpolate the unique degree-bounded polynomial matching the
     answers on an information set, then evaluate it at the key point.
 
@@ -192,10 +195,7 @@ def decode_at_key(rm: RMCode, answers, key: FieldVector) -> FieldElement:
     Raises ValueError when the answered points do not pin the polynomial
     down (the restricted system is singular) or contradict each other.
     """
-    if key.q != rm.q:
-        raise ValueError(f"modulus mismatch: {rm.q} vs {key.q}")
-    if len(key) != rm.m:
-        raise ValueError(f"key length {len(key)} does not match {rm.m} variables")
+    key = field_array(key, rm.q, (rm.m,), "key")
     q, dim = rm.q, rm.dimension
     pts = sorted(answers)
     if len(pts) < dim:
@@ -211,5 +211,5 @@ def decode_at_key(rm: RMCode, answers, key: FieldVector) -> FieldElement:
     if pivots != list(range(dim)):
         raise ValueError("answered points do not cover an information set")
     coeffs = system[:dim, dim]
-    at_key = gen[:, _point_columns([key.values], q, rm.m)[0]]
-    return FieldElement(int(at_key @ coeffs % q), q)
+    at_key = gen[:, _point_columns(key, q, rm.m)[0]]
+    return int(at_key @ coeffs % q)

@@ -17,7 +17,6 @@ import pytest
 from icc_kit import cli
 from icc_kit import infometrics as im
 from icc_kit.codes import LinearCode, sample_code, subcolumns_full_rank
-from icc_kit.gf import FieldMatrix, FieldVector
 from icc_kit.poly import evaluate, evaluate_batch, random_poly
 from icc_kit.protocol import (
     SchemeParams,
@@ -81,14 +80,13 @@ def test_decode_matches_direct_evaluation_across_straggler_patterns():
                 n=n, q=q, protected_size=1, degree_bound=d, straggler_budget=S
             )
             code = sample_code(n, m, q, int(rng.integers(2**31)))
-            x = FieldVector(tuple(int(v) for v in rng.integers(0, q, n)), q)
+            x = rng.integers(0, q, n)
             f = random_poly(n, d, q, int(rng.integers(2**31)))
             session = storage_phase(x, params, code, int(rng.integers(2**31)))
             direct = evaluate(f, x)
             shares = session.admin.shares
-            rows = np.array([sh.data.values for sh in shares], dtype=np.int64)
-            answers = [int(v) for v in evaluate_batch(f, rows)]
-            key = session.user.key.vector
+            answers = [int(v) for v in evaluate_batch(f, shares)]
+            key = session.user.key
             superset = session.admin.superset
             # decode_at_key is pure, so identical answer tables (replicas
             # of the same point carry equal values) share one solve
@@ -166,7 +164,7 @@ def test_uniform_data_leaks_nothing_through_full_rank_subcolumns():
     # positive control: the rank condition is load bearing, a dropped
     # coordinate leaks even from uniform data
     control = im.mutual_information(
-        im.uniform(2, 2), LinearCode(FieldMatrix(((1, 0),), 2)), im.SubsetSelector((1,), 2)
+        im.uniform(2, 2), LinearCode(((1, 0),), 2), im.SubsetSelector((1,), 2)
     )
     verdict(
         "zero-leakage-uniform",
@@ -409,8 +407,8 @@ def test_metric_axioms_hold_on_randomized_cases():
 def test_hand_enumerated_mutual_information_cases():
     equal_bits = im.Distribution(2, 2, np.array([0.5, 0.0, 0.0, 0.5]))
     sel = im.SubsetSelector((1,), 2)
-    masked_both = im.mutual_information(equal_bits, LinearCode(FieldMatrix(((1, 1),), 2)), sel)
-    masked_first = im.mutual_information(equal_bits, LinearCode(FieldMatrix(((1, 0),), 2)), sel)
+    masked_both = im.mutual_information(equal_bits, LinearCode(((1, 1),), 2), sel)
+    masked_first = im.mutual_information(equal_bits, LinearCode(((1, 0),), 2), sel)
     verdict(
         "hand-enumerated-mi",
         masked_both == 0.0 and masked_first == 1.0,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -236,6 +237,23 @@ def test_main_simulate_many_variables(tmp_path, capsys):
     path = write_config(tmp_path, dict(BASE_SIM, n=1200, d=1, m=2))
     assert main(["simulate", "--config", path]) == 0
     assert json.loads(capsys.readouterr().out)["match"] is True
+
+
+def test_main_simulate_refuses_point_enumeration_beyond_cap(tmp_path, capsys):
+    # RM_q(1, 1) at q = 2^31 - 1 would enumerate 2^31 evaluation points
+    start = time.monotonic()
+    path = write_config(tmp_path, dict(BASE_SIM, n=2, q=2147483647, d=1, S=0, m=1))
+    assert main(["simulate", "--config", path]) == 2
+    assert "exceeds cap" in json.loads(capsys.readouterr().out)["error"]
+    assert time.monotonic() - start < 10
+
+
+def test_main_audit_point_mass_outside_the_space_exits_2(tmp_path, capsys):
+    for at in ([0, 2] + [0] * (AUDIT_UNIFORM["n"] - 2), [0, 1]):
+        dist = {"family": "point_mass", "at": at}
+        path = write_config(tmp_path, dict(AUDIT_UNIFORM, dist=dist))
+        assert main(["audit", "--config", path]) == 2
+        assert "not a point" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_main_cap_env_must_be_integer(tmp_path, capsys, monkeypatch):

@@ -7,14 +7,12 @@ import pytest
 
 from icc_kit.codes import (
     LinearCode,
-    SecretKey,
     encode,
     key_gen,
     sample_code,
     shift,
     subcolumns_full_rank,
 )
-from icc_kit.gf import FieldMatrix, FieldVector
 
 
 def test_sample_code_deterministic_under_seed():
@@ -27,8 +25,7 @@ def test_sample_code_deterministic_under_seed():
 def test_sample_code_shape_and_alphabet():
     code = sample_code(4, 2, 2, 9)
     assert (code.n, code.m, code.q) == (4, 2, 2)
-    for row in code.generator.entries:
-        assert all(v in (0, 1) for v in row)
+    assert set(code.generator.flat) <= {0, 1}
 
 
 def test_sample_code_rejects_bad_dimensions():
@@ -45,9 +42,7 @@ def test_generator_entry_frequencies_near_uniform():
     counts = np.zeros(q, dtype=np.int64)
     for seed in seeds:
         code = sample_code(n, m, q, int(seed))
-        for row in code.generator.entries:
-            for v in row:
-                counts[v] += 1
+        counts += np.bincount(code.generator.ravel(), minlength=q)
     total = counts.sum()
     expected = total / q
     sigma = (total * (1 / q) * (1 - 1 / q)) ** 0.5
@@ -56,8 +51,8 @@ def test_generator_entry_frequencies_near_uniform():
 
 def test_key_gen_alphabet_and_determinism():
     k = key_gen(1, 2, 77)
-    assert k.vector.values[0] in (0, 1)
-    assert key_gen(4, 5, 31) == key_gen(4, 5, 31)
+    assert k.shape == (1,) and k[0] in (0, 1)
+    assert key_gen(4, 5, 31).tolist() == key_gen(4, 5, 31).tolist()
 
 
 def test_key_gen_chi_square_uniformity():
@@ -65,62 +60,79 @@ def test_key_gen_chi_square_uniformity():
     seeds = np.random.default_rng(808).integers(0, 2**63, size=10_000)
     counts = np.zeros(9, dtype=np.int64)
     for seed in seeds:
-        key = key_gen(2, 3, int(seed)).vector.values
+        key = key_gen(2, 3, int(seed))
         counts[key[0] * 3 + key[1]] += 1
     expected = len(seeds) / 9
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 20.09
 
 
-G23 = LinearCode(FieldMatrix(((1, 1, 0), (0, 1, 1)), 2))
+G23 = LinearCode(((1, 1, 0), (0, 1, 1)), 2)
 
 
 def test_encode_zero_key_is_identity():
-    x = FieldVector((1, 0, 1), 2)
-    assert encode(x, SecretKey(FieldVector((0, 0), 2)), G23) == x
+    assert encode((1, 0, 1), (0, 0), G23).tolist() == [1, 0, 1]
 
 
 def test_encode_hand_value():
-    x = FieldVector((0, 0, 0), 2)
-    k = SecretKey(FieldVector((1, 1), 2))
-    assert encode(x, k, G23) == FieldVector((1, 0, 1), 2)
+    assert encode((0, 0, 0), (1, 1), G23).tolist() == [1, 0, 1]
 
 
 def test_shift_zero_is_identity():
-    y = FieldVector((1, 1, 0), 2)
-    assert shift(y, FieldVector((0, 0), 2), G23) == y
+    assert shift((1, 1, 0), (0, 0), G23).tolist() == [1, 1, 0]
 
 
 def test_shift_hand_value_ternary():
-    code = LinearCode(FieldMatrix(((1, 2, 0), (0, 1, 2)), 3))
+    code = LinearCode(((1, 2, 0), (0, 1, 2)), 3)
     # tG = (1,1,1) for t = (1,2), so (2,2,2) shifts to (1,1,1)
-    assert shift(FieldVector((2, 2, 2), 3), FieldVector((1, 2), 3), code) == FieldVector((1, 1, 1), 3)
+    assert shift((2, 2, 2), (1, 2), code).tolist() == [1, 1, 1]
 
 
 @pytest.mark.parametrize("q,n,m", [(2, 3, 2), (2, 4, 2), (3, 2, 2), (5, 2, 1)])
 def test_encode_shift_inverse_exhaustive(q, n, m):
     code = sample_code(n, m, q, 1000 + q)
+    keys = list(itertools.product(range(q), repeat=m))
     for x in itertools.product(range(q), repeat=n):
-        xv = FieldVector(x, q)
-        for k in itertools.product(range(q), repeat=m):
-            kv = FieldVector(k, q)
-            masked = encode(xv, SecretKey(kv), code)
-            assert shift(masked, kv, code) == xv
+        for k in keys:
+            masked = encode(x, k, code)
+            assert shift(masked, k, code).tolist() == list(x)
+        # a stack of keys gives one row per key, each equal to the single call
+        stacked = encode(x, keys, code)
+        assert stacked.tolist() == [encode(x, k, code).tolist() for k in keys]
+
+
+@pytest.mark.parametrize("q", [2147483647, 4294967311])
+def test_encode_shift_exact_above_int64_sums(q):
+    # column 0 of G is all q-1 and the keys are near q-1, so its sum of
+    # m = 3 products overflows int64 at both primes; above 2^32 (the first
+    # prime there) a single product of two residues does too
+    n, m = 5, 3
+    rng = np.random.default_rng(4294967311)
+    gen = [[q - 1] + [int(v) for v in rng.integers(0, q, n - 1)] for _ in range(m)]
+    code = LinearCode(gen, q)
+    for _ in range(20):
+        x = [int(v) for v in rng.integers(0, q, n)]
+        key = [q - 1 - int(v) for v in rng.integers(0, 1000, m)]  # near q - 1
+        expected = [(x[j] + sum(key[i] * gen[i][j] for i in range(m))) % q for j in range(n)]
+        masked = encode(x, key, code)
+        assert masked.tolist() == expected
+        assert shift(masked, key, code).tolist() == x
+        assert shift(masked, [key, [0] * m], code).tolist() == [x, expected]
 
 
 def test_encode_dimension_mismatch():
     with pytest.raises(ValueError):
-        encode(FieldVector((1, 0), 2), SecretKey(FieldVector((1, 1), 2)), G23)
+        encode((1, 0), (1, 1), G23)
 
 
 def test_subcolumns_identity_pivots():
-    code = LinearCode(FieldMatrix(((1, 0, 0), (0, 1, 0)), 2))
+    code = LinearCode(((1, 0, 0), (0, 1, 0)), 2)
     assert subcolumns_full_rank(code, (0, 1))
     assert subcolumns_full_rank(code, (0,))
 
 
 def test_subcolumns_zero_column():
-    code = LinearCode(FieldMatrix(((1, 0), (1, 0)), 2))
+    code = LinearCode(((1, 0), (1, 0)), 2)
     assert not subcolumns_full_rank(code, (1,))
 
 
@@ -144,7 +156,7 @@ def test_subcolumns_match_image_enumeration_oracle():
         for k in itertools.product(range(q), repeat=m):
             image.add(
                 tuple(
-                    sum(k[i] * code.generator.entries[i][j] for i in range(m)) % q
+                    sum(k[i] * int(code.generator[i, j]) for i in range(m)) % q
                     for j in subset
                 )
             )
@@ -153,7 +165,7 @@ def test_subcolumns_match_image_enumeration_oracle():
 
 def test_linear_code_requires_wide_generator():
     with pytest.raises(ValueError):
-        LinearCode(FieldMatrix(((1, 0), (0, 1), (1, 1)), 2))  # m > n
+        LinearCode(((1, 0), (0, 1), (1, 1)), 2)  # m > n
 
 
 def test_code_json_round_trip():

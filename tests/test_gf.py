@@ -1,25 +1,26 @@
-"""Prime-field arithmetic: exhaustive axiom checks at small q plus an
-independent span-enumeration oracle for rank."""
+"""Prime-field arithmetic on field arrays: the boundary validator, exhaustive
+axiom checks at small q through the package's own arithmetic (encode,
+shift, elimination, the monomial kernel), and an independent
+span-enumeration oracle for rank."""
 
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from icc_kit.codes import LinearCode, encode, shift, subcolumns_full_rank
 from icc_kit.gf import (
-    FieldElement,
-    FieldMatrix,
-    FieldVector,
+    field_array,
     inverse_mod,
     is_prime,
-    mat_vec_left,
     pivot_columns,
     rank,
-    submatrix_columns,
-    vec_add,
-    vec_sub,
+    row_reduce,
 )
+from icc_kit.infometrics import pushforward_encode, uniform
+from icc_kit.poly import MultiPoly, monomial_values
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -52,10 +53,39 @@ def test_is_prime_large_and_pseudoprime_cases():
 
 
 def test_non_prime_modulus_rejected():
-    with pytest.raises(ValueError):
-        FieldElement(1, 4)
-    with pytest.raises(ValueError):
-        FieldVector((0, 1), 6)
+    for q in (4, 6, 1, 0, -7, 2.0, True):
+        with pytest.raises(ValueError, match="prime"):
+            field_array((0, 1), q)
+    with pytest.raises(ValueError, match="prime"):
+        LinearCode(((1, 0),), 4)
+
+
+def test_field_array_rejects_floats_wrong_shape_and_empty():
+    with pytest.raises(ValueError, match="integers"):
+        field_array((1.0, 2.0), 5)  # not truncated to (1, 2)
+    with pytest.raises(ValueError, match="integers"):
+        field_array((1, 2.5), 5)
+    with pytest.raises(ValueError, match="integers"):
+        field_array((True, False), 2)
+    with pytest.raises(ValueError, match="integers"):
+        field_array(np.array([1, "a"], dtype=object), 5)
+    with pytest.raises(ValueError, match="shape"):
+        field_array((1, 2, 3), 5, (2,))
+    with pytest.raises(ValueError, match="shape"):
+        field_array(((1, 2), (3, 4)), 5, (2,))
+    with pytest.raises(ValueError, match="shape"):
+        field_array((1, 2), 5, (None, 2))
+    for empty in ((), ((),), np.zeros((2, 0), dtype=np.int64)):
+        with pytest.raises(ValueError, match="empty"):
+            field_array(empty, 5)
+    # the same checks guard the public entry points
+    code = LinearCode(((1, 1, 0), (0, 1, 1)), 2)
+    with pytest.raises(ValueError, match="integers"):
+        encode((1.0, 0.0, 1.0), (1, 0), code)
+    with pytest.raises(ValueError, match="shape"):
+        shift((1, 0, 1), ((1, 0, 1),), code)
+    with pytest.raises(ValueError, match="empty"):
+        rank(np.zeros((2, 0), dtype=np.int64), 2)
 
 
 @pytest.mark.parametrize("q", PRIMES)
@@ -68,128 +98,149 @@ def test_inverse_mod_exhaustive(q):
 
 @pytest.mark.parametrize("q", PRIMES)
 def test_multiplicative_inverse_via_elements(q):
-    one = FieldElement(1, q)
+    # elimination scales each pivot row by the pivot's inverse: [a | 1]
+    # becomes [1 | a^-1], and [a | a] becomes [1 | 1]
     for a in range(1, q):
-        el = FieldElement(a, q)
-        assert el * el.inverse() == one
-        assert el / el == one
+        red, pivots = row_reduce([[a + q, 1 - q]], q)  # unreduced representatives
+        assert pivots == [0] and red[0, 0] == 1
+        assert a * int(red[0, 1]) % q == 1
+        assert row_reduce([[a, a]], q)[0].tolist() == [[1, 1]]
+
+
+def scalar_code(g, q):
+    """1 x 1 generator (g): encode(x, k) = x + k g."""
+    return LinearCode(((g,),), q)
 
 
 @pytest.mark.parametrize("q", PRIMES)
 def test_addition_associative_exhaustive(q):
+    plus = scalar_code(1, q)
     for a, b, c in itertools.product(range(q), repeat=3):
-        ea, eb, ec = FieldElement(a, q), FieldElement(b, q), FieldElement(c, q)
-        assert (ea + eb) + ec == ea + (eb + ec)
+        left = encode(encode((a,), (b,), plus), (c,), plus)
+        right = encode((a,), encode((b,), (c,), plus), plus)
+        assert left.tolist() == right.tolist() == [(a + b + c) % q]
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_ring_axioms_exhaustive(q):
+    def mul(a, b):
+        return int(encode((0,), (a,), scalar_code(b, q))[0])
+
+    def add(a, b):
+        return int(encode((a,), (b,), scalar_code(1, q))[0])
+
     for a, b, c in itertools.product(range(q), repeat=3):
-        ea, eb, ec = FieldElement(a, q), FieldElement(b, q), FieldElement(c, q)
-        assert (ea * eb) * ec == ea * (eb * ec)
-        assert ea * (eb + ec) == ea * eb + ea * ec
-        assert ea + eb == eb + ea
-        assert ea * eb == eb * ea
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a) == a * b % q
 
 
 def test_element_negation_and_subtraction():
     for q in (2, 5):
+        plus = scalar_code(1, q)
         for a, b in itertools.product(range(q), repeat=2):
-            ea, eb = FieldElement(a, q), FieldElement(b, q)
-            assert ea - eb == ea + (-eb)
-            assert int(ea - eb) == (a - b) % q
+            diff = shift((a,), (b,), plus)
+            assert diff.tolist() == encode((a,), (-b,), plus).tolist() == [(a - b) % q]
 
 
 def test_element_pow_matches_repeated_product():
+    # the monomial kernel's square-and-multiply against repeated products
     q = 7
+    powers = monomial_values([(e,) for e in range(1, 9)], [(a,) for a in range(q)], q)
     for a in range(q):
-        el = FieldElement(a, q)
-        acc = FieldElement(1, q)
+        acc = 1
         for e in range(1, 9):
-            acc = acc * el
-            assert el ** e == acc
+            acc = acc * a % q
+            assert powers[e - 1, a] == acc
 
 
 def test_modulus_mismatch_is_an_error():
-    with pytest.raises(ValueError):
-        FieldElement(1, 2) + FieldElement(1, 3)
-    with pytest.raises(ValueError):
-        vec_add(FieldVector((1, 0), 2), FieldVector((1, 0), 3))
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        pushforward_encode(uniform(3, 2), LinearCode(((1, 0),), 2))
+    with pytest.raises(ValueError, match="different rings"):
+        MultiPoly.from_terms(1, 2, {(1,): 1}) + MultiPoly.from_terms(1, 3, {(1,): 1})
+
+
+IDENTITY = {q: LinearCode(np.eye(n, dtype=np.int64), q) for q, n in ((2, 3), (5, 2))}
 
 
 def test_vec_add_examples():
+    # with an identity generator, encode adds the key to the data
     # characteristic 2: every vector is its own inverse
-    assert vec_add(FieldVector((1, 0, 1), 2), FieldVector((1, 1, 1), 2)) == FieldVector((0, 1, 0), 2)
-    assert vec_add(FieldVector((4, 3), 5), FieldVector((2, 4), 5)) == FieldVector((1, 2), 5)
-    a = FieldVector((2, 1, 4), 5)
-    assert vec_add(a, FieldVector((0, 0, 0), 5)) == a
+    assert encode((1, 0, 1), (1, 1, 1), IDENTITY[2]).tolist() == [0, 1, 0]
+    assert encode((4, 3), (2, 4), IDENTITY[5]).tolist() == [1, 2]
+    assert encode((2, 1), (0, 0), IDENTITY[5]).tolist() == [2, 1]
 
 
 def test_vec_sub_cancels_vec_add():
-    a = FieldVector((1, 2, 0, 4), 5)
-    b = FieldVector((3, 3, 3, 3), 5)
-    assert vec_sub(vec_add(a, b), b) == a
+    a, b = (1, 2), (3, 4)
+    assert shift(encode(a, b, IDENTITY[5]), b, IDENTITY[5]).tolist() == list(a)
 
 
 def test_vec_length_mismatch_is_an_error():
-    with pytest.raises(ValueError):
-        vec_add(FieldVector((1, 0), 2), FieldVector((1, 0, 1), 2))
+    with pytest.raises(ValueError, match="shape"):
+        encode((1, 0), (1, 0, 1), IDENTITY[2])
+    with pytest.raises(ValueError, match="shape"):
+        encode((1, 0, 1), (1, 0), IDENTITY[2])
 
 
 def test_vector_indexing_and_reduction():
-    v = FieldVector((7, -1, 3), 5)
-    assert v.values == (2, 4, 3)
-    assert v[1] == FieldElement(4, 5)
+    v = field_array((7, -1, 3), 5)
+    assert v.tolist() == [2, 4, 3]
+    assert v[1] == 4
     assert len(v) == 3
+    # unsigned and beyond-int64 inputs are reduced exactly, not wrapped
+    assert field_array(np.array([2**64 - 1], dtype=np.uint64), 7).tolist() == [(2**64 - 1) % 7]
+    assert field_array([2**70 + 3, -(2**70)], 5).tolist() == [(2**70 + 3) % 5, -(2**70) % 5]
 
 
-def test_vector_json_round_trip():
-    v = FieldVector((1, 0, 2), 3)
-    assert v.to_json() == {"q": 3, "elements": [1, 0, 2]}
-
-
-G_EXAMPLE = FieldMatrix(((1, 1, 0), (0, 1, 1)), 2)
+G_EXAMPLE = LinearCode(((1, 1, 0), (0, 1, 1)), 2)
+ZERO3 = (0, 0, 0)
 
 
 def test_mat_vec_left_selects_first_row():
-    assert mat_vec_left(FieldVector((1, 0), 2), G_EXAMPLE) == FieldVector((1, 1, 0), 2)
+    # key.G, the codeword encode adds
+    assert encode(ZERO3, (1, 0), G_EXAMPLE).tolist() == [1, 1, 0]
 
 
 def test_mat_vec_left_sums_rows():
     # (1,1)G = row0 + row1 mod 2
-    assert mat_vec_left(FieldVector((1, 1), 2), G_EXAMPLE) == FieldVector((1, 0, 1), 2)
+    assert encode(ZERO3, (1, 1), G_EXAMPLE).tolist() == [1, 0, 1]
 
 
 def test_mat_vec_left_zero_annihilates():
-    assert mat_vec_left(FieldVector((0, 0), 2), G_EXAMPLE) == FieldVector((0, 0, 0), 2)
+    assert encode(ZERO3, (0, 0), G_EXAMPLE).tolist() == [0, 0, 0]
 
 
 def test_mat_vec_left_dimension_mismatch():
     with pytest.raises(ValueError):
-        mat_vec_left(FieldVector((1, 0, 1), 2), G_EXAMPLE)
+        encode(ZERO3, (1, 0, 1), G_EXAMPLE)
 
 
 def test_matrix_accessors():
-    m = FieldMatrix(((1, 2), (0, 4), (3, 3)), 5)
-    assert (m.num_rows, m.num_cols) == (3, 2)
-    assert m.entry(1, 1) == FieldElement(4, 5)
-    assert m.row(2) == FieldVector((3, 3), 5)
-    assert m.column(0) == FieldVector((1, 0, 3), 5)
-    assert m.to_json() == {"q": 5, "rows": [[1, 2], [0, 4], [3, 3]]}
+    code = LinearCode(((1, 0, 3), (2, 4, 3)), 5)
+    assert (code.m, code.n, code.q) == (2, 3, 5)
+    assert code.generator[1, 1] == 4
+    assert code.generator[1].tolist() == [2, 4, 3]
+    assert code.generator[:, 0].tolist() == [1, 2]
+    assert code.to_json() == {"n": 3, "m": 2, "q": 5, "G": [[1, 0, 3], [2, 4, 3]]}
+    with pytest.raises(ValueError):
+        code.generator[0, 0] = 2  # a code's generator is read-only
 
 
 def test_identity_matrix_rank():
-    ident = FieldMatrix.identity(3, 2)
-    assert rank(ident) == 3
-    assert pivot_columns(ident) == (0, 1, 2)
+    ident = np.eye(3, dtype=np.int64)
+    assert rank(ident, 2) == 3
+    assert pivot_columns(ident, 2) == (0, 1, 2)
 
 
 def test_zero_matrix_rank():
-    assert rank(FieldMatrix(((0, 0), (0, 0)), 3)) == 0
+    assert rank(((0, 0), (0, 0)), 3) == 0
 
 
 def test_repeated_row_rank():
-    assert rank(FieldMatrix(((1, 1), (1, 1)), 2)) == 1
+    assert rank(((1, 1), (1, 1)), 2) == 1
 
 
 def test_elimination_is_exact_above_int64_products():
@@ -201,12 +252,12 @@ def test_elimination_is_exact_above_int64_products():
         row = [rng.randrange(1, q) for _ in range(3)]
         k = rng.randrange(2, q)
         other = [rng.randrange(q) for _ in range(3)]
-        mat = FieldMatrix((tuple(row), tuple(k * v for v in row), tuple(other)), q)
+        mat = (tuple(row), tuple(k * v for v in row), tuple(other))
         # pivot columns by 2x2 minors against the first row, in exact ints
         minor = [(row[0] * other[j] - row[j] * other[0]) % q for j in (1, 2)]
         assert any(minor)  # the third row is independent of the first
-        assert rank(mat) == 2
-        assert pivot_columns(mat) == ((0, 1) if minor[0] else (0, 2))
+        assert rank(mat, q) == 2
+        assert pivot_columns(mat, q) == ((0, 1) if minor[0] else (0, 2))
 
 
 def span_size(rows, q):
@@ -222,8 +273,6 @@ def span_size(rows, q):
 
 
 def test_rank_matches_span_enumeration_oracle():
-    import numpy as np
-
     rng = np.random.default_rng(314)
     for _ in range(120):
         q = int(rng.choice([2, 3]))
@@ -232,12 +281,16 @@ def test_rank_matches_span_enumeration_oracle():
         entries = tuple(
             tuple(int(v) for v in rng.integers(0, q, ncols)) for _ in range(nrows)
         )
-        mat = FieldMatrix(entries, q)
         expected = round(math.log(span_size(entries, q), q))
-        assert rank(mat) == expected
+        assert rank(entries, q) == expected
 
 
 def test_submatrix_columns():
-    m = FieldMatrix(((1, 2, 3), (4, 0, 1)), 5)
-    sub = submatrix_columns(m, (0, 2))
-    assert sub.to_json() == {"q": 5, "rows": [[1, 3], [4, 1]]}
+    # column subsets are taken in the given order and range-checked; a
+    # negative index must not wrap around to the last column
+    code = LinearCode(((1, 2, 3), (4, 0, 1)), 5)
+    assert rank(code.generator[:, [0, 2]], 5) == 2
+    assert subcolumns_full_rank(code, (2, 0))
+    for bad in ((0, 3), (-1,)):
+        with pytest.raises(ValueError, match="out of range"):
+            subcolumns_full_rank(code, bad)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from icc_kit.codes import LinearCode, sample_code
-from icc_kit.gf import FieldMatrix, FieldVector
 from icc_kit.infometrics import (
     BoundParams,
     DEFAULT_CAP,
@@ -78,6 +77,18 @@ def test_uniform_and_point_mass_tables():
     pm = point_mass(2, 3, (1, 0, 1))
     assert pm.prob_of((1, 0, 1)) == 1.0
     assert pm.probs.sum() == 1.0
+
+
+def test_outcomes_outside_the_space_are_rejected():
+    # digits outside [0, q) or a wrong length used to wrap onto another
+    # outcome: (0, 2) indexed (1, 0) and (0, -1) indexed (1, 1)
+    pm = point_mass(2, 2, (1, 0))
+    for bad in ((0, 2), (0, -1), (1, 0, 0), (1,), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="not a point"):
+            point_mass(2, 2, bad)
+        with pytest.raises(ValueError, match="not a point"):
+            pm.prob_of(bad)
+    assert pm.prob_of(np.array([1, 0], dtype=np.uint8)) == 1.0
 
 
 def test_bernoulli_iid_table():
@@ -212,7 +223,7 @@ def test_pushforward_uniform_stays_uniform():
 
 def test_pushforward_zero_generator_is_identity():
     d = random_dirichlet(2, 3, 8)
-    zero = LinearCode(FieldMatrix(((0, 0, 0), (0, 0, 0)), 2))
+    zero = LinearCode(((0, 0, 0), (0, 0, 0)), 2)
     out = pushforward_encode(d, zero)
     assert np.allclose(out.probs, d.probs)
 
@@ -221,7 +232,7 @@ def test_pushforward_two_point_example():
     # mass split between 00 and 11; the repetition row maps the support
     # onto itself, so the encoded law keeps the same two atoms
     d = Distribution(2, 2, np.array([0.5, 0.0, 0.0, 0.5]))
-    code = LinearCode(FieldMatrix(((1, 1),), 2))
+    code = LinearCode(((1, 1),), 2)
     out = pushforward_encode(d, code)
     assert np.allclose(out.probs, [0.5, 0.0, 0.0, 0.5])
 
@@ -244,7 +255,7 @@ def test_conditional_encoded_of_deterministic_data_is_coset_uniform():
     for k0 in range(2):
         for k1 in range(2):
             shiftv = [
-                (x[j] + k0 * code.generator.entries[0][j] + k1 * code.generator.entries[1][j]) % 2
+                (x[j] + k0 * code.generator[0, j] + k1 * code.generator[1, j]) % 2
                 for j in range(3)
             ]
             coset.add(tuple(shiftv))
@@ -290,8 +301,8 @@ def test_mutual_information_uniform_full_rank_is_zero():
 def test_mutual_information_micro_instances():
     d = Distribution(2, 2, np.array([0.5, 0.0, 0.0, 0.5]))
     sel = SubsetSelector((1,), 2)
-    leaky = LinearCode(FieldMatrix(((1, 0),), 2))
-    tight = LinearCode(FieldMatrix(((1, 1),), 2))
+    leaky = LinearCode(((1, 0),), 2)
+    tight = LinearCode(((1, 1),), 2)
     assert mutual_information(d, leaky, sel) == 1.0
     assert mutual_information(d, tight, sel) == 0.0
 

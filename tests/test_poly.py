@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icc_kit.gf import FieldElement, FieldVector
 from icc_kit.poly import (
     MultiPoly,
     evaluate,
@@ -42,27 +41,31 @@ def test_zero_polynomial():
     assert z.is_zero
     assert total_degree(z) == 0
     for x in itertools.product(range(3), repeat=2):
-        assert evaluate(z, FieldVector(x, 3)) == FieldElement(0, 3)
+        assert evaluate(z, x) == 0
 
 
 def test_evaluate_hand_cases():
     f = P(2, 2, {(1, 0): 1, (0, 1): 1})
-    assert evaluate(f, FieldVector((1, 1), 2)) == FieldElement(0, 2)
+    assert evaluate(f, (1, 1)) == 0
 
     g = P(3, 2, {(1, 1, 1): 1})
-    assert evaluate(g, FieldVector((1, 1, 1), 2)) == FieldElement(1, 2)
+    assert evaluate(g, (1, 1, 1)) == 1
 
     # x1^2 + 2 x2 at (2,3): 4 + 6 = 10 = 0 mod 5
     h = P(2, 5, {(2, 0): 1, (0, 1): 2})
-    assert evaluate(h, FieldVector((2, 3), 5)) == FieldElement(0, 5)
+    assert evaluate(h, (2, 3)) == 0
 
 
 def test_evaluate_rejects_wrong_arity_or_modulus():
     f = P(2, 5, {(1, 0): 1})
     with pytest.raises(ValueError):
-        evaluate(f, FieldVector((1, 2, 3), 5))
+        evaluate(f, (1, 2, 3))
+    # the point carries no modulus any more; a float point is rejected
+    # rather than truncated
     with pytest.raises(ValueError):
-        evaluate(f, FieldVector((1, 2), 3))
+        evaluate(f, (1.5, 2.0))
+    with pytest.raises(ValueError):
+        evaluate_batch(f, [(1.5, 2.0)])
 
 
 def test_addition_is_pointwise_exhaustive():
@@ -73,8 +76,7 @@ def test_addition_is_pointwise_exhaustive():
             g = random_poly(n, 2, q, int(rng.integers(2**31)))
             s = f + g
             for x in itertools.product(range(q), repeat=n):
-                v = FieldVector(x, q)
-                assert evaluate(s, v) == evaluate(f, v) + evaluate(g, v)
+                assert evaluate(s, x) == (evaluate(f, x) + evaluate(g, x)) % q
 
 
 def test_exponent_reduction_preserves_evaluation():
@@ -92,7 +94,7 @@ def test_exponent_reduction_preserves_evaluation():
                 direct = coef
                 for xi, e in zip(x, exps):
                     direct = direct * pow(xi, e, q) % q
-                assert int(evaluate(f, FieldVector(x, q))) == direct
+                assert evaluate(f, x) == direct
 
 
 def test_from_terms_merges_aliased_exponents():
@@ -144,7 +146,7 @@ def test_evaluate_batch_agrees_with_single_point():
         pts = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
         vals = evaluate_batch(f, pts)
         for row, val in zip(pts, vals):
-            assert int(evaluate(f, FieldVector(tuple(row), q))) == int(val)
+            assert evaluate(f, row) == int(val)
 
 
 LARGE_PRIMES = [2147483647, 4294967311, 2**61 - 1]
@@ -165,7 +167,7 @@ def poly_and_points(draw):
 def test_evaluate_batch_matches_evaluate_at_every_prime(case):
     f, points = case
     vals = evaluate_batch(f, np.array(points, dtype=np.int64))
-    assert [int(v) for v in vals] == [int(evaluate(f, FieldVector(x, f.q))) for x in points]
+    assert [int(v) for v in vals] == [evaluate(f, x) for x in points]
 
 
 @pytest.mark.parametrize("q", LARGE_PRIMES)
@@ -177,7 +179,7 @@ def test_evaluate_batch_is_exact_where_int64_sums_overflow(q):
     terms[(1, 1) + (0,) * 13] = q - 1
     f = MultiPoly.from_terms(15, q, terms)
     x = (q - 1,) * 15
-    assert int(evaluate_batch(f, np.array([x]))[0]) == int(evaluate(f, FieldVector(x, q))) == 14
+    assert int(evaluate_batch(f, np.array([x]))[0]) == evaluate(f, x) == 14
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from icc_kit.codes import LinearCode, key_gen, sample_code, shift
-from icc_kit.gf import FieldElement, FieldMatrix, FieldVector
 from icc_kit.infometrics import Distribution, leakage_audit, uniform
 from icc_kit.poly import MultiPoly, evaluate, random_poly, total_degree
 from icc_kit.protocol import (
@@ -52,7 +51,7 @@ def test_plan_named_rejections():
 
 def find_zero_key_seed(m, q):
     for seed in range(4000):
-        if all(v == 0 for v in key_gen(m, q, seed).vector.values):
+        if not key_gen(m, q, seed).any():
             return seed
     raise AssertionError("no zero-key seed in range")
 
@@ -61,42 +60,45 @@ def test_storage_phase_zero_key_diagnostic():
     params = make_params(n=4, q=2, r=1, d=1, S=0)
     code = sample_code(4, 2, 2, 7)
     seed = find_zero_key_seed(2, 2)
-    x = FieldVector((1, 0, 1, 1), 2)
+    x = [1, 0, 1, 1]
     session = storage_phase(x, params, code, seed)
-    assert session.admin.encoded == x
+    assert session.admin.encoded.tolist() == x
 
 
 def test_storage_phase_share_layout():
     params = make_params(n=5, q=3, r=2, d=2, S=1)
     code = sample_code(5, 3, 3, 21)
-    x = FieldVector((0, 1, 2, 0, 1), 3)
+    x = (0, 1, 2, 0, 1)
     session = storage_phase(x, params, code, 99)
     metrics = session.metrics
-    assert len(session.admin.shares) == metrics.num_workers
+    assert session.admin.shares.shape == (metrics.num_workers, params.n)
     assert metrics.num_workers == (params.straggler_budget + 1) * metrics.download_cost
-    for share in session.admin.shares:
-        expected = shift(session.admin.encoded, FieldVector(share.point, 3), code)
-        assert share.data == expected
+    for point, share in zip(session.admin.superset.entries, session.admin.shares):
+        expected = shift(session.admin.encoded, point, code)
+        assert share.tolist() == expected.tolist()
 
 
 def test_storage_phase_validates_shapes():
     params = make_params(n=4)
     code = sample_code(4, 2, 2, 7)
     with pytest.raises(ValueError):
-        storage_phase(FieldVector((1, 0, 1), 2), params, code, 0)
+        storage_phase((1, 0, 1), params, code, 0)
+    # data carries no modulus; a code over another field is still refused
     with pytest.raises(ValueError):
-        storage_phase(FieldVector((1, 0, 1, 1), 3), params, code, 0)
+        storage_phase((1, 0, 1, 1), params, sample_code(4, 2, 3, 7), 0)
+    with pytest.raises(ValueError):
+        storage_phase((1.0, 0.0, 1.0, 1.0), params, code, 0)
 
 
 def test_constant_function_decodes_through_any_pattern():
     params = make_params(n=4, q=2, r=1, d=1, S=1)
     code = sample_code(4, 2, 2, 17)
-    x = FieldVector((1, 1, 0, 1), 2)
+    x = (1, 1, 0, 1)
     f = MultiPoly.from_terms(4, 2, {(0, 0, 0, 0): 1})
     session = storage_phase(x, params, code, 31)
     n_workers = session.metrics.num_workers
     for pattern in straggler_patterns(n_workers, 1):
-        assert computation_phase(session, f, pattern) == FieldElement(1, 2)
+        assert computation_phase(session, f, pattern) == 1
 
 
 @pytest.mark.parametrize("q,m,d,S", [(2, 2, 1, 1), (3, 2, 2, 1), (2, 3, 1, 2)])
@@ -105,7 +107,7 @@ def test_decode_equals_direct_evaluation_all_patterns(q, m, d, S):
     n = m + 2
     params = SchemeParams(n=n, q=q, protected_size=1, degree_bound=d, straggler_budget=S)
     code = sample_code(n, m, q, int(rng.integers(2**31)))
-    x = FieldVector(tuple(int(v) for v in rng.integers(0, q, n)), q)
+    x = rng.integers(0, q, n)
     f = random_poly(n, d, q, int(rng.integers(2**31)))
     session = storage_phase(x, params, code, int(rng.integers(2**31)))
     direct = evaluate(f, x)
@@ -117,7 +119,7 @@ def test_decode_equals_direct_evaluation_all_patterns(q, m, d, S):
 def test_budget_and_degree_rejections():
     params = make_params(n=4, q=2, r=1, d=1, S=1)
     code = sample_code(4, 2, 2, 11)
-    session = storage_phase(FieldVector((0, 0, 1, 0), 2), params, code, 5)
+    session = storage_phase((0, 0, 1, 0), params, code, 5)
     f = random_poly(4, 1, 2, 8)
     too_many = list(range(params.straggler_budget + 2))
     with pytest.raises(ValueError, match="straggler budget"):
@@ -131,7 +133,7 @@ def test_budget_and_degree_rejections():
 def test_download_cost_matches_dimension():
     params = make_params(n=4, q=2, r=1, d=1, S=0)
     code = sample_code(4, 3, 2, 23)
-    session = storage_phase(FieldVector((1, 0, 0, 1), 2), params, code, 3)
+    session = storage_phase((1, 0, 0, 1), params, code, 3)
     with pytest.raises(ValueError):
         download_cost(session)  # nothing downloaded yet
     computation_phase(session, random_poly(4, 1, 2, 12), ())
@@ -147,7 +149,7 @@ def test_top_degree_download_cost():
 def test_repeated_computation_phases_share_one_session():
     params = make_params(n=4, q=3, r=1, d=2, S=0)
     code = sample_code(4, 2, 3, 41)
-    x = FieldVector((2, 0, 1, 1), 3)
+    x = (2, 0, 1, 1)
     session = storage_phase(x, params, code, 43)
     for seed in (1, 2, 3):
         f = random_poly(4, 2, 3, seed)
@@ -157,7 +159,7 @@ def test_repeated_computation_phases_share_one_session():
 def test_transcript_event_order():
     params = make_params(n=4, q=2, r=1, d=1, S=0)
     code = sample_code(4, 2, 2, 2)
-    session = storage_phase(FieldVector((1, 0, 1, 0), 2), params, code, 1)
+    session = storage_phase((1, 0, 1, 0), params, code, 1)
     computation_phase(session, random_poly(4, 1, 2, 77), ())
     events = [entry["event"] for entry in session.transcript]
     assert events == [
@@ -173,7 +175,7 @@ def test_transcript_event_order():
 def test_session_json_separates_user_and_admin():
     params = make_params(n=4, q=2, r=1, d=1, S=0)
     code = sample_code(4, 2, 2, 19)
-    x = FieldVector((1, 1, 1, 0), 2)
+    x = (1, 1, 1, 0)
     session = storage_phase(x, params, code, 29)
     blob = session.to_json()
     assert set(blob["user"]) == {"key", "params", "key_length"}
@@ -193,7 +195,7 @@ def test_straggler_pattern_counting():
 
 def test_leakage_audit_uniform_full_rank_code():
     # every pair of columns of this generator is independent
-    code = LinearCode(FieldMatrix(((1, 0, 1), (0, 1, 1)), 2))
+    code = LinearCode(((1, 0, 1), (0, 1, 1)), 2)
     report = leakage_audit(
         uniform(2, 3), code, 2, p=2, epsilon=1e-3, a=2.0, code_seed=0
     )
@@ -203,7 +205,7 @@ def test_leakage_audit_uniform_full_rank_code():
 
 def test_leakage_audit_detects_untouched_coordinate():
     d = Distribution(2, 2, np.array([0.5, 0.0, 0.0, 0.5]))
-    code = LinearCode(FieldMatrix(((1, 0),), 2))
+    code = LinearCode(((1, 0),), 2)
     report = leakage_audit(d, code, 1, p=2, epsilon=1e-3, a=2.0, code_seed=0)
     by_subset = {entry["indices"]: entry["mi"] for entry in report["per_subset"]}
     assert by_subset[(1,)] == 1.0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icc_kit.gf import FieldElement, FieldMatrix, FieldVector, pivot_columns, rank
+from icc_kit.gf import DEFAULT_CAP, pivot_columns, rank
 from icc_kit.poly import evaluate, random_poly
 from icc_kit.rm import (
     InfoSet,
@@ -43,7 +43,7 @@ def restricted_rank(rm, points):
     """Independent oracle: rank of the basis-by-points evaluation matrix."""
     rows = tuple(basis_at(rm, pt) for pt in points)
     cols = tuple(zip(*rows)) if rows else ()
-    return rank(FieldMatrix(cols, rm.q)) if cols else 0
+    return rank(cols, rm.q) if cols else 0
 
 
 def test_dimension_hand_cases():
@@ -159,22 +159,19 @@ def test_codewords_lie_in_generator_row_space():
         rm = rm_code(q, d, m)
         gen_rows = tuple(basis_at(rm, pt) for pt in rm.eval_points)
         gen_cols = tuple(zip(*gen_rows))
-        base_rank = rank(FieldMatrix(gen_cols, q))
+        base_rank = rank(gen_cols, q)
         assert base_rank == rm.dimension
         for _ in range(5):
             g = random_poly(m, d, q, int(rng.integers(2**31)))
-            word = tuple(
-                int(evaluate(g, FieldVector(pt, q))) for pt in rm.eval_points
-            )
-            stacked = FieldMatrix(gen_cols + (word,), q)
-            assert rank(stacked) == base_rank
+            word = tuple(evaluate(g, pt) for pt in rm.eval_points)
+            assert rank(gen_cols + (word,), q) == base_rank
 
 
 def test_decode_constant_polynomial():
     rm = rm_code(3, 2, 2)
     answers = {pt: 2 for pt in information_set(rm).points}
     for key in itertools.product(range(3), repeat=2):
-        assert decode_at_key(rm, answers, FieldVector(key, 3)) == FieldElement(2, 3)
+        assert decode_at_key(rm, answers, key) == 2
 
 
 @pytest.mark.parametrize("q,d,m", [(2, 2, 3), (3, 2, 2), (5, 1, 1), (2, 1, 2)])
@@ -184,10 +181,9 @@ def test_decode_reproduces_polynomial_at_every_key(q, d, m):
     info = information_set(rm)
     for _ in range(4):
         g = random_poly(m, d, q, int(rng.integers(2**31)))
-        answers = {pt: int(evaluate(g, FieldVector(pt, q))) for pt in info.points}
+        answers = {pt: evaluate(g, pt) for pt in info.points}
         for key in itertools.product(range(q), repeat=m):
-            kv = FieldVector(key, q)
-            assert decode_at_key(rm, answers, kv) == evaluate(g, kv)
+            assert decode_at_key(rm, answers, key) == evaluate(g, key)
 
 
 def test_decode_from_non_canonical_information_set():
@@ -195,14 +191,9 @@ def test_decode_from_non_canonical_information_set():
     rm = rm_code(2, 1, 2)
     g = random_poly(2, 1, 2, 5150)
     skip = information_set(rm).points[0]
-    answers = {
-        pt: int(evaluate(g, FieldVector(pt, 2)))
-        for pt in rm.eval_points
-        if pt != skip
-    }
+    answers = {pt: evaluate(g, pt) for pt in rm.eval_points if pt != skip}
     for key in itertools.product(range(2), repeat=2):
-        kv = FieldVector(key, 2)
-        assert decode_at_key(rm, answers, kv) == evaluate(g, kv)
+        assert decode_at_key(rm, answers, key) == evaluate(g, key)
 
 
 RM_PARAMS = sorted({(q, d, m) for q, m, d, _ in scheme_grid()})
@@ -214,13 +205,13 @@ def test_decode_from_random_information_set_matches_evaluate(data):
     q, d, m = data.draw(st.sampled_from(RM_PARAMS), label="q, d, m")
     rm = rm_code(q, d, m)
     g = random_poly(m, d, q, data.draw(st.integers(0, 2**32 - 1), label="poly seed"))
-    key = FieldVector(data.draw(st.tuples(*[st.integers(0, q - 1)] * m), label="key"), q)
+    key = data.draw(st.tuples(*[st.integers(0, q - 1)] * m), label="key")
     # the points that grow the span in a random order of all q^m points
     order = data.draw(st.permutations(rm.eval_points), label="point order")
     basis_cols = tuple(zip(*(basis_at(rm, pt) for pt in order)))
-    info = [order[c] for c in pivot_columns(FieldMatrix(basis_cols, q))]
+    info = [order[c] for c in pivot_columns(basis_cols, q)]
     assert len(info) == rm.dimension
-    answers = {pt: int(evaluate(g, FieldVector(pt, q))) for pt in info}
+    answers = {pt: evaluate(g, pt) for pt in info}
     assert decode_at_key(rm, answers, key) == evaluate(g, key)
 
 
@@ -229,23 +220,38 @@ def test_decode_insufficient_answers():
     info = information_set(rm)
     answers = {pt: 0 for pt in info.points[:-1]}
     with pytest.raises(ValueError):
-        decode_at_key(rm, answers, FieldVector((0, 0, 0), 2))
+        decode_at_key(rm, answers, (0, 0, 0))
 
 
 def test_decode_inconsistent_answers():
     rm = rm_code(2, 1, 2)
     g = random_poly(2, 1, 2, 99)
-    answers = {pt: int(evaluate(g, FieldVector(pt, 2))) for pt in rm.eval_points}
+    answers = {pt: evaluate(g, pt) for pt in rm.eval_points}
     corrupt = rm.eval_points[-1]
     answers[corrupt] = (answers[corrupt] + 1) % 2
     with pytest.raises(ValueError):
-        decode_at_key(rm, answers, FieldVector((0, 0), 2))
+        decode_at_key(rm, answers, (0, 0))
 
 
 def test_decode_validates_key():
     rm = rm_code(2, 1, 2)
     answers = {pt: 0 for pt in information_set(rm).points}
     with pytest.raises(ValueError):
-        decode_at_key(rm, answers, FieldVector((0, 0, 0), 2))
+        decode_at_key(rm, answers, (0, 0, 0))
+    # the key carries no modulus any more; a float key is rejected rather
+    # than truncated
     with pytest.raises(ValueError):
-        decode_at_key(rm, answers, FieldVector((0, 0), 3))
+        decode_at_key(rm, answers, (0.0, 0.0))
+
+
+def test_point_enumeration_is_capped_before_allocation():
+    # q^m points at q = 2^31 - 1 would be 2^31 tuples; the dimension alone
+    # stays computable, but the code itself is refused
+    q = 2147483647
+    assert rm_dimension(q, 1, 1) == 2
+    with pytest.raises(ValueError, match="exceeds cap"):
+        rm_code(q, 1, 1)
+    # the bound counts generator entries, dimension * q^m, against the cap
+    assert rm_dimension(2, 2, 20) * 2**20 > DEFAULT_CAP >= 2**20
+    with pytest.raises(ValueError, match="exceeds cap"):
+        RMCode(2, 2, 20)
