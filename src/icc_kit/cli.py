@@ -78,7 +78,7 @@ def _write_lines(path, lines) -> None:
 # ---------------------------------------------------------------------------
 # simulate
 
-def cmd_simulate(config: dict, cap=None) -> tuple:
+def cmd_simulate(config: dict) -> tuple:
     _require(config, ["n", "q", "r", "d", "S", "m", "seed"])
     params = SchemeParams(
         n=int(config["n"]),
@@ -130,43 +130,31 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
     epsilon = float(config["epsilon"])
     a = float(config["a"])
     num_codes = int(config.get("num_codes", 100))
+    if num_codes < 1:
+        raise UsageError("num_codes must be at least 1")
     seed = int(config["seed"])
     dist_seed, *code_seeds = _child_seeds(seed, num_codes + 1)
     dist = _dist_from_config(config.get("dist", {}), q, n, dist_seed)
 
-    data_entropy, max_subset_entropy = im.subset_entropies(dist, p, r)
-    bp = im.BoundParams(
-        n=n,
-        q=q,
-        p=p,
-        epsilon=epsilon,
-        a=a,
-        data_entropy=data_entropy,
-        max_subset_entropy=max_subset_entropy,
-    )
-    m = math.ceil(im.keysize_lower_bound(bp))
+    m = math.ceil(im.keysize_lower_bound(im.measured_bounds(dist, p, r, epsilon, a)))
     if m < max(1, r):
         raise UsageError(f"key length from the bound is {m}; decrease epsilon")
     if m > n:
         raise UsageError(
             f"key length from the bound is {m} > n = {n}; increase epsilon or entropy"
         )
-    im.check_cap(q ** (n + m), cap)
-    bounds = im.leakage_bounds_both(bp)
-    chosen_bound = bounds[variant]
 
     rows = ["code_seed,max_mi,epsilon_c_theorem,epsilon_c_proof,pass"]
     passes = 0
     for code_seed in code_seeds:
-        code = sample_code(n, m, q, code_seed)
-        max_mi = max(im.subset_leakages(dist, code, r, cap).values())
-        ok = max_mi <= chosen_bound + im.VERDICT_TOL
-        passes += ok
-        rows.append(
-            ",".join(
-                [str(code_seed), _fmt(max_mi), _fmt(bounds["theorem"]), _fmt(bounds["proof"]), _fmt(ok)]
-            )
+        report = im.leakage_audit(
+            dist, sample_code(n, m, q, code_seed), r, p=p, epsilon=epsilon, a=a, cap=cap
         )
+        bounds = report["epsilon_c"]
+        ok = report["passes"][variant]
+        passes += ok
+        fields = [report["max_mi"], bounds["theorem"], bounds["proof"], ok]
+        rows.append(",".join([str(code_seed)] + [_fmt(v) for v in fields]))
     fraction = passes / num_codes
     target = 1 - 1 / a
     sigma = math.sqrt(target * (1 - target) / num_codes)
@@ -178,7 +166,7 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
         "epsilon_c": bounds,
         "variant": variant,
         "m": m,
-        "keysize_bound": im.keysize_lower_bound(bp),
+        "keysize_bound": report["keysize_bound"],
     }
     rows.append("# " + json.dumps(footer, sort_keys=True))
     exit_code = 0 if fraction >= target - 3 * sigma else 1
@@ -272,43 +260,17 @@ def cmd_metrics_check(config: dict, cap=None) -> tuple:
         if abs(im.renyi_entropy(im.uniform(q, n), p) - n) > im.VERDICT_TOL:
             violations.append({"check": "uniform_entropy", "case": i})
 
-    # The divergence-distance relation is only claimed where the encoded law
-    # is genuinely smoothed: key length at the bound, epsilon well below 1,
-    # and the measured conditional distances within the ensemble envelope.
     relation_count = 0
     relation_skipped = 0
     for i in range(max(1, num_dists // 4)):
         q, n = [(2, 5), (2, 6), (3, 4)][i % 3]
-        p = 2
-        a = 2.0
         alpha = [20.0, 50.0, 100.0][i % 3]
         dist = im.random_dirichlet(q, n, rng.integers(0, 2 ** 63), alpha=alpha)
-        entropy, max_sub = im.subset_entropies(dist, p, 1)
-        budget = entropy - max_sub - p
-        if budget <= 0.05:
+        screened = im.relation_in_context(dist, 2, 2.0, rng, cap)
+        if screened is None:
             relation_skipped += 1
             continue
-        epsilon = min(float(q) ** (-budget), 0.5)
-        bp = im.BoundParams(n=n, q=q, p=p, epsilon=epsilon, a=a,
-                            data_entropy=entropy, max_subset_entropy=max_sub)
-        m = math.ceil(im.keysize_lower_bound(bp))
-        if m < 1 or m > n:
-            relation_skipped += 1
-            continue
-        envelope = a * 2 ** ((2 * p - 1) / p) * (1 + q ** (-max_sub / p)) * epsilon ** (1 / p)
-        code = sample_code(n, m, q, int(rng.integers(0, 2 ** 63)))
-        encoded = im.pushforward_encode(dist, code, cap)
-        reports = [
-            im.check_divergence_distance_relation(
-                im.conditional_encoded(dist, code, selector, z, cap), encoded, p
-            )
-            for selector, z in im.conditioning_events(dist, 1)
-        ]
-        worst = max((report["vp"] for report in reports), default=0.0)
-        if worst > envelope:
-            relation_skipped += 1
-            continue
-        for report in reports:
+        for report in screened[0]:
             relation_count += 1
             if not report["holds"]:
                 violations.append({"check": "divergence_distance", "case": i, "report": report})
@@ -341,18 +303,6 @@ def _load_config(path) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}")
 
 
-def _resolve_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("ICC_KIT_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"ICC_KIT_CAP must be an integer, got {env!r}")
-    return im.DEFAULT_CAP
-
-
 def _split_out(path: str, tag: str) -> str:
     root, ext = os.path.splitext(path)
     return f"{root}_{tag}{ext or '.csv'}"
@@ -364,34 +314,26 @@ def main(argv=None) -> int:
         description="masked distributed polynomial computation: simulate, audit, curves",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name in ("simulate", "audit", "keysize-curves", "metrics-check"):
-        cmd = sub.add_parser(name)
+        cmd = commands[name] = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="JSON config file")
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
         cmd.add_argument("--seed", type=int, default=None, help="overrides config seed")
-        cmd.add_argument("--cap", type=int, default=None,
-                         help="joint-outcome enumeration cap (env ICC_KIT_CAP)")
-        cmd.add_argument("--variant", choices=("theorem", "proof"), default="theorem",
-                         help="leakage bound constant-factor variant")
+    for name in ("audit", "metrics-check"):
+        commands[name].add_argument("--cap", type=int, default=im.DEFAULT_CAP,
+                                    help="joint-outcome enumeration cap")
+    commands["audit"].add_argument("--variant", choices=("theorem", "proof"), default="theorem",
+                                   help="leakage bound constant-factor variant")
     args = parser.parse_args(argv)
 
     try:
         config = _load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
-        cap = _resolve_cap(args)
-
-        if args.command == "simulate":
-            code, result = cmd_simulate(config, cap=cap)
-            text = json.dumps(result, indent=2, sort_keys=True)
-            print(text)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text + "\n")
-            return code
 
         if args.command == "audit":
-            code, rows = cmd_audit(config, cap=cap, variant=args.variant)
+            code, rows = cmd_audit(config, cap=args.cap, variant=args.variant)
             lines = [_header("audit", config, config.get("seed"))] + rows
             _write_lines(args.out, lines)
             return code
@@ -405,16 +347,16 @@ def main(argv=None) -> int:
             _write_lines(_split_out(args.out, "b"), [header] + payload["curve_b"])
             return code
 
-        if args.command == "metrics-check":
-            code, result = cmd_metrics_check(config, cap=cap)
-            text = json.dumps(result, indent=2, sort_keys=True)
-            print(text)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text + "\n")
-            return code
-
-        raise UsageError(f"unknown command {args.command!r}")
+        if args.command == "simulate":
+            code, result = cmd_simulate(config)
+        else:
+            code, result = cmd_metrics_check(config, cap=args.cap)
+        text = json.dumps(result, indent=2, sort_keys=True)
+        print(text)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        return code
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}))
         return 2

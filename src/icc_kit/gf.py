@@ -51,15 +51,9 @@ def exact_dtype(q: int, terms: int = 1):
     return np.int64 if terms * (q - 1) ** 2 < 2 ** 63 else object
 
 
-def field_array(values, q: int, shape=None, name: str = "field data") -> np.ndarray:
-    """Validate field data at the API boundary and reduce it mod q.
-
-    Entries must be integers (floats and bools are rejected, not
-    truncated) and the array must be non-empty; shape, when given, is the
-    expected shape with None for any length. Returns the residues in
-    exact_dtype(q), so products of two entries never overflow.
-    """
-    _check_prime(q)
+def integer_array(values, name: str = "field data") -> np.ndarray:
+    """values as a numpy integer array: floats and bools are rejected, not
+    truncated, and Python ints beyond int64 stay exact (object dtype)."""
     arr = np.asarray(values)
     if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
         # numpy promotes Python ints beyond int64 to float; keep them exact
@@ -69,6 +63,19 @@ def field_array(values, q: int, shape=None, name: str = "field data") -> np.ndar
             raise ValueError(f"{name} entries must be integers")
     elif arr.dtype.kind not in "iu":
         raise ValueError(f"{name} entries must be integers, got dtype {arr.dtype}")
+    return arr
+
+
+def field_array(values, q: int, shape=None, name: str = "field data") -> np.ndarray:
+    """Validate field data at the API boundary and reduce it mod q.
+
+    Entries must be integers (floats and bools are rejected, not
+    truncated) and the array must be non-empty; shape, when given, is the
+    expected shape with None for any length. Returns the residues in
+    exact_dtype(q), so products of two entries never overflow.
+    """
+    _check_prime(q)
+    arr = integer_array(values, name)
     if shape is not None and (
         arr.ndim != len(shape) or any(w is not None and w != s for w, s in zip(shape, arr.shape))
     ):

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .codes import LinearCode, encode
-from .gf import DEFAULT_CAP, _check_prime, check_cap
+from .codes import LinearCode, encode, sample_code
+from .gf import DEFAULT_CAP, _check_prime, check_cap, integer_array
 
 # absolute slack for floating-point verdicts: far above accumulated
 # double-precision error at cap-sized sums, far below any real effect
@@ -66,7 +66,7 @@ def _outcome_index(outcome, q: int, n: int) -> int:
     return int(digits.astype(np.int64) @ _radix(q, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability table over F_q^n, indexed lexicographically."""
 
@@ -91,6 +91,11 @@ class Distribution:
         table.setflags(write=False)
         object.__setattr__(self, "probs", table)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Distribution):
+            return NotImplemented
+        return self.q == other.q and self.n == other.n and np.array_equal(self.probs, other.probs)
+
     def prob_of(self, outcome) -> float:
         return float(self.probs[_outcome_index(outcome, self.q, self.n)])
 
@@ -110,7 +115,7 @@ class SubsetSelector:
     n: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(integer_array(self.indices, "subset indices").tolist())
         if idx != tuple(sorted(set(idx))):
             raise ValueError("indices must be sorted and distinct")
         if not idx or not (len(idx) < self.n):
@@ -264,14 +269,14 @@ def conditional_given(dist: Distribution, selector: SubsetSelector, z) -> Distri
     as a table over the whole space (zero off the conditioning slice)."""
     if selector.n != dist.n:
         raise ValueError("selector was built for a different n")
-    z_arr = np.asarray(tuple(int(v) for v in z), dtype=np.int64)
+    z_arr = integer_array(z, "conditioning value")
     if z_arr.shape != (selector.size,):
         raise ValueError(f"conditioning value must have length {selector.size}")
     digits = _digit_table(dist.q, dist.n)
     mask = np.all(digits[:, selector.indices] == z_arr[None, :], axis=1)
     total = float(dist.probs[mask].sum())
     if total <= 0:
-        raise ValueError(f"conditioning on a zero-probability event: {tuple(z_arr)}")
+        raise ValueError(f"conditioning on a zero-probability event: {tuple(z_arr.tolist())}")
     return Distribution(dist.q, dist.n, np.where(mask, dist.probs, 0.0) / total)
 
 
@@ -371,8 +376,21 @@ def keysize_lower_bound(bp: BoundParams) -> float:
     )
 
 
+def _vp_envelope(bp: BoundParams, variant: str) -> float:
+    """Ensemble envelope a 2^((2p-1)/p) factor epsilon^(1/p) on the v_p
+    distance between a conditional encoded law and the unconditioned one."""
+    if variant == "theorem":
+        factor = 1.0 + bp.q ** (-bp.max_subset_entropy)
+    elif variant == "proof":
+        factor = 1.0 + bp.q ** (-bp.max_subset_entropy / bp.p)
+    else:
+        raise ValueError(f"variant must be 'theorem' or 'proof', got {variant!r}")
+    return bp.a * 2 ** ((2 * bp.p - 1) / bp.p) * factor * bp.epsilon ** (1.0 / bp.p)
+
+
 def leakage_bound(bp: BoundParams, variant: str = "theorem") -> float:
-    """Confidentiality bound on max mutual information, q-ary symbols.
+    """Confidentiality bound on max mutual information, q-ary symbols:
+    (p/(p-1)) log_q(1 + envelope).
 
     Two published constant factors circulate for the same bound; the
     "theorem" variant uses (1 + q^-H) and the "proof" variant
@@ -381,14 +399,7 @@ def leakage_bound(bp: BoundParams, variant: str = "theorem") -> float:
     """
     if not bp.epsilon < 1:
         raise ValueError("the leakage bound derivation requires epsilon < 1")
-    if variant == "theorem":
-        factor = 1.0 + bp.q ** (-bp.max_subset_entropy)
-    elif variant == "proof":
-        factor = 1.0 + bp.q ** (-bp.max_subset_entropy / bp.p)
-    else:
-        raise ValueError(f"variant must be 'theorem' or 'proof', got {variant!r}")
-    inner = 1.0 + bp.a * 2 ** ((2 * bp.p - 1) / bp.p) * factor * bp.epsilon ** (1.0 / bp.p)
-    return bp.p / (bp.p - 1) * _log_q(inner, bp.q)
+    return bp.p / (bp.p - 1) * _log_q(1.0 + _vp_envelope(bp, variant), bp.q)
 
 
 def leakage_bounds_both(bp: BoundParams) -> dict:
@@ -415,6 +426,13 @@ def subset_entropies(dist: Distribution, p: int, r: int) -> tuple:
     law, largest order-p entropy among its size-r marginals)."""
     max_subset = max(renyi_entropy(marginal(dist, sel), p) for sel in all_subsets(dist.n, r))
     return renyi_entropy(dist, p), max_subset
+
+
+def measured_bounds(dist: Distribution, p: int, r: int, epsilon: float, a: float) -> BoundParams:
+    """BoundParams for dist at its measured entropies (subset_entropies)."""
+    data_entropy, max_subset_entropy = subset_entropies(dist, p, r)
+    return BoundParams(n=dist.n, q=dist.q, p=p, epsilon=epsilon, a=a,
+                       data_entropy=data_entropy, max_subset_entropy=max_subset_entropy)
 
 
 def subset_leakages(dist: Distribution, code: LinearCode, r: int, cap=None) -> dict:
@@ -454,22 +472,13 @@ def leakage_audit(
     compares the maximum against both variants of the leakage bound
     computed from the measured entropies.
     """
-    data_entropy, max_subset_entropy = subset_entropies(dist, p, subset_size)
+    bp = measured_bounds(dist, p, subset_size, epsilon, a)
+    bounds = leakage_bounds_both(bp)
     per_subset = [
         {"indices": indices, "mi": mi}
         for indices, mi in subset_leakages(dist, code, subset_size, cap).items()
     ]
     max_mi = max(row["mi"] for row in per_subset)
-    bp = BoundParams(
-        n=dist.n,
-        q=dist.q,
-        p=p,
-        epsilon=epsilon,
-        a=a,
-        data_entropy=data_entropy,
-        max_subset_entropy=max_subset_entropy,
-    )
-    bounds = leakage_bounds_both(bp)
     return {
         "code_seed": code_seed,
         "subset_size": subset_size,
@@ -577,6 +586,34 @@ def check_divergence_distance_relation(
     dp = renyi_divergence(dist_a, dist_b, p)
     bound = p / (p - 1) * _log_q(1 + vp, dist_a.q)
     return {"vp": vp, "dp": dp, "bound": bound, "holds": dp <= bound + VERDICT_TOL}
+
+
+def relation_in_context(dist: Distribution, p: int, a: float, rng, cap=None):
+    """check_divergence_distance_relation of each single-coordinate
+    conditional encoded law against the encoded law, where the relation is
+    claimed: budget H_p(X) - max_i H_p(X_i) - p > 0.05, epsilon =
+    min(q^-budget, 1/2), 1 <= m <= n at the bound, every v_p within the
+    ensemble envelope. Returns (reports, bp), or None outside that context;
+    the code seed is drawn from rng only once budget and m pass."""
+    bp = measured_bounds(dist, p, 1, 1.0, a)
+    budget = bp.data_entropy - bp.max_subset_entropy - p
+    if budget <= 0.05:
+        return None
+    bp = replace(bp, epsilon=min(float(dist.q) ** (-budget), 0.5))
+    m = math.ceil(keysize_lower_bound(bp))
+    if m < 1 or m > dist.n:
+        return None
+    code = sample_code(dist.n, m, dist.q, int(rng.integers(0, 2 ** 63)))
+    encoded = pushforward_encode(dist, code, cap)
+    reports = [
+        check_divergence_distance_relation(
+            conditional_encoded(dist, code, selector, z, cap), encoded, p
+        )
+        for selector, z in conditioning_events(dist, 1)
+    ]
+    if max(report["vp"] for report in reports) > _vp_envelope(bp, "proof"):
+        return None
+    return reports, bp
 
 
 def pinsker_check(dist_a: Distribution, dist_b: Distribution) -> dict:

@@ -10,6 +10,7 @@ sampling error.
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,30 +226,22 @@ def code_ensemble():
     start = time.time()
     for alpha, dseed in ((5.0, 101), (15.0, 202), (50.0, 303)):
         dist = im.random_dirichlet(q, n, dseed, alpha=alpha)
-        entropy, max_sub = im.subset_entropies(dist, p, r)
+        bp = im.measured_bounds(dist, p, r, 1.0, a)
         # epsilon just large enough that the bound stays within n
-        eps = min(0.9, float(q) ** -(entropy - max_sub - p - 0.05))
-        bp = im.BoundParams(
-            n=n, q=q, p=p, epsilon=eps, a=a,
-            data_entropy=entropy, max_subset_entropy=max_sub,
-        )
-        m = math.ceil(im.keysize_lower_bound(bp))
+        eps = min(0.9, float(q) ** -(bp.data_entropy - bp.max_subset_entropy - p - 0.05))
+        m = math.ceil(im.keysize_lower_bound(replace(bp, epsilon=eps)))
         assert r <= m <= n
-        eps_c = im.leakage_bound(bp, variant="theorem")
-        unif = im.uniform(q, n)
         passes = 0
         vps = []
         for cs in np.random.SeedSequence(dseed).generate_state(num_codes, dtype=np.uint64):
             code = sample_code(n, m, q, int(cs))
-            max_mi = max(im.subset_leakages(dist, code, r).values())
-            passes += max_mi <= eps_c + im.VERDICT_TOL
-            vps.append(im.v_p_distance(im.pushforward_encode(dist, code), unif, p))
+            passes += im.leakage_audit(dist, code, r, p=p, epsilon=eps, a=a)["passes"]["theorem"]
+            vps.append(im.smoothing_report(dist, code, p, eps).vp_uniform)
         out.append(
             {
                 "alpha": alpha,
                 "epsilon": eps,
                 "m": m,
-                "eps_c": eps_c,
                 "fraction": passes / num_codes,
                 "vps": np.array(vps),
                 "threshold": im.smoothing_threshold(p, eps),
@@ -348,9 +341,11 @@ def test_metric_axioms_hold_on_randomized_cases():
             violations += lhs > rhs + 1e-9
             triangle_cases += 1
 
-    # divergence-distance relation, restricted to its usage context:
-    # key length at the bound, epsilon <= 1/2, and measured conditional
-    # distances within the ensemble envelope
+    # divergence-distance relation, restricted to its usage context as
+    # screened by relation_in_context (key length at the bound, epsilon <=
+    # 1/2, measured conditional distances within what the ensemble
+    # guarantees); each divergence must also stay below the "proof" leakage
+    # bound
     p, a = 2, 2.0
     relation_cases = skipped = 0
     min_slack = float("inf")
@@ -360,32 +355,12 @@ def test_metric_axioms_hold_on_randomized_cases():
         alpha = [20.0, 50.0, 100.0][i % 3]
         i += 1
         dist = im.random_dirichlet(q, n, rng.integers(0, 2**63), alpha=alpha)
-        entropy, max_sub = im.subset_entropies(dist, p, 1)
-        budget = entropy - max_sub - p
-        if budget <= 0.05:
+        screened = im.relation_in_context(dist, p, a, rng)
+        if screened is None:
             skipped += 1
             continue
-        eps = min(float(q) ** -budget, 0.5)
-        bp = im.BoundParams(n=n, q=q, p=p, epsilon=eps, a=a,
-                            data_entropy=entropy, max_subset_entropy=max_sub)
-        m = math.ceil(im.keysize_lower_bound(bp))
-        if m < 1 or m > n:
-            skipped += 1
-            continue
-        envelope = a * 2 ** ((2 * p - 1) / p) * (1 + q ** (-max_sub / p)) * eps ** (1 / p)
-        code = sample_code(n, m, q, int(rng.integers(0, 2**63)))
-        encoded = im.pushforward_encode(dist, code)
-        reports = [
-            im.check_divergence_distance_relation(
-                im.conditional_encoded(dist, code, sel, z), encoded, p
-            )
-            for sel, z in im.conditioning_events(dist, 1)
-        ]
-        worst_vp = max(rep["vp"] for rep in reports)
-        if worst_vp > envelope:
-            skipped += 1
-            continue
-        chain_bound = (p / (p - 1)) * math.log(1 + envelope, q)
+        reports, bp = screened
+        chain_bound = im.leakage_bound(bp, "proof")
         for rep in reports:
             violations += not rep["holds"]
             violations += rep["dp"] > chain_bound + 1e-9

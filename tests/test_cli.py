@@ -221,7 +221,7 @@ def test_main_metrics_check_defaults_small(tmp_path, capsys):
 
 def test_main_crash_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     # an internal crash must not be reported as exit 1 ("a property failed")
-    def crash(config, cap=None):
+    def crash(config):
         raise RuntimeError("internal fault")
 
     monkeypatch.setattr(cli, "cmd_simulate", crash)
@@ -256,25 +256,31 @@ def test_main_audit_point_mass_outside_the_space_exits_2(tmp_path, capsys):
         assert "not a point" in json.loads(capsys.readouterr().out)["error"]
 
 
-def test_main_cap_env_must_be_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ICC_KIT_CAP", "lots")
-    path = write_config(tmp_path, BASE_SIM)
-    assert main(["simulate", "--config", path]) == 2
-    assert "ICC_KIT_CAP" in json.loads(capsys.readouterr().out)["error"]
-
-
-def test_main_cap_env_enforced_on_audit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ICC_KIT_CAP", "100")
+def test_main_cap_env_enforced_on_audit(tmp_path, capsys):
     path = write_config(tmp_path, AUDIT_UNIFORM)
-    assert main(["audit", "--config", path]) == 2
-    assert "error" in json.loads(capsys.readouterr().out)
+    assert main(["audit", "--config", path, "--cap", "100"]) == 2
+    assert "exceeds cap 100" in json.loads(capsys.readouterr().out)["error"]
 
 
-def test_main_cap_flag_beats_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ICC_KIT_CAP", "not-a-number")
-    path = write_config(tmp_path, BASE_SIM)
-    assert main(["simulate", "--config", path, "--cap", str(2**24)]) == 0
-    assert json.loads(capsys.readouterr().out)["match"] is True
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--cap", "100"],
+    ["keysize-curves", "--variant", "proof"],
+    ["metrics-check", "--variant", "proof"],
+])
+def test_main_refuses_options_a_subcommand_does_not_take(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("num_codes", [0, -1])
+def test_audit_needs_at_least_one_code(tmp_path, capsys, num_codes):
+    config = dict(AUDIT_UNIFORM, num_codes=num_codes)
+    with pytest.raises(UsageError, match="num_codes must be at least 1"):
+        cmd_audit(config)
+    assert main(["audit", "--config", write_config(tmp_path, config)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "num_codes must be at least 1"
 
 
 def test_split_out_naming():

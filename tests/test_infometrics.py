@@ -30,11 +30,13 @@ from icc_kit.infometrics import (
     leakage_bound,
     leakage_bounds_both,
     marginal,
+    measured_bounds,
     mutual_information,
     pinsker_check,
     point_mass,
     pushforward_encode,
     random_dirichlet,
+    relation_in_context,
     renyi_divergence,
     renyi_entropy,
     smoothing_report,
@@ -61,6 +63,13 @@ def test_distribution_table_is_read_only():
     d = uniform(2, 2)
     with pytest.raises(ValueError):
         d.probs[0] = 0.9
+
+
+def test_distribution_equality_compares_tables():
+    assert uniform(2, 2) == uniform(2, 2)
+    assert uniform(2, 2) != point_mass(2, 2, (0, 0))
+    assert uniform(2, 2) != uniform(2, 1)
+    assert uniform(2, 2) != "uniform"
 
 
 def test_distribution_json_round_trip():
@@ -113,6 +122,14 @@ def test_subset_selector_bounds():
         SubsetSelector((0, 1, 2, 3), 4)  # r = n is not a proper subset
     with pytest.raises(ValueError):
         SubsetSelector((0, 0), 4)
+
+
+def test_subset_selector_rejects_non_integer_indices():
+    # (0.9, 1.2) used to truncate to (0, 1)
+    for bad in ((0.9, 1.2), (0.0, 1.0), (True,), ("0",)):
+        with pytest.raises(ValueError, match="must be integers"):
+            SubsetSelector(bad, 3)
+    assert SubsetSelector(np.array([0, 2], dtype=np.uint8), 3).indices == (0, 2)
 
 
 def test_all_subsets_counts():
@@ -242,6 +259,16 @@ def test_conditional_given_null_event_errors():
     sel = SubsetSelector((0,), 2)
     with pytest.raises(ValueError):
         conditional_given(pm, sel, (1,))
+
+
+def test_conditional_given_rejects_non_integer_values():
+    # (0.7,) used to truncate to the event X_0 = 0
+    d = uniform(2, 3)
+    sel = SubsetSelector((0,), 3)
+    for bad in ((0.7,), (0.0,), (True,)):
+        with pytest.raises(ValueError, match="must be integers"):
+            conditional_given(d, sel, bad)
+    assert conditional_given(d, sel, np.array([1])) == conditional_given(d, sel, (1,))
 
 
 def test_conditional_encoded_of_deterministic_data_is_coset_uniform():
@@ -399,6 +426,32 @@ def test_leakage_bound_requires_epsilon_below_one():
                      data_entropy=3.0, max_subset_entropy=1.0)
     with pytest.raises(ValueError):
         leakage_bound(bp)
+
+
+def test_measured_bounds_reads_entropies_off_the_distribution():
+    bp = measured_bounds(uniform(2, 4), 2, 1, 0.5, 3.0)
+    assert bp == BoundParams(n=4, q=2, p=2, epsilon=0.5, a=3.0,
+                             data_entropy=4.0, max_subset_entropy=1.0)
+
+
+def test_relation_screen_draws_no_code_seed_outside_its_context():
+    # budget H_2 - max H_2(X_i) - p is 3 - 1 - 2 = 0 for uniform(2, 3) and
+    # 4 - 1 - 3 = 0 for uniform(2, 4) at p = 3: both fail the 0.05 floor
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    assert relation_in_context(uniform(2, 3), 2, 2.0, rng) is None
+    assert relation_in_context(uniform(2, 4), 3, 2.0, rng) is None
+    assert rng.bit_generator.state == before
+
+
+def test_relation_screen_reports_in_context_cases():
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    reports, bp = relation_in_context(uniform(2, 5), 2, 2.0, rng)
+    assert rng.bit_generator.state != before  # one code seed drawn
+    assert bp.epsilon == 0.25 and math.ceil(keysize_lower_bound(bp)) == 5
+    assert len(reports) == 10  # 5 coordinates x 2 values
+    assert all(report["holds"] for report in reports)
 
 
 def test_smoothing_threshold_values():
