@@ -18,6 +18,7 @@ import numpy as np
 from . import infometrics as im
 from . import protocol
 from .codes import sample_code
+from .gf import integer_array
 from .poly import MultiPoly, evaluate, random_poly
 from .protocol import SchemeParams, computation_phase, storage_phase
 
@@ -28,6 +29,18 @@ class UsageError(Exception):
 
 def _child_seeds(seed: int, count: int) -> list:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)]
+
+
+def _int(value, key: str) -> int:
+    """An integer config value as a Python int; by gf.integer_array's rule a
+    float or bool is a usage error, not truncated."""
+    try:
+        arr = integer_array(value, f"config key {key!r}")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if arr.ndim:
+        raise UsageError(f"config key {key!r} must be one integer, got {value!r}")
+    return arr.item()
 
 
 def _require(config: dict, keys) -> None:
@@ -81,26 +94,27 @@ def _write_lines(path, lines) -> None:
 def cmd_simulate(config: dict) -> tuple:
     _require(config, ["n", "q", "r", "d", "S", "m", "seed"])
     params = SchemeParams(
-        n=int(config["n"]),
-        q=int(config["q"]),
-        protected_size=int(config["r"]),
-        degree_bound=int(config["d"]),
-        straggler_budget=int(config["S"]),
+        n=_int(config["n"], "n"),
+        q=_int(config["q"], "q"),
+        protected_size=_int(config["r"], "r"),
+        degree_bound=_int(config["d"], "d"),
+        straggler_budget=_int(config["S"], "S"),
     )
-    m = int(config["m"])
-    seed = int(config["seed"])
+    m = _int(config["m"], "m")
+    seed = _int(config["seed"], "seed")
     code_seed, key_seed, x_seed, f_seed = _child_seeds(seed, 4)
     code = sample_code(params.n, m, params.q, code_seed)
     if "x" in config:
         data = config["x"]
     else:
         data = np.random.default_rng(x_seed).integers(0, params.q, params.n)
+    # storage first: it refuses an oversized code before random_poly lists a basis
+    session = storage_phase(data, params, code, key_seed)
     if "f" in config:
         f = MultiPoly.from_json(config["f"])
     else:
         f = random_poly(params.n, params.degree_bound, params.q, f_seed)
-    session = storage_phase(data, params, code, key_seed)
-    stragglers = [int(s) for s in config.get("stragglers", [])]
+    stragglers = [_int(s, "stragglers") for s in config.get("stragglers", [])]
     decoded = computation_phase(session, f, stragglers)
     direct = evaluate(f, data)
     result = {
@@ -123,16 +137,16 @@ def cmd_simulate(config: dict) -> tuple:
 
 def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
     _require(config, ["n", "q", "r", "p", "epsilon", "a", "seed"])
-    n = int(config["n"])
-    q = int(config["q"])
-    r = int(config["r"])
-    p = int(config["p"])
+    n = _int(config["n"], "n")
+    q = _int(config["q"], "q")
+    r = _int(config["r"], "r")
+    p = _int(config["p"], "p")
     epsilon = float(config["epsilon"])
     a = float(config["a"])
-    num_codes = int(config.get("num_codes", 100))
+    num_codes = _int(config.get("num_codes", 100), "num_codes")
     if num_codes < 1:
         raise UsageError("num_codes must be at least 1")
-    seed = int(config["seed"])
+    seed = _int(config["seed"], "seed")
     dist_seed, *code_seeds = _child_seeds(seed, num_codes + 1)
     dist = _dist_from_config(config.get("dist", {}), q, n, dist_seed)
 
@@ -177,14 +191,16 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
 # keysize curves
 
 def cmd_keysize_curves(config: dict) -> tuple:
-    n = int(config.get("n", 2 ** 18))
-    p = int(config.get("p", 2))
-    q = int(config.get("q", 2))
-    r = int(config.get("r", 2))
+    n = _int(config.get("n", 2 ** 18), "n")
+    p = _int(config.get("p", 2), "p")
+    q = _int(config.get("q", 2), "q")
+    r = _int(config.get("r", 2), "r")
     entropy_a = float(config.get("entropy_a", n - 4))
-    eps_exponents = config.get("epsilon_log_q_exponents", list(range(-60, 0)))
+    eps_exponents = [_int(j, "epsilon_log_q_exponents")
+                     for j in config.get("epsilon_log_q_exponents", range(-60, 0))]
     epsilon_b = float(config.get("epsilon_b", float(q) ** (-2 * math.log(n, q))))
-    entropy_offsets = config.get("entropy_offsets", list(range(64, -1, -1)))
+    entropy_offsets = [_int(k, "entropy_offsets")
+                       for k in config.get("entropy_offsets", range(64, -1, -1))]
 
     def bound(epsilon: float, entropy: float) -> float:
         bp = im.BoundParams(
@@ -208,9 +224,9 @@ def cmd_keysize_curves(config: dict) -> tuple:
     resolved = {
         "n": n, "p": p, "q": q, "r": r,
         "entropy_a": entropy_a,
-        "epsilon_log_q_exponents": sorted(int(j) for j in eps_exponents),
+        "epsilon_log_q_exponents": sorted(eps_exponents),
         "epsilon_b": epsilon_b,
-        "entropy_offsets": sorted(int(k) for k in entropy_offsets),
+        "entropy_offsets": sorted(entropy_offsets),
     }
     return 0, {"config": resolved, "curve_a": curve_a, "curve_b": curve_b}
 
@@ -219,9 +235,9 @@ def cmd_keysize_curves(config: dict) -> tuple:
 # metrics check
 
 def cmd_metrics_check(config: dict, cap=None) -> tuple:
-    num_dists = int(config.get("num_dists", 200))
-    num_pairs = int(config.get("num_pairs", 1000))
-    seed = int(config.get("seed", 0))
+    num_dists = _int(config.get("num_dists", 200), "num_dists")
+    num_pairs = _int(config.get("num_pairs", 1000), "num_pairs")
+    seed = _int(config.get("seed", 0), "seed")
     rng = np.random.default_rng(seed)
     spaces = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]
     violations = []

@@ -54,7 +54,10 @@ def exact_dtype(q: int, terms: int = 1):
 def integer_array(values, name: str = "field data") -> np.ndarray:
     """values as a numpy integer array: floats and bools are rejected, not
     truncated, and Python ints beyond int64 stay exact (object dtype)."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting, such as points of different lengths
+        raise ValueError(f"{name} must be a rectangular array of integers") from None
     if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
         # numpy promotes Python ints beyond int64 to float; keep them exact
         arr = np.asarray(values, dtype=object)
@@ -105,7 +108,7 @@ def row_reduce(mat, q: int) -> tuple:
 
     Returns (reduced copy, pivot column indices in left-to-right order).
     The only Gaussian-elimination routine in the package: rank, pivots,
-    information sets and decoding all go through it.
+    the generic straggler selection and decoding all go through it.
     """
     red = np.array(mat, dtype=exact_dtype(q)) % q
     pivots = []

@@ -1,21 +1,21 @@
 """Reed-Muller evaluation codes RM_q(d, m): dimension, information sets,
 replicated super-sets for straggler tolerance, and decode-by-interpolation.
 
-A codeword is the evaluation table of an m-variate polynomial of total
-degree at most d over all q^m points of F_q^m, in lexicographic point
-order. The code dimension equals the number of reduced monomials, which
-is also the download cost of the distributed-evaluation protocol.
+A codeword evaluates an m-variate polynomial of total degree at most d at
+points of F_q^m; generator columns are built for the points in hand, never
+for all q^m. The code dimension equals the number of reduced monomials,
+which is also the download cost of the distributed-evaluation protocol.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
-from .gf import _check_prime, check_cap, field_array, row_reduce
+from .gf import _check_prime, check_cap, exact_dtype, field_array, row_reduce
 from .poly import monomial_values, monomials
 
 
@@ -31,16 +31,12 @@ def _check_rm_params(q: int, d: int, m: int) -> None:
         raise ValueError(f"degree bound must satisfy d < m(q-1), got d={d}, m={m}, q={q}")
 
 
-@lru_cache(maxsize=None)
-def eval_points(q: int, m: int) -> tuple:
-    """All q^m points of F_q^m in lexicographic order."""
-    return tuple(itertools.product(range(q), repeat=m))
-
-
 def rm_dimension(q: int, d: int, m: int) -> int:
-    """Number of monomials with entries below q and total degree at most d."""
+    """Number of monomials with entries below q and total degree at most d,
+    counted without listing them, by inclusion-exclusion over the j
+    exponents pushed to q or above: sum_j (-1)^j C(m, j) C(d - jq + m, m)."""
     _check_rm_params(q, d, m)
-    return len(monomials(m, d, q))
+    return sum((-1) ** j * comb(m, j) * comb(d - j * q + m, m) for j in range(min(m, d // q) + 1))
 
 
 @dataclass(frozen=True)
@@ -51,21 +47,17 @@ class RMCode:
 
     def __post_init__(self):
         _check_rm_params(self.q, self.d, self.m)
-        # the generator matrix enumerates all q^m points; refuse before any
-        # of it is allocated
-        check_cap(self.dimension * self.q ** self.m)
+        # the decode system, dimension x (dimension + 1), is the largest
+        # array built for the code; refuse before the basis is listed
+        check_cap(self.dimension ** 2)
 
     @property
     def monomial_basis(self) -> tuple:
         return monomials(self.m, self.d, self.q)
 
     @property
-    def eval_points(self) -> tuple:
-        return eval_points(self.q, self.m)
-
-    @property
     def dimension(self) -> int:
-        return len(self.monomial_basis)
+        return rm_dimension(self.q, self.d, self.m)
 
 
 @lru_cache(maxsize=None)
@@ -99,34 +91,21 @@ class SuperSet:
     replica_size: int = None
 
 
-@lru_cache(maxsize=None)
-def _generator_matrix(q: int, d: int, m: int) -> np.ndarray:
-    """Monomials-by-points evaluation matrix, shape (dimension, q^m)."""
-    out = monomial_values(monomials(m, d, q), eval_points(q, m), q)
-    out.setflags(write=False)
-    return out
-
-
-def _point_columns(points, q: int, m: int) -> np.ndarray:
-    """Generator-matrix column of each point, coordinates reduced mod q."""
-    pts = np.array(points, dtype=np.int64).reshape(-1, m) % q
-    return pts @ q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _info_pivots(q: int, d: int, m: int) -> tuple:
-    gen = _generator_matrix(q, d, m)
-    pivots = row_reduce(gen, q)[1]
-    # full row rank is guaranteed for d < m(q-1)
-    assert len(pivots) == gen.shape[0]
-    return tuple(pivots)
+def _generator_columns(rm: RMCode, points) -> np.ndarray:
+    """Generator columns of the given points only: every basis monomial at
+    every point, shape (dimension, number of points)."""
+    return monomial_values(rm.monomial_basis, np.reshape(points, (-1, rm.m)), rm.q)
 
 
 def information_set(rm: RMCode) -> InfoSet:
-    """Pivot evaluation points of the generator under elimination in
-    canonical point order; deterministic for a given (q, d, m)."""
-    pts = rm.eval_points
-    return InfoSet(points=tuple(pts[c] for c in _info_pivots(rm.q, rm.d, rm.m)))
+    """The basis exponent vectors read as points, in lexicographic order.
+
+    The exponents form a lower set (lowering an exponent stays in the
+    basis), and a lower set is unisolvent on the grid points it names (Dyn
+    & Floater, J. Approx. Theory 2014), so the restricted generator is
+    invertible. These are the pivots that elimination over all of F_q^m in
+    lexicographic order would find."""
+    return InfoSet(points=rm.monomial_basis)
 
 
 def trivial_superset(rm: RMCode, stragglers: int) -> SuperSet:
@@ -172,16 +151,15 @@ def select_available_infoset(ss: SuperSet, responded) -> InfoSet:
         if sources is not None:
             return InfoSet(points=ss.entries[:size], sources=tuple(sources))
 
-    q, d, m = ss.code_params
+    rm = rm_code(*ss.code_params)
     first_source = {}
     for idx in resp:
         first_source.setdefault(ss.entries[idx], idx)
     points = sorted(first_source)
     # a column is a pivot exactly when its point grows the span of the
     # points before it, so the pivots are the greedy choice in this order
-    gen = _generator_matrix(q, d, m)
-    pivots = row_reduce(gen[:, _point_columns(points, q, m)], q)[1]
-    if len(pivots) < gen.shape[0]:
+    pivots = row_reduce(_generator_columns(rm, points), rm.q)[1]
+    if len(pivots) < rm.dimension:
         raise ValueError("responding entries do not contain an information set")
     chosen = [points[c] for c in pivots]
     return InfoSet(points=tuple(chosen), sources=tuple(first_source[pt] for pt in chosen))
@@ -195,21 +173,19 @@ def decode_at_key(rm: RMCode, answers, key) -> int:
     Raises ValueError when the answered points do not pin the polynomial
     down (the restricted system is singular) or contradict each other.
     """
-    key = field_array(key, rm.q, (rm.m,), "key")
     q, dim = rm.q, rm.dimension
-    pts = sorted(answers)
-    if len(pts) < dim:
-        raise ValueError(f"need at least {dim} answered points, got {len(pts)}")
-    gen = _generator_matrix(q, rm.d, rm.m)
-    values = np.array([int(answers[z]) % q for z in pts], dtype=np.int64)
+    key = field_array(key, q, (rm.m,), "key")
+    if len(answers) < dim:
+        raise ValueError(f"need at least {dim} answered points, got {len(answers)}")
+    points = field_array(list(answers), q, (None, rm.m), "answered points")
+    values = field_array(list(answers.values()), q, (None,), "answers")
+    cols = _generator_columns(rm, np.concatenate([points, key[None]]))
     # rows are the answered points: [basis values at the point | answer]
-    system, pivots = row_reduce(
-        np.concatenate([gen[:, _point_columns(pts, q, rm.m)].T, values[:, None]], axis=1), q
-    )
+    system, pivots = row_reduce(np.concatenate([cols[:, :-1].T, values[:, None]], axis=1), q)
     if dim in pivots:
         raise ValueError("answers are inconsistent with a degree-bounded polynomial")
     if pivots != list(range(dim)):
         raise ValueError("answered points do not cover an information set")
-    coeffs = system[:dim, dim]
-    at_key = gen[:, _point_columns(key, q, rm.m)[0]]
-    return int(at_key @ coeffs % q)
+    # the value at the key sums dim products of two residues
+    dtype = exact_dtype(q, dim)
+    return int(cols[:, -1].astype(dtype) @ system[:dim, dim].astype(dtype) % q)

@@ -240,9 +240,13 @@ def test_main_simulate_many_variables(tmp_path, capsys):
 
 
 def test_main_simulate_refuses_point_enumeration_beyond_cap(tmp_path, capsys):
-    # RM_q(1, 1) at q = 2^31 - 1 would enumerate 2^31 evaluation points
-    start = time.monotonic()
+    # F_q^m is never enumerated, so q = 2^31 - 1 decodes exactly
     path = write_config(tmp_path, dict(BASE_SIM, n=2, q=2147483647, d=1, S=0, m=1))
+    assert main(["simulate", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["match"] is True
+    # RM_2(10, 40) has about 1.2e9 monomials: refused before any is listed
+    start = time.monotonic()
+    path = write_config(tmp_path, dict(BASE_SIM, n=41, q=2, d=10, S=0, m=40))
     assert main(["simulate", "--config", path]) == 2
     assert "exceeds cap" in json.loads(capsys.readouterr().out)["error"]
     assert time.monotonic() - start < 10
@@ -281,6 +285,26 @@ def test_audit_needs_at_least_one_code(tmp_path, capsys, num_codes):
         cmd_audit(config)
     assert main(["audit", "--config", write_config(tmp_path, config)]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "num_codes must be at least 1"
+
+
+@pytest.mark.parametrize("command,config", [
+    ("simulate", dict(BASE_SIM, n=5.9)),
+    ("simulate", dict(BASE_SIM, m=2.7)),
+    ("simulate", dict(BASE_SIM, seed=0.5)),
+    ("simulate", dict(BASE_SIM, S=True)),
+    ("simulate", dict(BASE_SIM, stragglers=[0.0])),
+    ("audit", dict(AUDIT_UNIFORM, num_codes=2.5)),
+    ("audit", dict(AUDIT_UNIFORM, p="2")),
+    ("keysize-curves", {"n": 64.0}),
+    ("keysize-curves", {"entropy_offsets": [0, 1.5]}),
+    ("metrics-check", {"num_pairs": 10.5}),
+])
+def test_main_rejects_non_integer_config_values(tmp_path, capsys, command, config):
+    # a float or bool for an integer key is a usage error, not truncated
+    argv = [command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith("config key") and "must be" in error
 
 
 def test_split_out_naming():

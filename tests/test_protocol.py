@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icc_kit.codes import LinearCode, key_gen, sample_code, shift
 from icc_kit.infometrics import Distribution, leakage_audit, uniform
@@ -114,6 +116,25 @@ def test_decode_equals_direct_evaluation_all_patterns(q, m, d, S):
     n_workers = session.metrics.num_workers
     for pattern in straggler_patterns(n_workers, S):
         assert computation_phase(session, f, pattern) == direct
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_round_trip_at_large_primes_matches_evaluate(data):
+    # products of two residues fill int64 at 2^31 - 1 and overflow it above,
+    # so decoding must sum at the exact width through any straggler pattern
+    q = data.draw(st.sampled_from([2**31 - 1, 4294967311, 2**61 - 1]), label="q")
+    m = data.draw(st.integers(1, 4), label="m")
+    d = data.draw(st.integers(1, 3), label="d")
+    S = data.draw(st.integers(0, 2), label="S")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    n = m + 1
+    x = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), label="data")
+    session = storage_phase(x, make_params(n=n, q=q, d=d, S=S), sample_code(n, m, q, seed), seed)
+    workers = len(session.admin.shares)
+    stragglers = data.draw(st.sets(st.integers(0, workers - 1), max_size=S), label="stragglers")
+    f = random_poly(n, d, q, seed)
+    assert computation_phase(session, f, stragglers) == evaluate(f, x)
 
 
 def test_budget_and_degree_rejections():

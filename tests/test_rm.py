@@ -8,20 +8,20 @@ exhaustively for every loss pattern at small sizes.
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icc_kit.gf import DEFAULT_CAP, pivot_columns, rank
-from icc_kit.poly import evaluate, random_poly
+from icc_kit.gf import pivot_columns, rank
+from icc_kit.poly import evaluate, monomials, random_poly
 from icc_kit.rm import (
     InfoSet,
     RMCode,
     SuperSet,
     decode_at_key,
-    eval_points,
     information_set,
     rm_code,
     rm_dimension,
@@ -29,6 +29,11 @@ from icc_kit.rm import (
     trivial_superset,
 )
 from test_acceptance import scheme_grid
+
+
+def all_points(q, m):
+    """Every point of F_q^m in lexicographic order."""
+    return tuple(itertools.product(range(q), repeat=m))
 
 
 def basis_at(rm, point):
@@ -65,15 +70,37 @@ def test_degenerate_degree_rejected():
     rm_dimension(2, 2, 3)  # d = m(q-1) - 1 is the last admissible degree
 
 
+def test_dimension_counts_the_monomial_list():
+    for q in (2, 3, 5, 7):
+        for m in range(1, 6):
+            for d in range(min(m * (q - 1), 12)):
+                assert rm_dimension(q, d, m) == len(monomials(m, d, q)), (q, d, m)
+
+
 def test_top_admissible_degree_dimension():
     # one step below the degenerate boundary misses only the all-(q-1) monomial
     for q, m in [(2, 3), (3, 2), (5, 1)]:
         assert rm_dimension(q, m * (q - 1) - 1, m) == q ** m - 1
 
 
-def test_eval_points_are_lexicographic():
-    assert eval_points(2, 2) == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert len(eval_points(3, 2)) == 9
+def test_information_set_points_are_lexicographic():
+    assert information_set(rm_code(2, 1, 2)).points == ((0, 0), (0, 1), (1, 0))
+    points = information_set(rm_code(3, 2, 2)).points
+    assert points == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
+    assert list(points) == sorted(points)
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+                                 (3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3),
+                                 (7, 1), (7, 2), (11, 1), (11, 2)])
+def test_information_set_is_the_greedy_pivot_set_over_all_points(q, m):
+    # oracle: eliminate the basis-by-points matrix over all q^m points in
+    # lexicographic order, for every admissible degree
+    points = all_points(q, m)
+    for d in range(m * (q - 1)):
+        rm = rm_code(q, d, m)
+        cols = tuple(zip(*(basis_at(rm, pt) for pt in points)))
+        assert information_set(rm).points == tuple(points[c] for c in pivot_columns(cols, q))
 
 
 def test_information_set_is_invertible_and_deterministic():
@@ -147,7 +174,7 @@ def test_select_validates_indices_and_coverage():
 
 def test_select_generic_layout_without_replica_hint():
     rm = rm_code(2, 1, 2)
-    pts = eval_points(2, 2)
+    pts = all_points(2, 2)
     ss = SuperSet(entries=pts, straggler_budget=1, code_params=(2, 1, 2))
     info = select_available_infoset(ss, range(4))
     assert restricted_rank(rm, info.points) == rm.dimension
@@ -157,13 +184,13 @@ def test_codewords_lie_in_generator_row_space():
     rng = np.random.default_rng(2718)
     for q, d, m in [(2, 1, 3), (2, 2, 3), (3, 2, 2), (5, 1, 1)]:
         rm = rm_code(q, d, m)
-        gen_rows = tuple(basis_at(rm, pt) for pt in rm.eval_points)
+        gen_rows = tuple(basis_at(rm, pt) for pt in all_points(q, m))
         gen_cols = tuple(zip(*gen_rows))
         base_rank = rank(gen_cols, q)
         assert base_rank == rm.dimension
         for _ in range(5):
             g = random_poly(m, d, q, int(rng.integers(2**31)))
-            word = tuple(evaluate(g, pt) for pt in rm.eval_points)
+            word = tuple(evaluate(g, pt) for pt in all_points(q, m))
             assert rank(gen_cols + (word,), q) == base_rank
 
 
@@ -191,7 +218,7 @@ def test_decode_from_non_canonical_information_set():
     rm = rm_code(2, 1, 2)
     g = random_poly(2, 1, 2, 5150)
     skip = information_set(rm).points[0]
-    answers = {pt: evaluate(g, pt) for pt in rm.eval_points if pt != skip}
+    answers = {pt: evaluate(g, pt) for pt in all_points(2, 2) if pt != skip}
     for key in itertools.product(range(2), repeat=2):
         assert decode_at_key(rm, answers, key) == evaluate(g, key)
 
@@ -207,7 +234,7 @@ def test_decode_from_random_information_set_matches_evaluate(data):
     g = random_poly(m, d, q, data.draw(st.integers(0, 2**32 - 1), label="poly seed"))
     key = data.draw(st.tuples(*[st.integers(0, q - 1)] * m), label="key")
     # the points that grow the span in a random order of all q^m points
-    order = data.draw(st.permutations(rm.eval_points), label="point order")
+    order = data.draw(st.permutations(all_points(q, m)), label="point order")
     basis_cols = tuple(zip(*(basis_at(rm, pt) for pt in order)))
     info = [order[c] for c in pivot_columns(basis_cols, q)]
     assert len(info) == rm.dimension
@@ -226,8 +253,8 @@ def test_decode_insufficient_answers():
 def test_decode_inconsistent_answers():
     rm = rm_code(2, 1, 2)
     g = random_poly(2, 1, 2, 99)
-    answers = {pt: evaluate(g, pt) for pt in rm.eval_points}
-    corrupt = rm.eval_points[-1]
+    answers = {pt: evaluate(g, pt) for pt in all_points(2, 2)}
+    corrupt = (1, 1)
     answers[corrupt] = (answers[corrupt] + 1) % 2
     with pytest.raises(ValueError):
         decode_at_key(rm, answers, (0, 0))
@@ -244,14 +271,29 @@ def test_decode_validates_key():
         decode_at_key(rm, answers, (0.0, 0.0))
 
 
+def test_decode_validates_answered_points():
+    # a float coordinate is rejected rather than truncated to (1, 0), and a
+    # point with the wrong number of coordinates is named as such
+    rm = rm_code(2, 1, 2)
+    with pytest.raises(ValueError, match="answered points entries must be integers"):
+        decode_at_key(rm, {(0, 0): 1, (0, 1): 0, (1.5, 0): 1}, (1, 1))
+    with pytest.raises(ValueError, match=r"answered points must have shape \('\*', 2\)"):
+        decode_at_key(rm, {(0, 0, 0): 1, (0, 1, 0): 0, (1, 0, 0): 1}, (1, 1))
+    with pytest.raises(ValueError, match="answered points must be a rectangular array"):
+        decode_at_key(rm, {(0, 0): 1, (0, 1): 0, (1, 0, 0): 1}, (1, 1))
+    with pytest.raises(ValueError, match="answers entries must be integers"):
+        decode_at_key(rm, {(0, 0): 1, (0, 1): 0, (1, 0): 1.0}, (1, 1))
+
+
 def test_point_enumeration_is_capped_before_allocation():
-    # q^m points at q = 2^31 - 1 would be 2^31 tuples; the dimension alone
-    # stays computable, but the code itself is refused
+    # the cap bounds the dimension x (dimension + 1) decode system, checked
+    # before the monomial basis (about 1.5e9 tuples here) is listed
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="exceeds cap"):
+        RMCode(2, 10, 40)
+    assert time.monotonic() - start < 1
+    # F_q^m is never enumerated, so a code at q = 2^31 - 1 builds
     q = 2147483647
-    assert rm_dimension(q, 1, 1) == 2
-    with pytest.raises(ValueError, match="exceeds cap"):
-        rm_code(q, 1, 1)
-    # the bound counts generator entries, dimension * q^m, against the cap
-    assert rm_dimension(2, 2, 20) * 2**20 > DEFAULT_CAP >= 2**20
-    with pytest.raises(ValueError, match="exceeds cap"):
-        RMCode(2, 2, 20)
+    rm = rm_code(q, 1, 1)
+    assert rm.dimension == rm_dimension(q, 1, 1) == 2
+    assert information_set(rm).points == ((0,), (1,))
