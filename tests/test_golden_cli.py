@@ -9,14 +9,19 @@ are known to be right) with:
 
 import contextlib
 import io
+import itertools
 import json
 import sys
 import tempfile
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from icc_kit import cli
+from icc_kit import infometrics as im
+from icc_kit.codes import sample_code
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -71,6 +76,59 @@ def run_case(name: str, workdir: Path) -> dict:
 def test_cli_output_matches_golden(name, tmp_path):
     for file_name, content in run_case(name, tmp_path).items():
         assert content == (GOLDEN / file_name).read_bytes(), file_name
+
+
+def _exact_mutual_information(dist, code, indices) -> Decimal:
+    """I(data + key.G; X_R) in q-ary symbols from a Fraction joint table over
+    every (data, key) pair, with 60-digit decimal logarithms."""
+    q, n, m = dist.q, dist.n, code.m
+    gen = code.generator.tolist()
+    codewords = [
+        [sum(k * g[j] for k, g in zip(key, gen)) for j in range(n)]
+        for key in itertools.product(range(q), repeat=m)
+    ]
+    weight = Fraction(1, q ** m)
+    joint, row, col = {}, {}, {}
+    for x_idx, prob in enumerate(dist.probs.tolist()):
+        if prob == 0:
+            continue
+        x = [(x_idx // q ** (n - 1 - j)) % q for j in range(n)]
+        sub = tuple(x[i] for i in indices)
+        mass = Fraction(prob) * weight
+        for word in codewords:
+            y = tuple((a + b) % q for a, b in zip(x, word))
+            joint[y, sub] = joint.get((y, sub), 0) + mass
+    for (y, sub), mass in joint.items():
+        row[y] = row.get(y, 0) + mass
+        col[sub] = col.get(sub, 0) + mass
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = sum(
+            Decimal(mass.numerator) / Decimal(mass.denominator)
+            * (Decimal(ratio.numerator) / Decimal(ratio.denominator)).ln()
+            for (y, sub), mass in joint.items()
+            for ratio in [mass / (row[y] * col[sub])]
+        )
+        return total / Decimal(q).ln()
+
+
+def test_audit_max_mi_matches_exact_rationals(tmp_path):
+    """Each max_mi in the audit golden case lies within 5e-16 of the exact
+    mutual information of that code's worst subset."""
+    _, config, _ = CASES["audit_three_codes"]
+    out = run_case("audit_three_codes", tmp_path)["audit_three_codes.out.csv"]
+    rows = [line.split(",") for line in out.decode().splitlines()[2:-1]]
+    m = json.loads(out.decode().splitlines()[-1][2:])["m"]
+    q, n, r = config["q"], config["n"], config["r"]
+    dist_seed = cli._child_seeds(config["seed"], config["num_codes"] + 1)[0]
+    dist = im.random_dirichlet(q, n, dist_seed, alpha=config["dist"]["alpha"])
+    errors = {}
+    for code_seed, max_mi, *_ in rows:
+        code = sample_code(n, m, q, int(code_seed))
+        leaks = im.subset_leakages(dist, code, r)
+        worst = max(leaks, key=leaks.get)
+        errors[code_seed] = abs(Decimal(max_mi) - _exact_mutual_information(dist, code, worst))
+    assert len(errors) == 3 and max(errors.values()) <= Decimal("5e-16"), errors
 
 
 if __name__ == "__main__":
