@@ -9,11 +9,12 @@ the unconditioned random-code model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .gf import _check_prime, exact_dtype, field_array, rank
+from .gf import _check_prime, exact_dtype, field_array, point_digit, rank, row_reduce
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +43,25 @@ class LinearCode:
     @property
     def m(self) -> int:
         return self.generator.shape[0]
+
+    @cached_property
+    def coset_labels(self) -> tuple:
+        """(coset label of every point of F_q^n in lexicographic order, rank of
+        G). The rows of G's reduced echelon form clear a point's pivot
+        coordinates; the other n - rank coordinates, read base q, are its
+        label, built one coordinate at a time. Kept for the life of the code."""
+        q, n = self.q, self.n
+        red, pivots = row_reduce(self.generator, q)
+        labels = np.zeros((), dtype=np.int64)
+        for col in sorted(set(range(n)) - set(pivots)):
+            coord = point_digit(q, n, col)
+            for row, pivot in enumerate(pivots):
+                if red[row, col]:
+                    coord = coord + (q - int(red[row, col])) * point_digit(q, n, pivot)
+            labels = labels * q + coord % q
+        labels = np.broadcast_to(labels, (q,) * n).reshape(-1)
+        labels.setflags(write=False)
+        return labels, len(pivots)
 
     def to_json(self) -> dict:
         return {"n": self.n, "m": self.m, "q": self.q, "G": self.generator.tolist()}

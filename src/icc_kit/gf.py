@@ -92,6 +92,12 @@ def field_array(values, q: int, shape=None, name: str = "field data") -> np.ndar
     return (arr % q).astype(dtype)
 
 
+def point_digit(q: int, n: int, position: int) -> np.ndarray:
+    """Digit `position` (most significant first) of every point of F_q^n in
+    lexicographic order, shaped to broadcast over the (q,)*n grid of points."""
+    return np.arange(q, dtype=np.int64).reshape((q,) + (1,) * (n - 1 - position))
+
+
 DEFAULT_CAP = 2 ** 24
 
 

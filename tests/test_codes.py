@@ -163,6 +163,27 @@ def test_subcolumns_match_image_enumeration_oracle():
         assert subcolumns_full_rank(code, subset) == (len(image) == q ** r)
 
 
+@pytest.mark.parametrize("q, gen", [
+    (2, [[1, 0, 1, 1], [0, 1, 1, 0]]),
+    (3, [[1, 2, 0, 1], [2, 1, 0, 2]]),  # repeated row up to a scalar
+    (2, [[0, 0, 0, 0], [0, 0, 1, 1]]),  # zero row, pivot not in column 0
+    (5, [[0, 0, 0]]),
+])
+def test_coset_labels_name_the_cosets_of_the_row_space(q, gen):
+    code = LinearCode(gen, q)
+    labels, rank = code.coset_labels
+    assert code.coset_labels[0] is labels  # built once per code
+    points = list(itertools.product(range(q), repeat=code.n))
+    assert len(labels) == len(points)
+    words = {tuple(encode(np.zeros(code.n, dtype=np.int64), key, code))
+             for key in itertools.product(range(q), repeat=code.m)}
+    assert len(words) == q ** rank
+    # two points share a label exactly when their difference is a codeword
+    for (x, x_label), (y, y_label) in itertools.product(zip(points, labels), repeat=2):
+        assert (x_label == y_label) == (tuple((b - a) % q for a, b in zip(x, y)) in words)
+    assert sorted(set(labels.tolist())) == list(range(q ** (code.n - rank)))
+
+
 def test_linear_code_requires_wide_generator():
     with pytest.raises(ValueError):
         LinearCode(((1, 0), (0, 1), (1, 1)), 2)  # m > n

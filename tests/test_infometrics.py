@@ -6,10 +6,15 @@ recomputation from the defining formula. Randomized property loops use
 fixed seeds so failures replay.
 """
 
+import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icc_kit.codes import LinearCode, sample_code
 from icc_kit.infometrics import (
@@ -346,6 +351,61 @@ def test_mutual_information_bounded_by_subset_and_key_size():
         sel = all_subsets(n, r)[0]
         mi = mutual_information(d, code, sel)
         assert -TOL <= mi <= min(r, n) + TOL
+
+
+def _key_loop_joint(dist, code, indices) -> np.ndarray:
+    """Oracle: the (encoded value, X_R value) joint table summed over every
+    one of the q^m keys, shape (q^n, q^r)."""
+    q, n, r = dist.q, dist.n, len(indices)
+    points = np.array(list(itertools.product(range(q), repeat=n)))
+    sub = points[:, list(indices)] @ q ** np.arange(r - 1, -1, -1)
+    joint = np.zeros((q ** n, q ** r))
+    for key in itertools.product(range(q), repeat=code.m):
+        encoded = (points + np.array(key) @ code.generator) % q @ q ** np.arange(n - 1, -1, -1)
+        np.add.at(joint, (encoded, sub), dist.probs / q ** code.m)
+    return joint
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_coset_path_matches_key_loop(data):
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(2, {2: 5, 3: 4, 5: 3}[q]))
+    m = data.draw(st.integers(1, n))
+    r = data.draw(st.integers(1, n - 1))
+    gen = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=m, max_size=m)))
+    deficiency = data.draw(st.sampled_from(["none", "zero row", "repeated row"]))
+    if deficiency == "zero row":
+        gen[data.draw(st.integers(0, m - 1))] = 0
+    elif deficiency == "repeated row" and m > 1:
+        gen[-1] = gen[0] * data.draw(st.integers(1, q - 1)) % q
+    probs = random_dirichlet(q, n, data.draw(st.integers(0, 2**31))).probs.copy()
+    if data.draw(st.booleans()):  # zero-probability outcomes
+        probs[data.draw(st.lists(st.integers(0, q**n - 1), max_size=q**n - 1))] = 0.0
+    dist = Distribution(q, n, probs / probs.sum())
+    code = LinearCode(gen, q)
+    sel = data.draw(st.sampled_from(all_subsets(n, r)))
+    joint = _key_loop_joint(dist, code, sel.indices)
+    encoded = joint.sum(axis=1)
+    outer = encoded[:, None] * joint.sum(axis=0)[None, :]
+    support = joint > 0
+    oracle_mi = float(np.sum(joint[support] * np.log(joint[support] / outer[support]))) / math.log(q)
+    assert abs(mutual_information(dist, code, sel) - oracle_mi) <= 1e-12
+    assert np.max(np.abs(pushforward_encode(dist, code).probs - encoded)) <= 1e-12
+
+
+def test_mutual_information_memory_at_cap_boundary():
+    # q^(n+m) = 2^22 joint outcomes; the key loop peaked at 512 MB here
+    dist = random_dirichlet(2, 20, 7)
+    code = sample_code(20, 2, 2, 8)
+    tracemalloc.start()
+    try:
+        mutual_information(dist, code, SubsetSelector((3, 11, 19), 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 def test_cap_guards_joint_enumeration():
