@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
-from .gf import _check_prime, exact_dtype, field_array
+from .gf import _check_prime, check_cap, exact_dtype, field_array
 
 
 def reduce_exponent(e: int, q: int) -> int:
@@ -46,6 +47,14 @@ def monomials(num_vars: int, max_degree: int, q: int) -> tuple:
             for e in range(min(q - 1, left), 0, -1):
                 stack.append((prefix + zeros[:gap] + (e,), left - e))
     return tuple(out)
+
+
+def monomial_count(num_vars: int, max_degree: int, q: int) -> int:
+    """len(monomials(num_vars, max_degree, q)) without listing them, by
+    inclusion-exclusion over the j exponents pushed to q or above:
+    sum_j (-1)^j C(n, j) C(d - jq + n, n) for n variables and degree d."""
+    return sum((-1) ** j * comb(num_vars, j) * comb(max_degree - j * q + num_vars, num_vars)
+               for j in range(min(num_vars, max_degree // q) + 1))
 
 
 @dataclass(frozen=True)
@@ -186,6 +195,8 @@ def random_poly(num_vars: int, degree: int, q: int, rng_seed) -> MultiPoly:
     Deterministic under rng_seed; zero draws drop the monomial."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
+    _check_prime(q)
+    check_cap(monomial_count(num_vars, degree, q) * num_vars)  # exponent entries of the basis
     basis = monomials(num_vars, degree, q)
     rng = np.random.default_rng(rng_seed)
     coefs = rng.integers(0, q, size=len(basis))

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
 from .gf import _check_prime, check_cap, exact_dtype, field_array, row_reduce
-from .poly import monomial_values, monomials
+from .poly import monomial_count, monomial_values, monomials
 
 
 def _check_rm_params(q: int, d: int, m: int) -> None:
@@ -32,11 +31,9 @@ def _check_rm_params(q: int, d: int, m: int) -> None:
 
 
 def rm_dimension(q: int, d: int, m: int) -> int:
-    """Number of monomials with entries below q and total degree at most d,
-    counted without listing them, by inclusion-exclusion over the j
-    exponents pushed to q or above: sum_j (-1)^j C(m, j) C(d - jq + m, m)."""
+    """Number of basis monomials, counted without listing them."""
     _check_rm_params(q, d, m)
-    return sum((-1) ** j * comb(m, j) * comb(d - j * q + m, m) for j in range(min(m, d // q) + 1))
+    return monomial_count(m, d, q)
 
 
 @dataclass(frozen=True)
@@ -138,20 +135,15 @@ def select_available_infoset(ss: SuperSet, responded) -> InfoSet:
     if ss.replica_size:
         size = ss.replica_size
         replicas = len(ss.entries) // size
-        sources = []
-        for pos in range(size):
-            chosen = next(
-                (rep * size + pos for rep in range(replicas) if rep * size + pos in resp_set),
-                None,
-            )
-            if chosen is None:
-                sources = None
-                break
-            sources.append(chosen)
-        if sources is not None:
+        sources = [
+            next((rep * size + pos for rep in range(replicas) if rep * size + pos in resp_set), None)
+            for pos in range(size)
+        ]
+        if None not in sources:
             return InfoSet(points=ss.entries[:size], sources=tuple(sources))
 
     rm = rm_code(*ss.code_params)
+    field_array(ss.entries, rm.q, (None, rm.m), "super-set entries")
     first_source = {}
     for idx in resp:
         first_source.setdefault(ss.entries[idx], idx)

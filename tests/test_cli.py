@@ -252,6 +252,16 @@ def test_main_simulate_refuses_point_enumeration_beyond_cap(tmp_path, capsys):
     assert time.monotonic() - start < 10
 
 
+def test_main_simulate_refuses_oversized_polynomial_basis(tmp_path, capsys):
+    # RM_2(6, 8) is small, but 60 variables at degree 6 have about 5.6e7
+    # monomials: random_poly is refused before it lists them
+    start = time.monotonic()
+    path = write_config(tmp_path, dict(BASE_SIM, n=60, q=2, d=6, S=0, m=8))
+    assert main(["simulate", "--config", path]) == 2
+    assert "exceeds cap" in json.loads(capsys.readouterr().out)["error"]
+    assert time.monotonic() - start < 1
+
+
 def test_main_audit_point_mass_outside_the_space_exits_2(tmp_path, capsys):
     for at in ([0, 2] + [0] * (AUDIT_UNIFORM["n"] - 2), [0, 1]):
         dist = {"family": "point_mass", "at": at}

@@ -180,6 +180,16 @@ def test_select_generic_layout_without_replica_hint():
     assert restricted_rank(rm, info.points) == rm.dimension
 
 
+@pytest.mark.parametrize("entries", [
+    ((0, 0), (1, 0), (0, 1), (1.5, 0)),  # used to come back inside the InfoSet
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),  # used to fail to reshape
+])
+def test_select_generic_layout_validates_entries(entries):
+    ss = SuperSet(entries=entries, straggler_budget=1, code_params=(2, 1, 2))
+    with pytest.raises(ValueError, match="super-set entries"):
+        select_available_infoset(ss, range(4))
+
+
 def test_codewords_lie_in_generator_row_space():
     rng = np.random.default_rng(2718)
     for q, d, m in [(2, 1, 3), (2, 2, 3), (3, 2, 2), (5, 1, 1)]:
