@@ -8,7 +8,6 @@ fixed seeds so failures replay.
 
 import itertools
 import math
-import time
 import tracemalloc
 
 import numpy as np
