@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -199,3 +201,34 @@ def test_json_round_trip():
 def test_degree_bound_respected_at_construction():
     with pytest.raises(ValueError):
         MultiPoly(2, 5, {(2, 2): 1}, degree_bound=3)
+
+
+RANDOM_POLY_SHA256 = {
+    # the sim-wide size (n, d, q) and the sim-cold size, three seeds each
+    ((90, 2, 5), 1): "cba77fb9a53e5f5dcb4abf1565d666ebdaf0a72c03d247b0321811d49ef8633d",
+    ((90, 2, 5), 2): "06680fbf29a4e926db71bd5566756e304975a4fc6cd72f7f069424f21b80810a",
+    ((90, 2, 5), 3): "b6f901fd382c7ad62f18434d724b4be544063785ebd6bb268011178185d2683c",
+    ((32, 2, 2), 1): "d5fab2af4d7daa867709eda277acaa1d7d3bd647daa2249fcef94e1d1ffc4974",
+    ((32, 2, 2), 2): "0a92c9c5edbbbe294a911ae00afeade3efb6d739072f8062c92155c74ab7fcec",
+    ((32, 2, 2), 3): "590deafcd4bd54cb3d2bb985d648f60a16b994dd5f39ee785e7680aaa944aef9",
+}
+
+
+def _json_sha256(f):
+    return hashlib.sha256(json.dumps(f.to_json()).encode()).hexdigest()
+
+
+def test_random_poly_output_is_pinned():
+    for (size, seed), digest in RANDOM_POLY_SHA256.items():
+        assert _json_sha256(random_poly(*size, seed)) == digest, (size, seed)
+    # colliding, unreduced (x^q = x), cancelling and zero-coefficient terms
+    raw = [((0, 5, 1), 2), ((0, 1, 1), 3), ((6, 0, 0), 4), ((2, 0, 0), 0), ((0, 0, 9), 7),
+           ((1, 0, 0), 1), ((0, 1, 1), 2), ((3, 0, 0), -1), ((0, 0, 0), 12), ((0, 2, 0), 3),
+           ((0, 6, 0), 2), ((1, 1, 1), 0)]
+    f = MultiPoly.from_terms(3, 5, raw)
+    assert f.to_json()["terms"] == [
+        {"exp": [0, 0, 0], "coef": 2}, {"exp": [0, 0, 1], "coef": 2},
+        {"exp": [0, 1, 1], "coef": 2}, {"exp": [1, 0, 0], "coef": 1},
+        {"exp": [2, 0, 0], "coef": 4}, {"exp": [3, 0, 0], "coef": 4},
+    ]
+    assert _json_sha256(f) == "6f010614c801abe5d605115b5e10b3e24b4966e7db2529b4dcef9bf3acfcab82"
