@@ -58,12 +58,17 @@ def integer_array(values, name: str = "field data") -> np.ndarray:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting, such as points of different lengths
         raise ValueError(f"{name} must be a rectangular array of integers") from None
-    if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
-        # numpy promotes Python ints beyond int64 to float; keep them exact
-        arr = np.asarray(values, dtype=object)
-    if arr.dtype.kind == "O":
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.flat):
+    # numpy turns Python ints beyond int64 into floats and bools beside ints
+    # into ints, so unless the input is an array or a flat run of Python
+    # ints, check the entries as given, and keep big ints exact
+    plain = isinstance(values, np.ndarray) or (
+        arr.dtype.kind in "iu" and arr.ndim == 1 and {int}.issuperset(map(type, values)))
+    if arr.dtype.kind == "O" or arr.dtype.kind in "fiu" and not plain:
+        given = arr if arr.dtype.kind == "O" else np.asarray(values, dtype=object)
+        if not all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in given.flat):
             raise ValueError(f"{name} entries must be integers")
+        if arr.dtype.kind == "f":
+            arr = given
     elif arr.dtype.kind not in "iu":
         raise ValueError(f"{name} entries must be integers, got dtype {arr.dtype}")
     return arr

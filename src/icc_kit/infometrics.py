@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,11 @@ class Distribution:
         if not isinstance(other, Distribution):
             return NotImplemented
         return self.q == other.q and self.n == other.n and np.array_equal(self.probs, other.probs)
+
+    @cached_property
+    def _entropies(self) -> dict:
+        """subset_entropies by (p, r); the table is read-only, so they stay valid."""
+        return {}
 
     def prob_of(self, outcome) -> float:
         return float(self.probs[_outcome_index(outcome, self.q, self.n)])
@@ -399,9 +405,12 @@ def smoothing_threshold(p: int, epsilon: float) -> float:
 
 def subset_entropies(dist: Distribution, p: int, r: int) -> tuple:
     """Measured entropy inputs of BoundParams: (order-p entropy of the data
-    law, largest order-p entropy among its size-r marginals)."""
-    max_subset = max(renyi_entropy(marginal(dist, sel), p) for sel in all_subsets(dist.n, r))
-    return renyi_entropy(dist, p), max_subset
+    law, largest order-p entropy among its size-r marginals). Computed once
+    per distribution: an audit of many codes over one law reuses them."""
+    if (p, r) not in dist._entropies:
+        max_subset = max(renyi_entropy(marginal(dist, sel), p) for sel in all_subsets(dist.n, r))
+        dist._entropies[p, r] = renyi_entropy(dist, p), max_subset
+    return dist._entropies[p, r]
 
 
 def measured_bounds(dist: Distribution, p: int, r: int, epsilon: float, a: float) -> BoundParams:

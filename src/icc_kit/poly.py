@@ -1,19 +1,26 @@
 """Sparse multivariate polynomials over F_q with a total-degree bound.
 
-Exponents are stored reduced through x^q = x, so every stored exponent is
-below q and total_degree is well defined against the degree bound used by
-the evaluation-code machinery. The zero polynomial is the empty term map.
+A MultiPoly holds its terms as arrays, in lexicographic exponent order:
+each term is a row of (variable, exponent) slots, its nonzero exponents in
+increasing variable order padded with (0, 0), next to an array of nonzero
+coefficients. Exponents are stored reduced through x^q = x, so every
+stored exponent is below q and total_degree is well defined against the
+degree bound used by the evaluation-code machinery. The zero polynomial
+has no terms. The constructor checks this form once, with vectorised
+checks; from_terms builds it from raw (exponent tuple, coefficient) pairs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import comb
 
 import numpy as np
 
-from .gf import _check_prime, check_cap, exact_dtype, field_array
+from .gf import _check_prime, check_cap, exact_dtype, field_array, integer_array
 
 
 def reduce_exponent(e: int, q: int) -> int:
@@ -25,28 +32,61 @@ def reduce_exponent(e: int, q: int) -> int:
     return (e - 1) % (q - 1) + 1
 
 
-@lru_cache(maxsize=None)
-def monomials(num_vars: int, max_degree: int, q: int) -> tuple:
-    """All exponent tuples with entries below q and total degree at most
-    max_degree, in lexicographic order. Shared by random polynomial
-    generation and the evaluation-code basis."""
+def _basis_terms(num_vars: int, max_degree: int, q: int) -> list:
+    """Every exponent tuple with entries below q and total degree at most
+    max_degree, in lexicographic order, as the flat (variable, exponent,
+    ...) pairs of its nonzero entries."""
     _check_prime(q)
     if num_vars < 0 or max_degree < 0:
         raise ValueError("num_vars and max_degree must be non-negative")
-    zeros = (0,) * num_vars
     out = []
-    # depth-first over (prefix, degree left): a node emits its prefix padded
-    # with zeros and each child fixes the next nonzero exponent; children come
-    # later place first, smaller value first, so they are pushed in reverse
-    stack = [((), max_degree)]
+    # depth-first over (pairs, next free variable, degree left): a node emits
+    # its pairs and each child fixes the next nonzero exponent; children come
+    # later variable first, smaller value first, so they are pushed in reverse
+    stack = [((), 0, max_degree)]
     while stack:
-        prefix, left = stack.pop()
-        free = num_vars - len(prefix)
-        out.append(prefix + zeros[:free])
-        for gap in range(free if left else 0):
+        pairs, start, left = stack.pop()
+        out.append(pairs)
+        for var in range(start, num_vars if left else start):
             for e in range(min(q - 1, left), 0, -1):
-                stack.append((prefix + zeros[:gap] + (e,), left - e))
-    return tuple(out)
+                stack.append((pairs + (var, e), var + 1, left - e))
+    return out
+
+
+def _dense(slots, num_vars: int) -> np.ndarray:
+    """The (terms, num_vars) exponent matrix of (variables, exponents) slots."""
+    var, exp = slots
+    dense = np.zeros((len(exp), num_vars), exp.dtype)
+    term, slot = np.nonzero(exp)
+    dense[term, var[term, slot]] = exp[term, slot]
+    return dense
+
+
+def _slots(terms, dtype) -> tuple:
+    """(variables, exponents), each of shape (terms, widest term), from each
+    term's flat (variable, exponent, ...) pairs, padded with (0, 0)."""
+    width = max(map(len, terms), default=0)
+    flat = chain.from_iterable(t + (0,) * (width - len(t)) for t in terms)
+    pairs = np.fromiter(flat, dtype, len(terms) * width).reshape(len(terms), width // 2, 2)
+    return pairs[..., 0].astype(np.int64), pairs[..., 1]
+
+
+@lru_cache(maxsize=None)
+def monomials(num_vars: int, max_degree: int, q: int) -> tuple:
+    """All exponent tuples with entries below q and total degree at most
+    max_degree, in lexicographic order: the Reed-Muller basis."""
+    return tuple(map(tuple, _dense(monomial_slots(num_vars, max_degree, q), num_vars).tolist()))
+
+
+@lru_cache(maxsize=None)
+def monomial_slots(num_vars: int, max_degree: int, q: int) -> tuple:
+    """monomials(num_vars, max_degree, q) as read-only (variables,
+    exponents) slot arrays, listed from the enumeration itself. Shared by
+    random polynomial generation and the evaluation-code basis."""
+    slots = _slots(_basis_terms(num_vars, max_degree, q), np.int64)
+    for arr in slots:
+        arr.setflags(write=False)
+    return slots
 
 
 def monomial_count(num_vars: int, max_degree: int, q: int) -> int:
@@ -57,49 +97,91 @@ def monomial_count(num_vars: int, max_degree: int, q: int) -> int:
                for j in range(min(num_vars, max_degree // q) + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiPoly:
-    """Sparse polynomial: map from reduced exponent tuple to nonzero coefficient."""
+    """Terms in lexicographic exponent order. slots is the (variables,
+    exponents) pair of (terms, k) arrays: each row holds a term's nonzero
+    exponents in increasing variable order, padded with (0, 0). coefs holds
+    the nonzero coefficients. Build one with from_terms, from_json or
+    random_poly; the constructor only checks the form."""
 
     num_vars: int
     q: int
-    terms: dict
+    slots: tuple
+    coefs: np.ndarray
     degree_bound: int = field(default=-1)
+    degree: int = field(init=False)  # largest exponent sum, 0 without terms
 
     def __post_init__(self):
         _check_prime(self.q)
         if self.num_vars < 1:
             raise ValueError("polynomial needs at least one variable")
-        for exp, coef in self.terms.items():
-            if len(exp) != self.num_vars:
-                raise ValueError(f"exponent tuple {exp} has wrong length")
-            if any(not 0 <= e < self.q for e in exp):
-                raise ValueError(f"exponent tuple {exp} is not reduced below q={self.q}")
-            if not 0 < coef < self.q:
-                raise ValueError(f"stored coefficients must be nonzero residues, got {coef}")
-        max_deg = max((sum(exp) for exp in self.terms), default=0)
+        var, exp = (integer_array(arr, "term slots") for arr in self.slots)
+        coefs = integer_array(self.coefs, "coefficients")
+        if var.ndim != 2 or exp.shape != var.shape or coefs.shape != var.shape[:1]:
+            raise ValueError("slots must be two (terms, k) arrays and coefs a (terms,) array")
+        # rev is num_vars - variable at a nonzero slot and 0 at padding, so
+        # it falls strictly along a row
+        rev = np.where(exp > 0, self.num_vars - var, 0)
+        if ((var < 0) | (var >= self.num_vars) | (exp < 0) | (exp >= self.q)).any() or (
+                (rev[:, 1:] >= rev[:, :-1]) & (exp[:, 1:] > 0)).any():
+            raise ValueError(f"slots must hold exponents below q={self.q} of distinct variables "
+                             f"below {self.num_vars}, in increasing order, then (0, 0) padding")
+        # exponent tuples compare as their rows of (rev, exponent) pairs do;
+        # the zero column keeps argmax defined when no term has a slot
+        key = np.stack([rev, exp], axis=2).reshape(len(exp), 2 * exp.shape[1])
+        step = np.diff(np.pad(key, ((0, 0), (0, 1))), axis=0)
+        if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any():
+            raise ValueError("terms must be distinct and in lexicographic exponent order")
+        if not ((coefs > 0) & (coefs < self.q)).all():
+            raise ValueError("stored coefficients must be nonzero residues")
+        degree = int(exp.sum(axis=1).max(initial=0))
         if self.degree_bound < 0:
-            object.__setattr__(self, "degree_bound", max_deg)
-        elif max_deg > self.degree_bound:
-            raise ValueError(
-                f"term degree {max_deg} exceeds declared bound {self.degree_bound}"
-            )
+            object.__setattr__(self, "degree_bound", degree)
+        elif degree > self.degree_bound:
+            raise ValueError(f"term degree {degree} exceeds declared bound {self.degree_bound}")
+        object.__setattr__(self, "slots", (var.astype(np.int64, copy=False), exp))
+        object.__setattr__(self, "coefs", coefs)
+        object.__setattr__(self, "degree", degree)
 
     @classmethod
     def from_terms(cls, num_vars: int, q: int, raw_terms, degree_bound: int = -1):
-        """Build from (exponent tuple, coefficient) pairs; reduces exponents
-        via x^q = x, merges collisions, and drops zero coefficients."""
+        """Build from (exponent tuple, coefficient) pairs of integers (floats
+        and bools are rejected, not truncated); reduces exponents via
+        x^q = x, merges collisions, drops zero coefficients and sorts once."""
+        _check_prime(q)
+        items = list(raw_terms.items() if isinstance(raw_terms, dict) else raw_terms)
+        exps = integer_array([exp for exp, _ in items], "exponents")
+        coefs = integer_array([coef for _, coef in items], "coefficients")
+        if items and (exps.ndim != 2 or exps.shape[1] != num_vars):
+            raise ValueError(f"exponent tuples must have length {num_vars}")
         merged: dict = {}
-        items = raw_terms.items() if isinstance(raw_terms, dict) else raw_terms
-        for exp, coef in items:
-            red = tuple(reduce_exponent(int(e), q) for e in exp)
-            merged[red] = (merged.get(red, 0) + int(coef)) % q
-        cleaned = {exp: c for exp, c in merged.items() if c}
-        return cls(num_vars, q, cleaned, degree_bound)
+        for exp, coef in zip(exps.tolist(), coefs.tolist()):
+            red = tuple(reduce_exponent(e, q) for e in exp)
+            merged[red] = (merged.get(red, 0) + coef) % q
+        order = sorted(exp for exp, coef in merged.items() if coef)
+        dtype = np.int64 if q <= 2 ** 63 else object
+        slots = _slots([tuple(chain.from_iterable((v, e) for v, e in enumerate(exp) if e))
+                        for exp in order], dtype)
+        return cls(num_vars, q, slots, np.array([merged[exp] for exp in order], dtype), degree_bound)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return len(self.coefs) == 0
+
+    def _rows(self):
+        """(exponent list, coefficient) of each term, in order."""
+        return zip(_dense(self.slots, self.num_vars).tolist(), self.coefs.tolist())
+
+    @property
+    def terms(self) -> "_Terms":
+        """Read-only map from reduced exponent tuple to coefficient."""
+        return _Terms(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self.to_json() == other.to_json()
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if self.q != other.q or self.num_vars != other.num_vars:
@@ -110,12 +192,11 @@ class MultiPoly:
         )
 
     def to_json(self) -> dict:
-        ordered = sorted(self.terms.items())
         return {
             "n": self.num_vars,
             "q": self.q,
             "d": self.degree_bound,
-            "terms": [{"exp": list(exp), "coef": coef} for exp, coef in ordered],
+            "terms": [{"exp": exp, "coef": coef} for exp, coef in self._rows()],
         }
 
     @classmethod
@@ -124,10 +205,30 @@ class MultiPoly:
         return cls.from_terms(obj["n"], obj["q"], raw, obj.get("d", -1))
 
 
+class _Terms(Mapping):
+    """MultiPoly.terms, built on first lookup; len() builds nothing."""
+
+    def __init__(self, poly: MultiPoly):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly.coefs)
+
+    @cached_property
+    def _map(self) -> dict:
+        return {tuple(exp): coef for exp, coef in self._poly._rows()}
+
+    def __getitem__(self, exp):
+        return self._map[exp]
+
+    def __iter__(self):
+        return iter(self._map)
+
+
 def total_degree(f: MultiPoly) -> int:
     """Largest exponent sum over stored terms; 0 for the zero polynomial
     (check f.is_zero to tell the zero polynomial from a constant)."""
-    return max((sum(exp) for exp in f.terms), default=0)
+    return f.degree
 
 
 def evaluate(f: MultiPoly, x) -> int:
@@ -135,36 +236,34 @@ def evaluate(f: MultiPoly, x) -> int:
     reference that evaluate_batch is checked against."""
     # pow needs Python ints: pow(np.int64, e, q) raises TypeError
     values = field_array(x, f.q, (f.num_vars,), "point").tolist()
+    var, exp = f.slots
     total = 0
-    for exp, coef in f.terms.items():
+    for coef, term_vars, term_exps in zip(f.coefs.tolist(), var.tolist(), exp.tolist()):
         prod = coef
-        for xv, e in zip(values, exp):
+        for v, e in zip(term_vars, term_exps):
             if e:
-                prod = prod * pow(xv, e, f.q) % f.q
+                prod = prod * pow(values[v], e, f.q) % f.q
         total += prod
     return total % f.q
 
 
-def monomial_values(exps, points, q: int) -> np.ndarray:
+def monomial_values(slots, points, q: int) -> np.ndarray:
     """Every monomial at every point mod q, shape (terms, points).
 
-    A term gathers only the coordinates of its nonzero exponents (at most d
-    for total degree d) and raises them by square-and-multiply, so the cost
-    is O(points * terms * d) whatever the number of variables. Entries are
+    slots is a (variables, exponents) pair of (terms, k) arrays, as held by
+    MultiPoly and monomial_slots; a (0, 0) slot contributes a factor 1. A
+    term gathers only the coordinates of its slots (at most d for total
+    degree d) and raises them by square-and-multiply, so the cost is
+    O(points * terms * d) whatever the number of variables. Entries are
     int64 while a product of two residues fits, Python ints above.
     """
     dtype = exact_dtype(q)
-    exps = np.asarray(exps, dtype=np.int64)
     coords = np.ascontiguousarray(np.asarray(points, dtype=dtype).T % q)
-    terms, var = np.nonzero(exps)  # row-major: a term's entries are adjacent
-    slot = np.arange(terms.size) - np.searchsorted(terms, terms)
-    # (variable, exponent) in each slot of each term; empty slots raise to 0
-    at = np.zeros((2, exps.shape[0], slot.max(initial=-1) + 1), dtype=np.int64)
-    at[:, terms, slot] = var, exps[terms, var]
-    vals = np.ones((exps.shape[0], coords.shape[1]), dtype=dtype)
-    for slot_var, e in zip(at[0].T, at[1].T):
+    var, exp = slots
+    vals = np.ones((len(var), coords.shape[1]), dtype=dtype)
+    for slot_var, e in zip(var.T, exp.T):
         base = coords[slot_var]
-        for bit in range(int(e.max()).bit_length()):
+        for bit in range(int(e.max(initial=0)).bit_length()):
             if bit:
                 np.remainder(base * base, q, out=base)
             odd = ((e >> bit) & 1).astype(bool)[:, None]
@@ -180,13 +279,10 @@ def evaluate_batch(f: MultiPoly, points: np.ndarray) -> np.ndarray:
     Returns an int64 array of f values, equal to evaluate() pointwise.
     """
     pts = field_array(points, f.q, (None, f.num_vars), "points")
-    if f.is_zero:
-        return np.zeros(pts.shape[0], dtype=np.int64)
-    vals = monomial_values(list(f.terms), pts, f.q)
+    vals = monomial_values(f.slots, pts, f.q)
     # the sum over terms of coefficient-times-value products must fit too
-    dtype = exact_dtype(f.q, len(f.terms))
-    coefs = np.array(list(f.terms.values()), dtype=dtype)
-    return (coefs @ vals.astype(dtype, copy=False) % f.q).astype(np.int64)
+    dtype = exact_dtype(f.q, len(f.coefs))
+    return (f.coefs.astype(dtype) @ vals.astype(dtype, copy=False) % f.q).astype(np.int64)
 
 
 def random_poly(num_vars: int, degree: int, q: int, rng_seed) -> MultiPoly:
@@ -196,9 +292,10 @@ def random_poly(num_vars: int, degree: int, q: int, rng_seed) -> MultiPoly:
     if degree < 0:
         raise ValueError("degree must be non-negative")
     _check_prime(q)
-    check_cap(monomial_count(num_vars, degree, q) * num_vars)  # exponent entries of the basis
-    basis = monomials(num_vars, degree, q)
+    # exponent entries of the basis, as the JSON form lists them
+    check_cap(monomial_count(num_vars, degree, q) * num_vars)
+    var, exp = monomial_slots(num_vars, degree, q)
     rng = np.random.default_rng(rng_seed)
-    coefs = rng.integers(0, q, size=len(basis))
-    terms = {exp: int(c) for exp, c in zip(basis, coefs) if c}
-    return MultiPoly(num_vars, q, terms, degree)
+    coefs = rng.integers(0, q, size=len(var))
+    keep = coefs != 0
+    return MultiPoly(num_vars, q, (var[keep], exp[keep]), coefs[keep], degree)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .codes import LinearCode, encode, key_gen, shift
 from .gf import _check_prime
-from .poly import MultiPoly, evaluate_batch, total_degree
+from .poly import MultiPoly, evaluate_batch
 from .rm import (
     RMCode,
     SuperSet,
@@ -202,10 +202,8 @@ def computation_phase(
         )
     if f.q != params.q or f.num_vars != params.n:
         raise ValueError("polynomial does not match the scheme parameters")
-    if total_degree(f) > params.degree_bound:
-        raise ValueError(
-            f"degree bound exceeded: {total_degree(f)} > {params.degree_bound}"
-        )
+    if f.degree > params.degree_bound:
+        raise ValueError(f"degree bound exceeded: {f.degree} > {params.degree_bound}")
     session.transcript.append(
         {"phase": "computation", "event": "function_shared", "f": f.to_json()}
     )

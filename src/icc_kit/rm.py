@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import _check_prime, check_cap, exact_dtype, field_array, row_reduce
-from .poly import monomial_count, monomial_values, monomials
+from .poly import monomial_count, monomial_slots, monomial_values, monomials
 
 
 def _check_rm_params(q: int, d: int, m: int) -> None:
@@ -91,7 +91,7 @@ class SuperSet:
 def _generator_columns(rm: RMCode, points) -> np.ndarray:
     """Generator columns of the given points only: every basis monomial at
     every point, shape (dimension, number of points)."""
-    return monomial_values(rm.monomial_basis, np.reshape(points, (-1, rm.m)), rm.q)
+    return monomial_values(monomial_slots(rm.m, rm.d, rm.q), np.reshape(points, (-1, rm.m)), rm.q)
 
 
 def information_set(rm: RMCode) -> InfoSet:

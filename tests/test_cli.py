@@ -326,3 +326,23 @@ def test_fmt_compact_numbers():
     assert cli._fmt(True) == "1"
     assert cli._fmt(4.0) == "4"
     assert cli._fmt(0.25) == "0.25"
+
+
+def test_main_simulate_rejects_float_polynomial_terms(tmp_path, capsys):
+    # a float exponent or coefficient in "f" is refused, not truncated
+    for term in ({"exp": [1.7, 0, 0, 0, 0], "coef": 1}, {"exp": [1, 0, 0, 0, 0], "coef": 2.9}):
+        f = {"n": 5, "q": 3, "d": 2, "terms": [term]}
+        path = write_config(tmp_path, dict(BASE_SIM, f=f))
+        assert main(["simulate", "--config", path]) == 2
+        assert "integers" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_audit_measures_subset_entropies_once_per_distribution(monkeypatch):
+    # choosing m and auditing every code read the same entropies of one law
+    marginals = []
+    real = cli.im.marginal
+    monkeypatch.setattr(cli.im, "marginal", lambda *args: marginals.append(1) or real(*args))
+    config = dict(AUDIT_UNIFORM, num_codes=3)
+    code, rows = cmd_audit(config)
+    assert len(rows) == 3 + 2
+    assert len(marginals) == math.comb(config["n"], config["r"])

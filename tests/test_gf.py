@@ -147,7 +147,9 @@ def test_element_negation_and_subtraction():
 def test_element_pow_matches_repeated_product():
     # the monomial kernel's square-and-multiply against repeated products
     q = 7
-    powers = monomial_values([(e,) for e in range(1, 9)], [(a,) for a in range(q)], q)
+    # one slot per term: variable 0 raised to e = 1..8
+    slots = (np.zeros((8, 1), dtype=np.int64), np.arange(1, 9).reshape(8, 1))
+    powers = monomial_values(slots, [(a,) for a in range(q)], q)
     for a in range(q):
         acc = 1
         for e in range(1, 9):
@@ -294,3 +296,11 @@ def test_submatrix_columns():
     for bad in ((0, 3), (-1,)):
         with pytest.raises(ValueError, match="out of range"):
             subcolumns_full_rank(code, bad)
+
+
+def test_integer_array_rejects_bools_beside_ints():
+    # numpy reads [True, 2] as the ints [1, 2]; the entries as given decide
+    for values in ((True, 2), [[0, 1], [np.True_, 3]], (2, 2 ** 70, False)):
+        with pytest.raises(ValueError, match="integers"):
+            field_array(values, 5)
+    assert field_array((3, 2 ** 70), 5).tolist() == [3, 2 ** 70 % 5]

@@ -199,8 +199,8 @@ def test_json_round_trip():
 
 
 def test_degree_bound_respected_at_construction():
-    with pytest.raises(ValueError):
-        MultiPoly(2, 5, {(2, 2): 1}, degree_bound=3)
+    with pytest.raises(ValueError, match="exceeds declared bound"):
+        MultiPoly.from_terms(2, 5, {(2, 2): 1}, degree_bound=3)
 
 
 RANDOM_POLY_SHA256 = {
@@ -232,3 +232,116 @@ def test_random_poly_output_is_pinned():
         {"exp": [2, 0, 0], "coef": 4}, {"exp": [3, 0, 0], "coef": 4},
     ]
     assert _json_sha256(f) == "6f010614c801abe5d605115b5e10b3e24b4966e7db2529b4dcef9bf3acfcab82"
+
+
+@pytest.mark.parametrize("raw", [
+    {(1.7, 0): 2.9},  # was silently {(1, 0): 2}
+    {(2.0, 0): 1},
+    {(1, 0): 2.5},
+    {(True, 0): 1},  # a bool beside an int was read as exponent 1
+    {(1, 0): True, (0, 1): 2},
+    {(1, 0): np.float64(3.0)},
+])
+def test_from_terms_rejects_floats_and_bools(raw):
+    with pytest.raises(ValueError, match="integers"):
+        MultiPoly.from_terms(2, 5, raw)
+
+
+def test_from_json_rejects_float_exponents_and_coefficients():
+    for term in ({"exp": [1.5, 0], "coef": 1}, {"exp": [1, 0], "coef": 1.0},
+                 {"exp": [False, 1], "coef": 1}):
+        with pytest.raises(ValueError, match="integers"):
+            MultiPoly.from_json({"n": 2, "q": 5, "d": 2, "terms": [term]})
+
+
+def test_from_terms_rejects_wrong_length_and_negative_exponents():
+    with pytest.raises(ValueError, match="length 2"):
+        MultiPoly.from_terms(2, 5, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="rectangular"):
+        MultiPoly.from_terms(2, 5, [((1, 0), 1), ((1,), 1)])
+    with pytest.raises(ValueError, match="non-negative"):
+        MultiPoly.from_terms(2, 5, {(-1, 0): 1})
+
+
+def _arr(rows):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+
+
+def test_constructor_checks_the_canonical_slot_form():
+    # 2 x1^2 + x0 x2 over F_5 in three variables: rows in lexicographic order
+    f = MultiPoly(3, 5, (_arr([[1, 0], [0, 2]]), _arr([[2, 0], [1, 1]])), _arr([2, 1]).ravel())
+    assert f.terms == {(0, 2, 0): 2, (1, 0, 1): 1}
+    assert f.degree == total_degree(f) == 2 and f.degree_bound == 2
+    bad = {
+        "lexicographic": [([[0, 2], [1, 0]], [[1, 1], [2, 0]], [1, 2]),  # rows swapped
+                          ([[1, 0], [1, 0]], [[2, 0], [2, 0]], [2, 1])],  # repeated term
+        "increasing order": [([[2, 0]], [[1, 1]], [1]),  # variables out of order
+                             ([[0, 1]], [[0, 2]], [1]),  # padding before a slot
+                             ([[1, 1]], [[1, 1]], [1]),  # one variable twice
+                             ([[0]], [[5]], [1]),  # exponent not reduced below q
+                             ([[3]], [[1]], [1]),  # no variable 3
+                             ([[0]], [[-1]], [1])],
+        "nonzero residues": [([[0]], [[1]], [0]), ([[0]], [[1]], [5])],
+        "arrays": [([[0]], [[1, 0]], [1]), ([[0]], [[1]], [1, 2])],
+        "exceeds declared bound": [([[0, 1]], [[1, 1]], [1])],
+    }
+    for message, cases in bad.items():
+        for var, exp, coefs in cases:
+            with pytest.raises(ValueError, match=message):
+                MultiPoly(3, 5, (_arr(var), _arr(exp)), np.array(coefs), degree_bound=1)
+    with pytest.raises(ValueError, match="integers"):
+        MultiPoly(3, 5, (_arr([[0]]), np.array([[1.0]])), np.array([1]))
+
+
+def test_terms_is_a_read_only_view():
+    f = random_poly(90, 2, 5, 1)
+    assert len(f.terms) == len(f.coefs)
+    assert list(f.terms) == [tuple(t["exp"]) for t in f.to_json()["terms"]]
+    with pytest.raises(TypeError):
+        f.terms[(0,) * 90] = 1
+
+
+def _reference_model(q, raw):
+    """The dict a polynomial stands for: reduced exponent tuple -> nonzero
+    coefficient, merged and reduced term by term."""
+    model = {}
+    for exp, coef in raw:
+        red = tuple(0 if e == 0 else (e - 1) % (q - 1) + 1 for e in exp)
+        model[red] = (model.get(red, 0) + coef) % q
+    return {exp: coef for exp, coef in model.items() if coef}
+
+
+@st.composite
+def raw_term_lists(draw):
+    """(n, q, two raw term lists): exponents up to 3q, repeated terms, and
+    collisions that cancel, either directly or through x^q = x."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    exp = st.tuples(*[st.integers(0, 3 * q)] * n)
+
+    def one_list():
+        base = draw(st.lists(st.tuples(exp, st.integers(-2 * q, 2 * q)), max_size=10))
+        cancelled = base if draw(st.booleans()) else draw(st.lists(st.sampled_from(base))) if base else []
+        # the same monomial under an aliased exponent, with the negated coefficient
+        undo = [(tuple(e + (q - 1) if e else 0 for e in exps), -coef) for exps, coef in cancelled]
+        return draw(st.permutations(base + undo))
+
+    return n, q, one_list(), one_list()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=raw_term_lists())
+def test_from_terms_matches_dict_reference_model(case):
+    n, q, raw_f, raw_g = case
+    f, g = (MultiPoly.from_terms(n, q, raw) for raw in (raw_f, raw_g))
+    model_f, model_g = _reference_model(q, raw_f), _reference_model(q, raw_g)
+    degree = max((sum(exp) for exp in model_f), default=0)
+    assert f.to_json() == {
+        "n": n, "q": q, "d": degree,
+        "terms": [{"exp": list(exp), "coef": coef} for exp, coef in sorted(model_f.items())],
+    }
+    assert total_degree(f) == degree and f.is_zero == (not model_f)
+    assert dict(f.terms) == model_f
+    assert f == MultiPoly.from_terms(n, q, list(reversed(raw_f)))
+    assert (f == g) == (model_f == model_g)
+    assert f + g == g + f == MultiPoly.from_terms(n, q, raw_f + raw_g, max(total_degree(f), total_degree(g)))
