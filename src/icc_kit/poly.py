@@ -140,7 +140,13 @@ class MultiPoly:
             object.__setattr__(self, "degree_bound", degree)
         elif degree > self.degree_bound:
             raise ValueError(f"term degree {degree} exceeds declared bound {self.degree_bound}")
-        object.__setattr__(self, "slots", (var.astype(np.int64, copy=False), exp))
+        # private read-only copies: a recorded polynomial (such as the one a
+        # session transcript holds) cannot be rewritten through the caller's
+        # arrays or through these attributes
+        var, exp, coefs = var.astype(np.int64), exp.copy(), coefs.copy()
+        for arr in (var, exp, coefs):
+            arr.setflags(write=False)
+        object.__setattr__(self, "slots", (var, exp))
         object.__setattr__(self, "coefs", coefs)
         object.__setattr__(self, "degree", degree)
 
@@ -233,18 +239,18 @@ def total_degree(f: MultiPoly) -> int:
 
 def evaluate(f: MultiPoly, x) -> int:
     """f(x) by term-wise product and sum over F_q, in Python ints: the slow
-    reference that evaluate_batch is checked against."""
+    reference that evaluate_batch is checked against. It uses no numpy
+    arithmetic: each term's product starts at its coefficient and takes
+    one slot column at a time, a pow for every nonzero exponent."""
     # pow needs Python ints: pow(np.int64, e, q) raises TypeError
     values = field_array(x, f.q, (f.num_vars,), "point").tolist()
+    q = f.q
     var, exp = f.slots
-    total = 0
-    for coef, term_vars, term_exps in zip(f.coefs.tolist(), var.tolist(), exp.tolist()):
-        prod = coef
-        for v, e in zip(term_vars, term_exps):
-            if e:
-                prod = prod * pow(values[v], e, f.q) % f.q
-        total += prod
-    return total % f.q
+    prods = f.coefs.tolist()
+    for col_vars, col_exps in zip(var.T.tolist(), exp.T.tolist()):
+        prods = [p * pow(values[v], e, q) % q if e else p
+                 for p, v, e in zip(prods, col_vars, col_exps)]
+    return sum(prods) % q
 
 
 def monomial_values(slots, points, q: int) -> np.ndarray:

@@ -11,6 +11,9 @@ recovering the polynomial's value on the original data exactly.
 The session is an in-process transcript of which side saw what, so the
 separation claims (admin never holds the key, user never retains the
 data) are structural properties of the records, not just conventions.
+The transcript holds the shared polynomial itself (MultiPoly is
+immutable) and SessionState.to_json serialises it, so a computation
+phase pays nothing for a JSON form that nobody asks for.
 """
 
 from __future__ import annotations
@@ -101,6 +104,7 @@ class SessionState:
     user: UserRecord
     admin: AdminRecord
     metrics: SchemeMetrics
+    # event dicts; a function_shared event holds its MultiPoly under "f"
     transcript: list = field(default_factory=list)
     last_answer_count: int = 0
 
@@ -127,7 +131,10 @@ class SessionState:
                 "superset": [list(pt) for pt in self.admin.superset.entries],
                 "code": self.admin.code.to_json(),
             },
-            "transcript": list(self.transcript),
+            "transcript": [
+                dict(entry, f=entry["f"].to_json()) if "f" in entry else entry
+                for entry in self.transcript
+            ],
         }
 
 
@@ -205,7 +212,7 @@ def computation_phase(
     if f.degree > params.degree_bound:
         raise ValueError(f"degree bound exceeded: {f.degree} > {params.degree_bound}")
     session.transcript.append(
-        {"phase": "computation", "event": "function_shared", "f": f.to_json()}
+        {"phase": "computation", "event": "function_shared", "f": f}
     )
 
     responding = [i for i in range(num_workers) if i not in straggler_set]

@@ -10,6 +10,8 @@ import json
 
 from icc_kit import cli
 from icc_kit.codes import sample_code
+from icc_kit.poly import random_poly
+from icc_kit.protocol import SchemeParams, computation_phase, storage_phase
 
 
 def assert_plain(obj):
@@ -92,5 +94,20 @@ def test_session_json_is_pinned(monkeypatch):
             {"phase": "computation", "event": "user_decoded"},
         ],
     }
+    assert_plain(blob)
+    assert json.loads(json.dumps(blob)) == blob
+
+
+def test_transcript_serialises_each_shared_polynomial_at_scale():
+    # the transcript holds the polynomials and to_json serialises them: at
+    # n=90 each function_shared entry is that call's f.to_json()
+    params = SchemeParams(n=90, q=5, protected_size=1, degree_bound=2, straggler_budget=1)
+    session = storage_phase([i % 5 for i in range(90)], params, sample_code(90, 4, 5, 11), 13)
+    shared = [random_poly(90, 2, 5, seed) for seed in (21, 22)]
+    for f, stragglers in zip(shared, ([], [3])):
+        computation_phase(session, f, stragglers)
+    blob = session.to_json()
+    entries = [e for e in blob["transcript"] if e["event"] == "function_shared"]
+    assert [e["f"] for e in entries] == [f.to_json() for f in shared]
     assert_plain(blob)
     assert json.loads(json.dumps(blob)) == blob

@@ -172,6 +172,46 @@ def test_evaluate_batch_matches_evaluate_at_every_prime(case):
     assert [int(v) for v in vals] == [evaluate(f, x) for x in points]
 
 
+def _dense_reference(f, x):
+    """f(x) straight from the exponent tuples: every coordinate's power,
+    zero exponents included, multiplied term by term."""
+    total = 0
+    for exp, coef in f.terms.items():
+        prod = coef
+        for xi, e in zip(x, exp):
+            prod = prod * pow(xi, e, f.q) % f.q
+        total += prod
+    return total % f.q
+
+
+@st.composite
+def polys_for_the_oracle(draw):
+    """(f, x): the zero polynomial, a constant (both with no slot columns),
+    or terms with up to n slots, at primes up to 2^64 - 59 (object dtype)."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 251] + LARGE_PRIMES + [2**64 - 59]))
+    n = draw(st.integers(1, 6))
+    coef = st.integers(1, q - 1)
+    kind = draw(st.sampled_from(["zero", "constant", "general"]))
+    if kind == "zero":
+        terms = []
+    elif kind == "constant":
+        terms = [((0,) * n, draw(coef))]
+    else:
+        exp = st.tuples(*[st.integers(0, q - 1)] * n)
+        # one term with every exponent nonzero, so it fills all n slots
+        full = st.tuples(*[st.integers(1, q - 1)] * n)
+        terms = draw(st.lists(st.tuples(exp, coef), max_size=12)) + [(draw(full), draw(coef))]
+    x = draw(st.tuples(*[st.integers(0, q - 1)] * n))
+    return MultiPoly.from_terms(n, q, terms), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=polys_for_the_oracle())
+def test_evaluate_matches_dense_exponent_reference(case):
+    f, x = case
+    assert evaluate(f, x) == _dense_reference(f, x)
+
+
 @pytest.mark.parametrize("q", LARGE_PRIMES)
 def test_evaluate_batch_is_exact_where_int64_sums_overflow(q):
     # every coefficient-times-value product is near (q-1)^2, so an int64 sum
@@ -291,6 +331,17 @@ def test_constructor_checks_the_canonical_slot_form():
                 MultiPoly(3, 5, (_arr(var), _arr(exp)), np.array(coefs), degree_bound=1)
     with pytest.raises(ValueError, match="integers"):
         MultiPoly(3, 5, (_arr([[0]]), np.array([[1.0]])), np.array([1]))
+
+
+def test_constructor_keeps_private_read_only_copies():
+    var, exp, coefs = _arr([[1, 0], [0, 2]]), _arr([[2, 0], [1, 1]]), np.array([2, 1])
+    f = MultiPoly(3, 5, (var, exp), coefs)
+    for arr in (*f.slots, f.coefs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2
+    # the caller's arrays stay writable, and writing them leaves f alone
+    var[0, 0], exp[0, 0], coefs[0] = 2, 1, 3
+    assert f.terms == {(0, 2, 0): 2, (1, 0, 1): 1}
 
 
 def test_terms_is_a_read_only_view():

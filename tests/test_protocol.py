@@ -177,6 +177,20 @@ def test_repeated_computation_phases_share_one_session():
         assert computation_phase(session, f, ()) == evaluate(f, x)
 
 
+def test_recorded_polynomial_cannot_be_rewritten():
+    # the transcript holds f itself until to_json, so a write through f's
+    # arrays must fail rather than rewrite what the admin was shown
+    session = storage_phase((1, 2, 0, 1, 2), make_params(n=5, q=3, d=2), sample_code(5, 2, 3, 3), 5)
+    f = random_poly(5, 2, 3, 1)
+    computation_phase(session, f, ())
+    before = session.to_json()
+    with pytest.raises(ValueError, match="read-only"):
+        f.coefs[0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        f.slots[1][0, 0] = 2
+    assert session.to_json() == before
+
+
 def test_transcript_event_order():
     params = make_params(n=4, q=2, r=1, d=1, S=0)
     code = sample_code(4, 2, 2, 2)
