@@ -194,7 +194,6 @@ def cmd_keysize_curves(config: dict) -> tuple:
     n = _int(config.get("n", 2 ** 18), "n")
     p = _int(config.get("p", 2), "p")
     q = _int(config.get("q", 2), "q")
-    r = _int(config.get("r", 2), "r")
     entropy_a = float(config.get("entropy_a", n - 4))
     eps_exponents = [_int(j, "epsilon_log_q_exponents")
                      for j in config.get("epsilon_log_q_exponents", range(-60, 0))]
@@ -222,7 +221,7 @@ def cmd_keysize_curves(config: dict) -> tuple:
         curve_b.append(",".join([_fmt(entropy), _fmt(m_real), str(math.ceil(m_real))]))
 
     resolved = {
-        "n": n, "p": p, "q": q, "r": r,
+        "n": n, "p": p, "q": q,
         "entropy_a": entropy_a,
         "epsilon_log_q_exponents": sorted(eps_exponents),
         "epsilon_b": epsilon_b,
