@@ -4,7 +4,7 @@ distributed computation with straggler tolerance, and exact
 enumeration-based leakage audits."""
 
 from .gf import field_array, rank
-from .poly import MultiPoly, evaluate, random_poly, total_degree
+from .poly import MultiPoly, evaluate, random_poly
 from .codes import LinearCode, encode, key_gen, sample_code, shift, subcolumns_full_rank
 from .rm import (
     InfoSet,

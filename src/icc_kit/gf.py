@@ -31,20 +31,6 @@ def _check_prime(q) -> None:
         raise ValueError(f"field order must be a prime integer, got {q!r}")
 
 
-def inverse_mod(value: int, q: int) -> int:
-    """Multiplicative inverse of value modulo the prime q (extended Euclid)."""
-    v = value % q
-    if v == 0:
-        raise ZeroDivisionError("zero has no multiplicative inverse")
-    old_r, r = q, v
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_t, t = t, old_t - quo * t
-    return old_t % q
-
-
 def exact_dtype(q: int, terms: int = 1):
     """dtype for sums of `terms` products of two residues mod q: int64 while
     terms * (q-1)^2 < 2^63, exact Python ints (object) above."""
@@ -131,7 +117,7 @@ def row_reduce(mat, q: int) -> tuple:
         piv = pr + int(nz[0])
         if piv != pr:
             red[[pr, piv]] = red[[piv, pr]]
-        inv = inverse_mod(int(red[pr, col]), q)
+        inv = pow(int(red[pr, col]), -1, q)
         red[pr] = red[pr] * inv % q
         others = np.nonzero(red[:, col])[0]
         others = others[others != pr]

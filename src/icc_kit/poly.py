@@ -4,7 +4,7 @@ A MultiPoly holds its terms as arrays, in lexicographic exponent order:
 each term is a row of (variable, exponent) slots, its nonzero exponents in
 increasing variable order padded with (0, 0), next to an array of nonzero
 coefficients. Exponents are stored reduced through x^q = x, so every
-stored exponent is below q and total_degree is well defined against the
+stored exponent is below q and the total degree is well defined against the
 degree bound used by the evaluation-code machinery. The zero polynomial
 has no terms. The constructor checks this form once, with vectorised
 checks; from_terms builds it from raw (exponent tuple, coefficient) pairs.
@@ -229,12 +229,6 @@ class _Terms(Mapping):
 
     def __iter__(self):
         return iter(self._map)
-
-
-def total_degree(f: MultiPoly) -> int:
-    """Largest exponent sum over stored terms; 0 for the zero polynomial
-    (check f.is_zero to tell the zero polynomial from a constant)."""
-    return f.degree
 
 
 def evaluate(f: MultiPoly, x) -> int:

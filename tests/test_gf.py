@@ -13,7 +13,6 @@ import pytest
 from icc_kit.codes import LinearCode, encode, shift, subcolumns_full_rank
 from icc_kit.gf import (
     field_array,
-    inverse_mod,
     is_prime,
     pivot_columns,
     rank,
@@ -86,14 +85,6 @@ def test_field_array_rejects_floats_wrong_shape_and_empty():
         shift((1, 0, 1), ((1, 0, 1),), code)
     with pytest.raises(ValueError, match="empty"):
         rank(np.zeros((2, 0), dtype=np.int64), 2)
-
-
-@pytest.mark.parametrize("q", PRIMES)
-def test_inverse_mod_exhaustive(q):
-    for a in range(1, q):
-        assert a * inverse_mod(a, q) % q == 1
-    with pytest.raises(ZeroDivisionError):
-        inverse_mod(0, q)
 
 
 @pytest.mark.parametrize("q", PRIMES)

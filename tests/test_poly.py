@@ -14,7 +14,6 @@ from icc_kit.poly import (
     monomials,
     random_poly,
     reduce_exponent,
-    total_degree,
 )
 
 
@@ -24,24 +23,24 @@ def P(num_vars, q, terms):
 
 def test_total_degree_reads_exponent_sums():
     f = P(3, 2, {(1, 1, 0): 1, (0, 0, 1): 1})  # x1*x2 + x3
-    assert total_degree(f) == 2
+    assert f.degree == 2
 
 
 def test_total_degree_of_constant_is_zero():
     f = P(1, 11, {(0,): 7})
-    assert total_degree(f) == 0
+    assert f.degree == 0
     assert not f.is_zero
 
 
 def test_total_degree_mixed_exponents():
     f = P(2, 5, {(2, 1): 1, (1, 0): 1})  # x1^2*x2 + x1
-    assert total_degree(f) == 3
+    assert f.degree == 3
 
 
 def test_zero_polynomial():
     z = P(2, 3, {})
     assert z.is_zero
-    assert total_degree(z) == 0
+    assert z.degree == 0
     for x in itertools.product(range(3), repeat=2):
         assert evaluate(z, x) == 0
 
@@ -107,7 +106,7 @@ def test_from_terms_merges_aliased_exponents():
 
 def test_random_poly_degree_zero_is_constant():
     f = random_poly(4, 0, 7, 123)
-    assert total_degree(f) == 0
+    assert f.degree == 0
     assert len(f.terms) <= 1
 
 
@@ -128,7 +127,7 @@ def test_random_poly_support_and_degree_bound():
     for seed in range(20):
         f = random_poly(3, 2, 2, seed)
         assert set(f.terms) <= admissible
-        assert total_degree(f) <= 2
+        assert f.degree <= 2
 
 
 def test_monomial_count_matches_binomial_oracle():
@@ -311,7 +310,7 @@ def test_constructor_checks_the_canonical_slot_form():
     # 2 x1^2 + x0 x2 over F_5 in three variables: rows in lexicographic order
     f = MultiPoly(3, 5, (_arr([[1, 0], [0, 2]]), _arr([[2, 0], [1, 1]])), _arr([2, 1]).ravel())
     assert f.terms == {(0, 2, 0): 2, (1, 0, 1): 1}
-    assert f.degree == total_degree(f) == 2 and f.degree_bound == 2
+    assert f.degree == 2 and f.degree_bound == 2
     bad = {
         "lexicographic": [([[0, 2], [1, 0]], [[1, 1], [2, 0]], [1, 2]),  # rows swapped
                           ([[1, 0], [1, 0]], [[2, 0], [2, 0]], [2, 1])],  # repeated term
@@ -391,8 +390,8 @@ def test_from_terms_matches_dict_reference_model(case):
         "n": n, "q": q, "d": degree,
         "terms": [{"exp": list(exp), "coef": coef} for exp, coef in sorted(model_f.items())],
     }
-    assert total_degree(f) == degree and f.is_zero == (not model_f)
+    assert f.degree == degree and f.is_zero == (not model_f)
     assert dict(f.terms) == model_f
     assert f == MultiPoly.from_terms(n, q, list(reversed(raw_f)))
     assert (f == g) == (model_f == model_g)
-    assert f + g == g + f == MultiPoly.from_terms(n, q, raw_f + raw_g, max(total_degree(f), total_degree(g)))
+    assert f + g == g + f == MultiPoly.from_terms(n, q, raw_f + raw_g, max(f.degree, g.degree))

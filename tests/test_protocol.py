@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from icc_kit.codes import LinearCode, key_gen, sample_code, shift
 from icc_kit.infometrics import Distribution, leakage_audit, uniform
-from icc_kit.poly import MultiPoly, evaluate, random_poly, total_degree
+from icc_kit.poly import MultiPoly, evaluate, random_poly
 from icc_kit.protocol import (
     SchemeParams,
     computation_phase,
@@ -146,7 +146,7 @@ def test_budget_and_degree_rejections():
     with pytest.raises(ValueError, match="straggler budget"):
         computation_phase(session, f, too_many)
     heavy = MultiPoly.from_terms(4, 2, {(1, 1, 0, 0): 1})
-    assert total_degree(heavy) == 2
+    assert heavy.degree == 2
     with pytest.raises(ValueError, match="degree bound"):
         computation_phase(session, heavy, ())
 
