@@ -1,10 +1,13 @@
 """Reed-Muller evaluation codes RM_q(d, m): dimension, information sets,
-replicated super-sets for straggler tolerance, and decode-by-interpolation.
+replicated super-sets for straggler tolerance, one straggler-selection
+rule for any super-set, and decode-by-interpolation.
 
 A codeword evaluates an m-variate polynomial of total degree at most d at
 points of F_q^m; generator columns are built for the points in hand, never
 for all q^m. The code dimension equals the number of reduced monomials,
 which is also the download cost of the distributed-evaluation protocol.
+Selection runs an elimination only when the responders miss part of the
+canonical information set.
 """
 
 from __future__ import annotations
@@ -76,16 +79,13 @@ class InfoSet:
 
 @dataclass(frozen=True)
 class SuperSet:
-    """Multiset of evaluation points such that, after up to
-    straggler_budget losses, the survivors still contain an information
-    set. replica_size marks the replicated layout built by
-    trivial_superset; hand-built irregular sets leave it None and rely on
-    the generic pivot search."""
+    """Multiset of evaluation points that still contains an information
+    set after the stragglers the scheme budgets for drop out. Any layout
+    works with select_available_infoset; trivial_superset builds the
+    replicated one."""
 
     entries: tuple
-    straggler_budget: int
     code_params: tuple  # (q, d, m)
-    replica_size: int = None
 
 
 def _generator_columns(rm: RMCode, points) -> np.ndarray:
@@ -111,49 +111,41 @@ def trivial_superset(rm: RMCode, stragglers: int) -> SuperSet:
     if stragglers < 0:
         raise ValueError("straggler budget must be non-negative")
     base = information_set(rm).points
-    return SuperSet(
-        entries=base * (stragglers + 1),
-        straggler_budget=stragglers,
-        code_params=(rm.q, rm.d, rm.m),
-        replica_size=len(base),
-    )
+    return SuperSet(entries=base * (stragglers + 1), code_params=(rm.q, rm.d, rm.m))
 
 
 def select_available_infoset(ss: SuperSet, responded) -> InfoSet:
-    """Pick an information set among responding entries.
+    """Pick an information set among responding entries: walk the distinct
+    responding points in lexicographic order and keep those that grow the
+    span of basis rows. Each point is sourced from its lowest responding
+    index.
 
-    For the replicated layout each position takes its lowest-index
-    responding replica. Otherwise (or if a position lost every replica)
-    fall back to a generic search: walk responding points in canonical
-    order and keep those that grow the span of basis rows.
+    When the responders cover the canonical information set, that set is
+    the greedy choice, so it is answered without an elimination. It is the
+    greedy choice over all of F_q^m: each of its points is independent of
+    every point before it, and each other point depends on the canonical
+    points before it, which all responded.
     """
     resp = sorted(set(responded))
     for idx in resp:
         if not 0 <= idx < len(ss.entries):
             raise ValueError(f"responder index {idx} out of range")
-    resp_set = set(resp)
-    if ss.replica_size:
-        size = ss.replica_size
-        replicas = len(ss.entries) // size
-        sources = [
-            next((rep * size + pos for rep in range(replicas) if rep * size + pos in resp_set), None)
-            for pos in range(size)
-        ]
-        if None not in sources:
-            return InfoSet(points=ss.entries[:size], sources=tuple(sources))
-
     rm = rm_code(*ss.code_params)
     field_array(ss.entries, rm.q, (None, rm.m), "super-set entries")
     first_source = {}
     for idx in resp:
         first_source.setdefault(ss.entries[idx], idx)
-    points = sorted(first_source)
-    # a column is a pivot exactly when its point grows the span of the
-    # points before it, so the pivots are the greedy choice in this order
-    pivots = row_reduce(_generator_columns(rm, points), rm.q)[1]
-    if len(pivots) < rm.dimension:
-        raise ValueError("responding entries do not contain an information set")
-    chosen = [points[c] for c in pivots]
+    chosen = information_set(rm).points
+    # a negative coordinate sorts a point before its residue, so there the
+    # greedy choice may differ from the canonical set
+    if not all(pt in first_source for pt in chosen) or min(map(min, first_source)) < 0:
+        points = sorted(first_source)
+        # a column is a pivot exactly when its point grows the span of the
+        # points before it, so the pivots are the greedy choice in this order
+        pivots = row_reduce(_generator_columns(rm, points), rm.q)[1]
+        if len(pivots) < rm.dimension:
+            raise ValueError("responding entries do not contain an information set")
+        chosen = [points[c] for c in pivots]
     return InfoSet(points=tuple(chosen), sources=tuple(first_source[pt] for pt in chosen))
 
 

@@ -1,9 +1,10 @@
 """Evaluation-code machinery: dimensions, information sets, replicated
 super-sets, and interpolation decode.
 
-The decode contract is checked against direct polynomial evaluation, and
-the straggler-tolerance property of the replicated layout is verified
-exhaustively for every loss pattern at small sizes.
+The decode contract is checked against direct polynomial evaluation, the
+straggler-tolerance property of the replicated layout is verified
+exhaustively for every loss pattern at small sizes, and selection on
+hand-built super-sets is checked against a greedy rank oracle.
 """
 
 import itertools
@@ -12,9 +13,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import icc_kit.rm
 from icc_kit.gf import pivot_columns, rank
 from icc_kit.poly import evaluate, monomials, random_poly
 from icc_kit.rm import (
@@ -123,8 +125,7 @@ def test_trivial_superset_layout():
     assert trivial_superset(rm, 0).entries == information_set(rm).points
     ss = trivial_superset(rm, 2)
     assert len(ss.entries) == 12
-    assert ss.replica_size == 4
-    assert ss.straggler_budget == 2
+    assert ss.entries == information_set(rm).points * 3
     with pytest.raises(ValueError):
         trivial_superset(rm, -1)
 
@@ -175,7 +176,7 @@ def test_select_validates_indices_and_coverage():
 def test_select_generic_layout_without_replica_hint():
     rm = rm_code(2, 1, 2)
     pts = all_points(2, 2)
-    ss = SuperSet(entries=pts, straggler_budget=1, code_params=(2, 1, 2))
+    ss = SuperSet(entries=pts, code_params=(2, 1, 2))
     info = select_available_infoset(ss, range(4))
     assert restricted_rank(rm, info.points) == rm.dimension
 
@@ -185,9 +186,70 @@ def test_select_generic_layout_without_replica_hint():
     ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),  # used to fail to reshape
 ])
 def test_select_generic_layout_validates_entries(entries):
-    ss = SuperSet(entries=entries, straggler_budget=1, code_params=(2, 1, 2))
+    ss = SuperSet(entries=entries, code_params=(2, 1, 2))
     with pytest.raises(ValueError, match="super-set entries"):
         select_available_infoset(ss, range(4))
+
+
+def greedy_selection(rm, entries, responded):
+    """Independent oracle: walk the distinct responding points in
+    lexicographic order and keep a point when the restricted rank grows.
+    Returns (points, lowest responding index of each), or None when the
+    rank stays below the dimension."""
+    responding = set(responded)
+    kept = []
+    for pt in sorted({entries[i] for i in responding}):
+        if restricted_rank(rm, kept + [pt]) > len(kept):
+            kept.append(pt)
+    if len(kept) < rm.dimension:
+        return None
+    return tuple(kept), tuple(min(i for i in responding if entries[i] == pt) for pt in kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_selection_matches_greedy_oracle(data):
+    # hand-built super-sets: each canonical point missing, once or twice,
+    # extra points (now and then unreduced or negative), any order, and
+    # random stragglers
+    q, m = data.draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1),
+                                      (5, 2), (5, 3)]))
+    rm = rm_code(q, data.draw(st.integers(0, min(m * (q - 1) - 1, 4))), m)
+    canonical = information_set(rm).points
+    copies = data.draw(st.lists(st.sampled_from([1, 1, 1, 2, 0]),
+                                min_size=len(canonical), max_size=len(canonical)))
+    coord = st.integers(0, q - 1) | st.integers(-q, 2 * q)
+    extra = data.draw(st.lists(st.tuples(*[coord] * m), max_size=6))
+    entries = [pt for pt, c in zip(canonical, copies) for _ in range(c)] + extra
+    assume(entries)
+    entries = tuple(data.draw(st.permutations(entries)))
+    lost = data.draw(st.sets(st.sampled_from(range(len(entries)))))
+    responded = [i for i in range(len(entries)) if i not in lost]
+    expected = greedy_selection(rm, entries, responded)
+    ss = SuperSet(entries=entries, code_params=(q, rm.d, m))
+    if expected is None:
+        with pytest.raises(ValueError, match="do not contain an information set"):
+            select_available_infoset(ss, responded)
+    else:
+        info = select_available_infoset(ss, responded)
+        assert (info.points, info.sources) == expected
+
+
+@pytest.mark.parametrize("q,d,m", [(2, 1, 3), (3, 2, 2), (5, 3, 2), (2, 2, 4)])
+def test_covered_canonical_set_runs_no_elimination(q, d, m, monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("selection ran an elimination")
+
+    monkeypatch.setattr(icc_kit.rm, "row_reduce", no_elimination)
+    rm = rm_code(q, d, m)
+    grid = all_points(q, m)
+    info = select_available_infoset(SuperSet(entries=grid, code_params=(q, d, m)), range(len(grid)))
+    assert info.points == information_set(rm).points
+    assert info.sources == tuple(grid.index(pt) for pt in info.points)
+    # the replicated layout with its first replica lost is covered too
+    ss = trivial_superset(rm, 1)
+    info = select_available_infoset(ss, range(rm.dimension, 2 * rm.dimension))
+    assert info.sources == tuple(range(rm.dimension, 2 * rm.dimension))
 
 
 def test_codewords_lie_in_generator_row_space():
