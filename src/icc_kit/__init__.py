@@ -7,7 +7,6 @@ from .gf import field_array, rank
 from .poly import MultiPoly, evaluate, random_poly
 from .codes import LinearCode, encode, key_gen, sample_code, shift, subcolumns_full_rank
 from .rm import (
-    InfoSet,
     RMCode,
     SuperSet,
     decode_at_key,

@@ -18,7 +18,7 @@ import numpy as np
 from . import infometrics as im
 from . import protocol
 from .codes import sample_code
-from .gf import integer_array
+from .gf import check_cap, integer_array
 from .poly import MultiPoly, evaluate, random_poly
 from .protocol import SchemeParams, computation_phase, storage_phase
 
@@ -148,6 +148,8 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
         raise UsageError("num_codes must be at least 1")
     seed = _int(config["seed"], "seed")
     dist_seed, *code_seeds = _child_seeds(seed, num_codes + 1)
+    # the q^n probability table is the first thing built; q^n <= q^(n+m)
+    check_cap(q ** n, cap)
     dist = _dist_from_config(config.get("dist", {}), q, n, dist_seed)
 
     m = math.ceil(im.keysize_lower_bound(im.measured_bounds(dist, p, r, epsilon, a)))

@@ -72,10 +72,13 @@ def _slots(terms, dtype) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def monomials(num_vars: int, max_degree: int, q: int) -> tuple:
-    """All exponent tuples with entries below q and total degree at most
-    max_degree, in lexicographic order: the Reed-Muller basis."""
-    return tuple(map(tuple, _dense(monomial_slots(num_vars, max_degree, q), num_vars).tolist()))
+def monomials(num_vars: int, max_degree: int, q: int) -> np.ndarray:
+    """All exponent vectors with entries below q and total degree at most
+    max_degree, in lexicographic order: the Reed-Muller basis, as a
+    read-only (count, num_vars) int64 array."""
+    dense = _dense(monomial_slots(num_vars, max_degree, q), num_vars)
+    dense.setflags(write=False)
+    return dense
 
 
 @lru_cache(maxsize=None)

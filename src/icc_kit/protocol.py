@@ -28,14 +28,7 @@ import numpy as np
 from .codes import LinearCode, encode, key_gen, shift
 from .gf import _check_prime
 from .poly import MultiPoly, evaluate_batch
-from .rm import (
-    RMCode,
-    SuperSet,
-    rm_code,
-    rm_dimension,
-    select_available_infoset,
-    trivial_superset,
-)
+from .rm import SuperSet, rm_code, rm_dimension, select_available_infoset, trivial_superset
 
 
 @dataclass(frozen=True)
@@ -119,16 +112,12 @@ class SessionState:
             "admin": {
                 "encoded": {"q": q, "elements": self.admin.encoded.tolist()},
                 "shares": [
-                    {
-                        "worker_id": worker_id,
-                        "point": list(point),
-                        "data": {"q": q, "elements": row},
-                    }
+                    {"worker_id": worker_id, "point": point, "data": {"q": q, "elements": row}}
                     for worker_id, (point, row) in enumerate(
-                        zip(self.admin.superset.entries, self.admin.shares.tolist())
+                        zip(self.admin.superset.entries.tolist(), self.admin.shares.tolist())
                     )
                 ],
-                "superset": [list(pt) for pt in self.admin.superset.entries],
+                "superset": self.admin.superset.entries.tolist(),
                 "code": self.admin.code.to_json(),
             },
             "transcript": [
@@ -216,10 +205,9 @@ def computation_phase(
     )
 
     responding = [i for i in range(num_workers) if i not in straggler_set]
-    answer_values = evaluate_batch(f, session.admin.shares[responding])
-    answers_by_worker = {
-        wid: int(val) for wid, val in zip(responding, answer_values)
-    }
+    # indexed by worker id; a straggler's slot is never read
+    answers = np.zeros(num_workers, dtype=np.int64)
+    answers[responding] = evaluate_batch(f, session.admin.shares[responding])
     session.transcript.append(
         {
             "phase": "computation",
@@ -228,25 +216,23 @@ def computation_phase(
         }
     )
 
-    selected = select_available_infoset(session.admin.superset, responding)
-    answer_vector = {
-        point: answers_by_worker[src]
-        for point, src in zip(selected.points, selected.sources)
-    }
-    session.last_answer_count = len(answer_vector)
+    sources = select_available_infoset(session.admin.superset, responding)
+    # selection returns distinct points in lexicographic order
+    points, values = session.admin.superset.entries[sources], answers[sources]
+    session.last_answer_count = len(sources)
     session.transcript.append(
         {
             "phase": "computation",
             "event": "answer_vector_sent",
-            "sources": list(selected.sources),
-            "answers": {str(pt): val for pt, val in sorted(answer_vector.items())},
+            "sources": sources.tolist(),
+            "answers": {str(tuple(pt)): val for pt, val in zip(points.tolist(), values.tolist())},
         }
     )
 
     rm = rm_code(params.q, params.degree_bound, session.user.key_length)
     from .rm import decode_at_key
 
-    result = decode_at_key(rm, answer_vector, session.user.key)
+    result = decode_at_key(rm, points, values, session.user.key)
     session.transcript.append({"phase": "computation", "event": "user_decoded"})
     return result
 

@@ -6,8 +6,12 @@ A codeword evaluates an m-variate polynomial of total degree at most d at
 points of F_q^m; generator columns are built for the points in hand, never
 for all q^m. The code dimension equals the number of reduced monomials,
 which is also the download cost of the distributed-evaluation protocol.
-Selection runs an elimination only when the responders miss part of the
-canonical information set.
+Points are read-only (count, m) arrays of residues throughout: the
+basis, the super-set entries (checked and reduced once, when the super-set
+is built), and the answered points that decode takes beside their values.
+Selection returns the indices of the chosen entries and runs an
+elimination only when the responders miss part of the canonical
+information set.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import _check_prime, check_cap, exact_dtype, field_array, row_reduce
+from .gf import _check_prime, check_cap, exact_dtype, field_array, integer_array, row_reduce
 from .poly import monomial_count, monomial_slots, monomial_values, monomials
 
 
@@ -52,10 +56,6 @@ class RMCode:
         check_cap(self.dimension ** 2)
 
     @property
-    def monomial_basis(self) -> tuple:
-        return monomials(self.m, self.d, self.q)
-
-    @property
     def dimension(self) -> int:
         return rm_dimension(self.q, self.d, self.m)
 
@@ -65,44 +65,40 @@ def rm_code(q: int, d: int, m: int) -> RMCode:
     return RMCode(q, d, m)
 
 
-@dataclass(frozen=True)
-class InfoSet:
-    """Ordered points whose restricted generator matrix is invertible.
-
-    sources, when present, maps each point to the super-set entry index
-    that supplied its value during straggler recovery.
-    """
-
-    points: tuple
-    sources: tuple = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperSet:
     """Multiset of evaluation points that still contains an information
     set after the stragglers the scheme budgets for drop out. Any layout
     works with select_available_infoset; trivial_superset builds the
-    replicated one."""
+    replicated one. The constructor checks the entries once and keeps them
+    reduced mod q as a read-only (count, m) array."""
 
-    entries: tuple
+    entries: np.ndarray
     code_params: tuple  # (q, d, m)
 
+    def __post_init__(self):
+        rm = rm_code(*self.code_params)
+        entries = field_array(self.entries, rm.q, (None, rm.m), "super-set entries")
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
-def _generator_columns(rm: RMCode, points) -> np.ndarray:
+
+def _generator_columns(rm: RMCode, points: np.ndarray) -> np.ndarray:
     """Generator columns of the given points only: every basis monomial at
     every point, shape (dimension, number of points)."""
-    return monomial_values(monomial_slots(rm.m, rm.d, rm.q), np.reshape(points, (-1, rm.m)), rm.q)
+    return monomial_values(monomial_slots(rm.m, rm.d, rm.q), points, rm.q)
 
 
-def information_set(rm: RMCode) -> InfoSet:
-    """The basis exponent vectors read as points, in lexicographic order.
+def information_set(rm: RMCode) -> np.ndarray:
+    """The basis exponent vectors read as points, in lexicographic order,
+    as the read-only (dimension, m) array of the basis.
 
     The exponents form a lower set (lowering an exponent stays in the
     basis), and a lower set is unisolvent on the grid points it names (Dyn
     & Floater, J. Approx. Theory 2014), so the restricted generator is
     invertible. These are the pivots that elimination over all of F_q^m in
     lexicographic order would find."""
-    return InfoSet(points=rm.monomial_basis)
+    return monomials(rm.m, rm.d, rm.q)
 
 
 def trivial_superset(rm: RMCode, stragglers: int) -> SuperSet:
@@ -110,15 +106,16 @@ def trivial_superset(rm: RMCode, stragglers: int) -> SuperSet:
     size (stragglers + 1) * dimension."""
     if stragglers < 0:
         raise ValueError("straggler budget must be non-negative")
-    base = information_set(rm).points
-    return SuperSet(entries=base * (stragglers + 1), code_params=(rm.q, rm.d, rm.m))
+    return SuperSet(entries=np.tile(information_set(rm), (stragglers + 1, 1)),
+                    code_params=(rm.q, rm.d, rm.m))
 
 
-def select_available_infoset(ss: SuperSet, responded) -> InfoSet:
-    """Pick an information set among responding entries: walk the distinct
-    responding points in lexicographic order and keep those that grow the
-    span of basis rows. Each point is sourced from its lowest responding
-    index.
+def select_available_infoset(ss: SuperSet, responded) -> np.ndarray:
+    """Pick an information set among responding entries and return the
+    indices of the entries chosen, as an int64 array; the points are
+    ss.entries[sources]. Walk the distinct responding points in
+    lexicographic order and keep those that grow the span of basis rows.
+    Each point is sourced from its lowest responding index.
 
     When the responders cover the canonical information set, that set is
     the greedy choice, so it is answered without an elimination. It is the
@@ -126,43 +123,44 @@ def select_available_infoset(ss: SuperSet, responded) -> InfoSet:
     every point before it, and each other point depends on the canonical
     points before it, which all responded.
     """
-    resp = sorted(set(responded))
-    for idx in resp:
-        if not 0 <= idx < len(ss.entries):
-            raise ValueError(f"responder index {idx} out of range")
+    resp = integer_array(sorted(set(responded)), "responder indices").astype(np.int64)
+    bad = resp[(resp < 0) | (resp >= len(ss.entries))]
+    if bad.size:
+        raise ValueError(f"responder index {bad[0]} out of range")
     rm = rm_code(*ss.code_params)
-    field_array(ss.entries, rm.q, (None, rm.m), "super-set entries")
-    first_source = {}
-    for idx in resp:
-        first_source.setdefault(ss.entries[idx], idx)
-    chosen = information_set(rm).points
-    # a negative coordinate sorts a point before its residue, so there the
-    # greedy choice may differ from the canonical set
-    if not all(pt in first_source for pt in chosen) or min(map(min, first_source)) < 0:
-        points = sorted(first_source)
-        # a column is a pivot exactly when its point grows the span of the
-        # points before it, so the pivots are the greedy choice in this order
-        pivots = row_reduce(_generator_columns(rm, points), rm.q)[1]
-        if len(pivots) < rm.dimension:
-            raise ValueError("responding entries do not contain an information set")
-        chosen = [points[c] for c in pivots]
-    return InfoSet(points=tuple(chosen), sources=tuple(first_source[pt] for pt in chosen))
+    # residues read as base-q numbers keep lexicographic point order
+    dtype = np.int64 if rm.q ** rm.m <= 2 ** 63 else object
+    weights = np.array([rm.q ** j for j in reversed(range(rm.m))], dtype=dtype)
+    # the distinct responding points, each from its first (lowest) index
+    keys, first = np.unique(ss.entries[resp].astype(dtype) @ weights, return_index=True)
+    sources = resp[first]
+    canonical = information_set(rm).astype(dtype) @ weights
+    at = np.searchsorted(keys, canonical)
+    if (at < len(keys)).all() and (keys[at] == canonical).all():
+        return sources[at]
+    # a column is a pivot exactly when its point grows the span of the
+    # points before it, so the pivots are the greedy choice in this order
+    pivots = row_reduce(_generator_columns(rm, ss.entries[sources]), rm.q)[1]
+    if len(pivots) < rm.dimension:
+        raise ValueError("responding entries do not contain an information set")
+    return sources[pivots]
 
 
-def decode_at_key(rm: RMCode, answers, key) -> int:
+def decode_at_key(rm: RMCode, points, values, key) -> int:
     """Interpolate the unique degree-bounded polynomial matching the
     answers on an information set, then evaluate it at the key point.
 
-    answers: mapping from evaluation point (tuple) to value in F_q.
+    points: (count, m) evaluation points; values: the count answers in
+    F_q, values[i] the answer at points[i]. A point may repeat.
     Raises ValueError when the answered points do not pin the polynomial
     down (the restricted system is singular) or contradict each other.
     """
     q, dim = rm.q, rm.dimension
     key = field_array(key, q, (rm.m,), "key")
-    if len(answers) < dim:
-        raise ValueError(f"need at least {dim} answered points, got {len(answers)}")
-    points = field_array(list(answers), q, (None, rm.m), "answered points")
-    values = field_array(list(answers.values()), q, (None,), "answers")
+    points = field_array(points, q, (None, rm.m), "answered points")
+    if len(points) < dim:
+        raise ValueError(f"need at least {dim} answered points, got {len(points)}")
+    values = field_array(values, q, (len(points),), "answers")
     cols = _generator_columns(rm, np.concatenate([points, key[None]]))
     # rows are the answered points: [basis values at the point | answer]
     system, pivots = row_reduce(np.concatenate([cols[:, :-1].T, values[:, None]], axis=1), q)

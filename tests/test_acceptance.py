@@ -86,7 +86,7 @@ def test_decode_matches_direct_evaluation_across_straggler_patterns():
             session = storage_phase(x, params, code, int(rng.integers(2**31)))
             direct = evaluate(f, x)
             shares = session.admin.shares
-            answers = [int(v) for v in evaluate_batch(f, shares)]
+            answers = evaluate_batch(f, shares)
             key = session.user.key
             superset = session.admin.superset
             # decode_at_key is pure, so identical answer tables (replicas
@@ -95,12 +95,11 @@ def test_decode_matches_direct_evaluation_across_straggler_patterns():
             pats = list(straggler_patterns(len(shares), S))
             for pat in pats:
                 responded = [w for w in range(len(shares)) if w not in pat]
-                sel = select_available_infoset(superset, responded)
-                table = tuple(
-                    (pt, answers[src]) for pt, src in zip(sel.points, sel.sources)
-                )
+                sources = select_available_infoset(superset, responded)
+                points, values = superset.entries[sources], answers[sources]
+                table = (points.tobytes(), values.tobytes())
                 if table not in memo:
-                    memo[table] = decode_at_key(rm, dict(table), key)
+                    memo[table] = decode_at_key(rm, points, values, key)
                 mismatches += memo[table] != direct
                 patterns_swept += 1
             # full end-to-end protocol on a pattern subsample

@@ -276,6 +276,17 @@ def test_main_cap_env_enforced_on_audit(tmp_path, capsys):
     assert "exceeds cap 100" in json.loads(capsys.readouterr().out)["error"]
 
 
+def test_audit_checks_the_cap_before_building_the_table(monkeypatch):
+    # q^n = 2^28 probabilities exceed the default cap: refused before the
+    # table (2 GiB) is built
+    def build_table(*args):
+        raise AssertionError("the probability table was built")
+
+    monkeypatch.setattr(cli, "_dist_from_config", build_table)
+    with pytest.raises(ValueError, match="268435456 outcomes exceeds cap"):
+        cmd_audit(dict(AUDIT_UNIFORM, n=28))
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--cap", "100"],
     ["keysize-curves", "--variant", "proof"],

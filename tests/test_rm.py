@@ -20,7 +20,6 @@ import icc_kit.rm
 from icc_kit.gf import pivot_columns, rank
 from icc_kit.poly import evaluate, monomials, random_poly
 from icc_kit.rm import (
-    InfoSet,
     RMCode,
     SuperSet,
     decode_at_key,
@@ -41,8 +40,8 @@ def all_points(q, m):
 def basis_at(rm, point):
     """Independent oracle: every basis monomial at one point by Python pow."""
     return tuple(
-        math.prod(pow(x, e, rm.q) for x, e in zip(point, exp)) % rm.q
-        for exp in rm.monomial_basis
+        math.prod(pow(int(x), e, rm.q) for x, e in zip(point, exp)) % rm.q
+        for exp in monomials(rm.m, rm.d, rm.q).tolist()
     )
 
 
@@ -86,10 +85,11 @@ def test_top_admissible_degree_dimension():
 
 
 def test_information_set_points_are_lexicographic():
-    assert information_set(rm_code(2, 1, 2)).points == ((0, 0), (0, 1), (1, 0))
-    points = information_set(rm_code(3, 2, 2)).points
-    assert points == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
-    assert list(points) == sorted(points)
+    assert information_set(rm_code(2, 1, 2)).tolist() == [[0, 0], [0, 1], [1, 0]]
+    points = information_set(rm_code(3, 2, 2))
+    assert points.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [2, 0]]
+    assert points.tolist() == sorted(points.tolist())
+    assert not points.flags.writeable
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
@@ -102,30 +102,31 @@ def test_information_set_is_the_greedy_pivot_set_over_all_points(q, m):
     for d in range(m * (q - 1)):
         rm = rm_code(q, d, m)
         cols = tuple(zip(*(basis_at(rm, pt) for pt in points)))
-        assert information_set(rm).points == tuple(points[c] for c in pivot_columns(cols, q))
+        assert information_set(rm).tolist() == [list(points[c]) for c in pivot_columns(cols, q)]
 
 
 def test_information_set_is_invertible_and_deterministic():
     for q, d, m in [(2, 1, 2), (2, 2, 3), (3, 2, 2), (5, 2, 2), (3, 3, 2)]:
         rm = rm_code(q, d, m)
         info = information_set(rm)
-        assert len(info.points) == rm.dimension
-        assert len(set(info.points)) == rm.dimension
-        assert restricted_rank(rm, info.points) == rm.dimension
-        assert information_set(rm).points == info.points
+        assert info.shape == (rm.dimension, m)
+        assert len(set(map(tuple, info.tolist()))) == rm.dimension
+        assert restricted_rank(rm, info) == rm.dimension
+        assert np.array_equal(information_set(rm), info)
 
 
 def test_information_set_binary_affine_case():
     rm = rm_code(2, 1, 2)
-    assert len(information_set(rm).points) == 3
+    assert len(information_set(rm)) == 3
 
 
 def test_trivial_superset_layout():
     rm = rm_code(2, 1, 3)  # dimension 4
-    assert trivial_superset(rm, 0).entries == information_set(rm).points
+    assert np.array_equal(trivial_superset(rm, 0).entries, information_set(rm))
     ss = trivial_superset(rm, 2)
-    assert len(ss.entries) == 12
-    assert ss.entries == information_set(rm).points * 3
+    assert ss.entries.shape == (12, 3)
+    assert np.array_equal(ss.entries, np.concatenate([information_set(rm)] * 3))
+    assert not ss.entries.flags.writeable
     with pytest.raises(ValueError):
         trivial_superset(rm, -1)
 
@@ -140,17 +141,16 @@ def test_superset_survives_every_loss_pattern(q, d, m, S):
     assert n_entries <= 12
     for lost in itertools.combinations(range(n_entries), S):
         responded = [i for i in range(n_entries) if i not in lost]
-        info = select_available_infoset(ss, responded)
-        chosen = set(info.sources)
-        assert chosen <= set(responded)
-        assert restricted_rank(rm, info.points) == rm.dimension
+        sources = select_available_infoset(ss, responded)
+        assert set(sources.tolist()) <= set(responded)
+        assert restricted_rank(rm, ss.entries[sources]) == rm.dimension
 
 
 def test_select_without_stragglers_returns_canonical_set():
     rm = rm_code(3, 2, 2)
     ss = trivial_superset(rm, 1)
-    info = select_available_infoset(ss, range(len(ss.entries)))
-    assert info.points == information_set(rm).points
+    sources = select_available_infoset(ss, range(len(ss.entries)))
+    assert np.array_equal(ss.entries[sources], information_set(rm))
 
 
 def test_select_falls_back_to_other_replicas():
@@ -158,9 +158,9 @@ def test_select_falls_back_to_other_replicas():
     ss = trivial_superset(rm, 1)
     d = rm.dimension
     # first replica entirely silent; second must carry every position
-    info = select_available_infoset(ss, range(d, 2 * d))
-    assert info.points == information_set(rm).points
-    assert all(src >= d for src in info.sources)
+    sources = select_available_infoset(ss, range(d, 2 * d))
+    assert np.array_equal(ss.entries[sources], information_set(rm))
+    assert (sources >= d).all()
 
 
 def test_select_validates_indices_and_coverage():
@@ -168,6 +168,9 @@ def test_select_validates_indices_and_coverage():
     ss = trivial_superset(rm, 1)
     with pytest.raises(ValueError):
         select_available_infoset(ss, [0, 99])
+    # a float index is rejected rather than truncated to an entry
+    with pytest.raises(ValueError, match="responder indices entries must be integers"):
+        select_available_infoset(ss, [0, 1.5, 2, 3])
     # both replicas of position 0 lost: no information set remains
     with pytest.raises(ValueError):
         select_available_infoset(ss, [1, 2, 4, 5])
@@ -177,25 +180,62 @@ def test_select_generic_layout_without_replica_hint():
     rm = rm_code(2, 1, 2)
     pts = all_points(2, 2)
     ss = SuperSet(entries=pts, code_params=(2, 1, 2))
-    info = select_available_infoset(ss, range(4))
-    assert restricted_rank(rm, info.points) == rm.dimension
+    sources = select_available_infoset(ss, range(4))
+    assert restricted_rank(rm, ss.entries[sources]) == rm.dimension
 
 
 @pytest.mark.parametrize("entries", [
-    ((0, 0), (1, 0), (0, 1), (1.5, 0)),  # used to come back inside the InfoSet
-    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),  # used to fail to reshape
+    ((0, 0), (1, 0), (0, 1), (1.5, 0)),  # a float coordinate is not truncated
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),  # three coordinates for m = 2
 ])
 def test_select_generic_layout_validates_entries(entries):
-    ss = SuperSet(entries=entries, code_params=(2, 1, 2))
+    # the super-set checks its entries once, when it is built
     with pytest.raises(ValueError, match="super-set entries"):
-        select_available_infoset(ss, range(4))
+        SuperSet(entries=entries, code_params=(2, 1, 2))
+
+
+def test_superset_list_entries_are_reduced_read_only_and_select():
+    # lists are accepted like tuples, and unreduced or negative coordinates
+    # are held as their residues
+    rm = rm_code(2, 1, 2)
+    g = random_poly(2, 1, 2, 31)
+    for entries in ([[0, 0], [0, 1], [1, 0]], [[2, -2], [0, 3], [-1, 4]]):
+        ss = SuperSet(entries=entries, code_params=(2, 1, 2))
+        assert ss.entries.tolist() == [[0, 0], [0, 1], [1, 0]]
+        assert not ss.entries.flags.writeable
+        sources = select_available_infoset(ss, range(3))
+        assert sources.tolist() == [0, 1, 2]
+        values = [evaluate(g, pt) for pt in ss.entries[sources]]
+        for key in all_points(2, 2):
+            assert decode_at_key(rm, ss.entries[sources], values, key) == evaluate(g, key)
+
+
+def test_select_and_decode_with_coordinates_beyond_int64_products():
+    # at q = 2^61 - 1 entries are held as Python ints; a hand-built super-set
+    # with coordinates above 2^32 and one straggler still decodes exactly
+    q = 2 ** 61 - 1
+    rm = rm_code(q, 2, 2)
+    rng = np.random.default_rng(61)
+    entries = [[int(c) for c in rng.integers(2 ** 32, 2 ** 60, size=2)] for _ in range(8)]
+    ss = SuperSet(entries=entries, code_params=(q, 2, 2))
+    assert ss.entries.dtype == object
+    g = random_poly(2, 2, q, 62)
+    key = [q - 3, 2 ** 40 + 7]
+    for straggler in range(len(entries)):
+        responded = [i for i in range(len(entries)) if i != straggler]
+        sources = select_available_infoset(ss, responded)
+        assert tuple(sources.tolist()) == greedy_selection(rm, entries, responded)[1]
+        points = ss.entries[sources]
+        values = [evaluate(g, pt) for pt in points]
+        assert decode_at_key(rm, points, values, key) == evaluate(g, key)
 
 
 def greedy_selection(rm, entries, responded):
-    """Independent oracle: walk the distinct responding points in
-    lexicographic order and keep a point when the restricted rank grows.
-    Returns (points, lowest responding index of each), or None when the
-    rank stays below the dimension."""
+    """Independent oracle: reduce the entries mod q, walk the distinct
+    responding points in lexicographic order and keep a point when the
+    restricted rank grows. Returns (points, lowest responding index of
+    each), or None when the rank stays below the dimension."""
+    entries = [tuple(c % rm.q for c in pt) for pt in entries]
     responding = set(responded)
     kept = []
     for pt in sorted({entries[i] for i in responding}):
@@ -215,7 +255,7 @@ def test_selection_matches_greedy_oracle(data):
     q, m = data.draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1),
                                       (5, 2), (5, 3)]))
     rm = rm_code(q, data.draw(st.integers(0, min(m * (q - 1) - 1, 4))), m)
-    canonical = information_set(rm).points
+    canonical = list(map(tuple, information_set(rm).tolist()))
     copies = data.draw(st.lists(st.sampled_from([1, 1, 1, 2, 0]),
                                 min_size=len(canonical), max_size=len(canonical)))
     coord = st.integers(0, q - 1) | st.integers(-q, 2 * q)
@@ -231,8 +271,8 @@ def test_selection_matches_greedy_oracle(data):
         with pytest.raises(ValueError, match="do not contain an information set"):
             select_available_infoset(ss, responded)
     else:
-        info = select_available_infoset(ss, responded)
-        assert (info.points, info.sources) == expected
+        sources = select_available_infoset(ss, responded)
+        assert (tuple(map(tuple, ss.entries[sources].tolist())), tuple(sources.tolist())) == expected
 
 
 @pytest.mark.parametrize("q,d,m", [(2, 1, 3), (3, 2, 2), (5, 3, 2), (2, 2, 4)])
@@ -243,13 +283,13 @@ def test_covered_canonical_set_runs_no_elimination(q, d, m, monkeypatch):
     monkeypatch.setattr(icc_kit.rm, "row_reduce", no_elimination)
     rm = rm_code(q, d, m)
     grid = all_points(q, m)
-    info = select_available_infoset(SuperSet(entries=grid, code_params=(q, d, m)), range(len(grid)))
-    assert info.points == information_set(rm).points
-    assert info.sources == tuple(grid.index(pt) for pt in info.points)
+    sources = select_available_infoset(SuperSet(entries=grid, code_params=(q, d, m)),
+                                       range(len(grid)))
+    assert sources.tolist() == [grid.index(tuple(pt)) for pt in information_set(rm).tolist()]
     # the replicated layout with its first replica lost is covered too
     ss = trivial_superset(rm, 1)
-    info = select_available_infoset(ss, range(rm.dimension, 2 * rm.dimension))
-    assert info.sources == tuple(range(rm.dimension, 2 * rm.dimension))
+    sources = select_available_infoset(ss, range(rm.dimension, 2 * rm.dimension))
+    assert sources.tolist() == list(range(rm.dimension, 2 * rm.dimension))
 
 
 def test_codewords_lie_in_generator_row_space():
@@ -268,9 +308,8 @@ def test_codewords_lie_in_generator_row_space():
 
 def test_decode_constant_polynomial():
     rm = rm_code(3, 2, 2)
-    answers = {pt: 2 for pt in information_set(rm).points}
     for key in itertools.product(range(3), repeat=2):
-        assert decode_at_key(rm, answers, key) == 2
+        assert decode_at_key(rm, information_set(rm), [2] * rm.dimension, key) == 2
 
 
 @pytest.mark.parametrize("q,d,m", [(2, 2, 3), (3, 2, 2), (5, 1, 1), (2, 1, 2)])
@@ -280,19 +319,20 @@ def test_decode_reproduces_polynomial_at_every_key(q, d, m):
     info = information_set(rm)
     for _ in range(4):
         g = random_poly(m, d, q, int(rng.integers(2**31)))
-        answers = {pt: evaluate(g, pt) for pt in info.points}
+        values = [evaluate(g, pt) for pt in info]
         for key in itertools.product(range(q), repeat=m):
-            assert decode_at_key(rm, answers, key) == evaluate(g, key)
+            assert decode_at_key(rm, info, values, key) == evaluate(g, key)
 
 
 def test_decode_from_non_canonical_information_set():
     # answers on all points except one canonical pivot still decode
     rm = rm_code(2, 1, 2)
     g = random_poly(2, 1, 2, 5150)
-    skip = information_set(rm).points[0]
-    answers = {pt: evaluate(g, pt) for pt in all_points(2, 2) if pt != skip}
+    skip = tuple(information_set(rm)[0].tolist())
+    points = [pt for pt in all_points(2, 2) if pt != skip]
+    values = [evaluate(g, pt) for pt in points]
     for key in itertools.product(range(2), repeat=2):
-        assert decode_at_key(rm, answers, key) == evaluate(g, key)
+        assert decode_at_key(rm, points, values, key) == evaluate(g, key)
 
 
 RM_PARAMS = sorted({(q, d, m) for q, m, d, _ in scheme_grid()})
@@ -310,51 +350,59 @@ def test_decode_from_random_information_set_matches_evaluate(data):
     basis_cols = tuple(zip(*(basis_at(rm, pt) for pt in order)))
     info = [order[c] for c in pivot_columns(basis_cols, q)]
     assert len(info) == rm.dimension
-    answers = {pt: evaluate(g, pt) for pt in info}
-    assert decode_at_key(rm, answers, key) == evaluate(g, key)
+    assert decode_at_key(rm, info, [evaluate(g, pt) for pt in info], key) == evaluate(g, key)
 
 
 def test_decode_insufficient_answers():
     rm = rm_code(2, 1, 3)
-    info = information_set(rm)
-    answers = {pt: 0 for pt in info.points[:-1]}
+    points = information_set(rm)[:-1]
     with pytest.raises(ValueError):
-        decode_at_key(rm, answers, (0, 0, 0))
+        decode_at_key(rm, points, [0] * len(points), (0, 0, 0))
 
 
 def test_decode_inconsistent_answers():
     rm = rm_code(2, 1, 2)
     g = random_poly(2, 1, 2, 99)
-    answers = {pt: evaluate(g, pt) for pt in all_points(2, 2)}
-    corrupt = (1, 1)
-    answers[corrupt] = (answers[corrupt] + 1) % 2
-    with pytest.raises(ValueError):
-        decode_at_key(rm, answers, (0, 0))
+    points = all_points(2, 2)
+    values = [evaluate(g, pt) for pt in points]
+    corrupt = values[:-1] + [(values[-1] + 1) % 2]  # the answer at (1, 1)
+    with pytest.raises(ValueError, match="inconsistent"):
+        decode_at_key(rm, points, corrupt, (0, 0))
+    # a point may repeat: equal answers decode, conflicting ones do not
+    repeated = points + points[:2]
+    values = [evaluate(g, pt) for pt in repeated]
+    for key in points:
+        assert decode_at_key(rm, repeated, values, key) == evaluate(g, key)
+    with pytest.raises(ValueError, match="inconsistent"):
+        decode_at_key(rm, repeated, values[:-1] + [(values[-1] + 1) % 2], (0, 0))
 
 
 def test_decode_validates_key():
     rm = rm_code(2, 1, 2)
-    answers = {pt: 0 for pt in information_set(rm).points}
+    points = information_set(rm)
     with pytest.raises(ValueError):
-        decode_at_key(rm, answers, (0, 0, 0))
+        decode_at_key(rm, points, [0] * len(points), (0, 0, 0))
     # the key carries no modulus any more; a float key is rejected rather
     # than truncated
     with pytest.raises(ValueError):
-        decode_at_key(rm, answers, (0.0, 0.0))
+        decode_at_key(rm, points, [0] * len(points), (0.0, 0.0))
 
 
 def test_decode_validates_answered_points():
-    # a float coordinate is rejected rather than truncated to (1, 0), and a
-    # point with the wrong number of coordinates is named as such
+    # a float coordinate is rejected rather than truncated to (1, 0), a
+    # point with the wrong number of coordinates is named as such, and there
+    # must be one answer per point
     rm = rm_code(2, 1, 2)
     with pytest.raises(ValueError, match="answered points entries must be integers"):
-        decode_at_key(rm, {(0, 0): 1, (0, 1): 0, (1.5, 0): 1}, (1, 1))
+        decode_at_key(rm, [(0, 0), (0, 1), (1.5, 0)], [1, 0, 1], (1, 1))
     with pytest.raises(ValueError, match=r"answered points must have shape \('\*', 2\)"):
-        decode_at_key(rm, {(0, 0, 0): 1, (0, 1, 0): 0, (1, 0, 0): 1}, (1, 1))
+        decode_at_key(rm, [(0, 0, 0), (0, 1, 0), (1, 0, 0)], [1, 0, 1], (1, 1))
     with pytest.raises(ValueError, match="answered points must be a rectangular array"):
-        decode_at_key(rm, {(0, 0): 1, (0, 1): 0, (1, 0, 0): 1}, (1, 1))
+        decode_at_key(rm, [(0, 0), (0, 1), (1, 0, 0)], [1, 0, 1], (1, 1))
     with pytest.raises(ValueError, match="answers entries must be integers"):
-        decode_at_key(rm, {(0, 0): 1, (0, 1): 0, (1, 0): 1.0}, (1, 1))
+        decode_at_key(rm, [(0, 0), (0, 1), (1, 0)], [1, 0, 1.0], (1, 1))
+    with pytest.raises(ValueError, match=r"answers must have shape \(3,\)"):
+        decode_at_key(rm, [(0, 0), (0, 1), (1, 0)], [1, 0], (1, 1))
 
 
 def test_point_enumeration_is_capped_before_allocation():
@@ -368,4 +416,4 @@ def test_point_enumeration_is_capped_before_allocation():
     q = 2147483647
     rm = rm_code(q, 1, 1)
     assert rm.dimension == rm_dimension(q, 1, 1) == 2
-    assert information_set(rm).points == ((0,), (1,))
+    assert information_set(rm).tolist() == [[0], [1]]
