@@ -343,7 +343,19 @@ def main(argv=None) -> int:
     commands["audit"].add_argument("--variant", choices=("theorem", "proof"), default="theorem",
                                    help="leakage bound constant-factor variant")
     args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a reader that has gone shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader closed the pipe (say, `| head`): point stdout at
+        # devnull so that no later write or the flush at exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
+
+def _run(args) -> int:
+    """One parsed command; returns its exit code."""
     try:
         config = _load_config(args.config)
         if args.seed is not None:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import _check_prime, exact_dtype, field_array, point_digit, rank, row_reduce
+from .gf import check_sampled_field, exact_dtype, field_array, point_digit, rank, row_reduce
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +76,7 @@ class LinearCode:
 
 def sample_code(n: int, m: int, q: int, rng_seed) -> LinearCode:
     """Generator with i.i.d. uniform entries; pure function of the seed."""
-    _check_prime(q)
+    check_sampled_field(q)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(rng_seed)
@@ -85,7 +85,7 @@ def sample_code(n: int, m: int, q: int, rng_seed) -> LinearCode:
 
 def key_gen(m: int, q: int, rng_seed) -> np.ndarray:
     """Uniform key in F_q^m; pure function of the seed."""
-    _check_prime(q)
+    check_sampled_field(q)
     if m < 1:
         raise ValueError("key length must be at least 1")
     return np.random.default_rng(rng_seed).integers(0, q, size=m)

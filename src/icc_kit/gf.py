@@ -31,6 +31,16 @@ def _check_prime(q) -> None:
         raise ValueError(f"field order must be a prime integer, got {q!r}")
 
 
+def check_sampled_field(q) -> None:
+    """_check_prime, and q below 2^63: field elements are drawn with numpy's
+    int64 generator, and the simulated protocol holds its answers as int64."""
+    _check_prime(q)
+    if q >= 2 ** 63:
+        raise ValueError(
+            f"field order {q} is not below 2^63, the bound on randomly drawn field elements"
+        )
+
+
 def exact_dtype(q: int, terms: int = 1):
     """dtype for sums of `terms` products of two residues mod q: int64 while
     terms * (q-1)^2 < 2^63, exact Python ints (object) above."""

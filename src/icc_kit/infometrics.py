@@ -200,9 +200,12 @@ def v_p_distance(dist_a: Distribution, dist_b: Distribution, p: int) -> float:
     """Scaled l_p distance q^n (mean |diff|^p)^(1/p); dominates v_distance."""
     _check_same_shape(dist_a, dist_b)
     _check_order(p)
-    size = dist_a.q ** dist_a.n
-    mean_power = float(np.mean(np.abs(dist_a.probs - dist_b.probs) ** p))
-    return size * mean_power ** (1.0 / p)
+    return float(_vp_rows(dist_a.probs, dist_b.probs, p))
+
+
+def _vp_rows(rows: np.ndarray, ref: np.ndarray, p: int) -> np.ndarray:
+    """v_p_distance of each row of a table (its last axis) from ref."""
+    return rows.shape[-1] * np.mean(np.abs(rows - ref) ** p, axis=-1) ** (1.0 / p)
 
 
 def kl_divergence(dist_a: Distribution, dist_b: Distribution) -> float:
@@ -221,13 +224,18 @@ def renyi_divergence(dist_a: Distribution, dist_b: Distribution, p: int) -> floa
     violation. Upper-bounds kl_divergence for every p >= 2."""
     _check_same_shape(dist_a, dist_b)
     _check_order(p)
-    pa = dist_a.probs
-    pb = dist_b.probs
-    mask = pa > 0
-    if np.any(pb[mask] == 0):
-        return math.inf
-    power_sum = float(np.sum(pa[mask] ** p * pb[mask] ** (1.0 - p)))
-    return _log_q(power_sum, dist_a.q) / (p - 1)
+    return _renyi_divergence_rows(dist_a.probs[None], dist_b.probs, p, dist_a.q)[0]
+
+
+def _renyi_divergence_rows(rows: np.ndarray, ref: np.ndarray, p: int, q: int) -> list:
+    """renyi_divergence of each row of a (count, q^n) table from ref, as floats."""
+    live = rows > 0
+    violated = np.any(live & (ref == 0), axis=1)
+    power_sums = np.sum(rows ** p * np.where(live & (ref > 0), ref, 1.0) ** (1.0 - p), axis=1)
+    return [
+        math.inf if bad else _log_q(float(s), q) / (p - 1)
+        for s, bad in zip(power_sums, violated)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +264,9 @@ def pushforward_encode(dist: Distribution, code: LinearCode, cap=None) -> Distri
 
 def conditional_given(dist: Distribution, selector: SubsetSelector, z) -> Distribution:
     """Law of the full vector given that the selected coordinates equal z,
-    as a table over the whole space (zero off the conditioning slice)."""
+    as a table over the whole space (zero off the conditioning slice).
+    One event at a time: the reference that the dense kernels of
+    check_entropy_gap and relation_in_context are tested against."""
     if selector.n != dist.n:
         raise ValueError("selector was built for a different n")
     z_arr = integer_array(z, "conditioning value")
@@ -272,7 +282,8 @@ def conditional_encoded(
     dist: Distribution, code: LinearCode, selector: SubsetSelector, z, cap=None
 ) -> Distribution:
     """Exact law of data + key.G given that the selected data coordinates
-    equal z. Errors on a zero-probability conditioning event."""
+    equal z. Errors on a zero-probability conditioning event. One event
+    at a time: the reference for _conditional_encoded_laws."""
     return pushforward_encode(conditional_given(dist, selector, z), code, cap)
 
 
@@ -292,25 +303,50 @@ def mutual_information(
 
     Equals I(coset of the data; X_R): given its coset, the encoded vector
     is uniform on it whatever X_R is. Sums J log_q(J / (coset marginal *
-    X_R marginal)) over the nonzero cells J of the (coset, X_R) joint
-    table; at most q^n cells occur, one per data point.
+    X_R marginal)) over the nonzero cells J of the dense (coset, X_R)
+    joint table (_joint_table).
     """
     _check_code_matches(dist, code)
     if selector.n != dist.n:
         raise ValueError("selector was built for a different n")
-    q = dist.q
-    check_cap(q ** (dist.n + code.m), cap)
-    labels, _ = code.coset_labels
-    cols = q ** selector.size
-    cells, cell_of = np.unique(
-        labels * cols + _subset_index(q, dist.n, selector.indices), return_inverse=True
-    )
-    joint = np.bincount(cell_of, weights=dist.probs)
-    coset, sub = np.divmod(cells, cols)
-    marginals = np.bincount(coset, weights=joint)[coset] * np.bincount(sub, weights=joint)[sub]
+    check_cap(dist.q ** (dist.n + code.m), cap)
+    joint = _joint_table(dist, code, selector.indices, cap)
+    marginals = joint.sum(axis=1)[:, None] * joint.sum(axis=0)
     support = joint > 0
     ratio = joint[support] / marginals[support]
-    return float(np.sum(joint[support] * np.log(ratio))) / math.log(q)
+    return float(np.sum(joint[support] * np.log(ratio))) / math.log(dist.q)
+
+
+def _joint_table(dist: Distribution, code: LinearCode, indices, cap) -> np.ndarray:
+    """Dense (coset, X_R) table J[c, z] = P(data in coset c, X_R = z) of
+    shape (q^(n - rank), q^r), for a code that matches dist. Every path
+    that conditions on a subset reads it: one bincount, no sort."""
+    labels, rank = code.coset_labels
+    cols = dist.q ** len(indices)
+    cells = dist.q ** (dist.n - rank) * cols
+    check_cap(cells, cap)
+    flat = np.bincount(labels * cols + _subset_index(dist.q, dist.n, indices),
+                       weights=dist.probs, minlength=cells)
+    return flat.reshape(-1, cols)
+
+
+def _conditional_encoded_laws(dist: Distribution, code: LinearCode, r: int, cap):
+    """conditional_encoded for every conditioning event, a subset at a time:
+    yields (selector, its values z of positive probability, one row per z
+    over F_q^n), in conditioning_events order. Row z is J[label, z] / P(z)
+    / q^rank off the subset's _joint_table; no Distribution is built. The
+    rows of a subset are checked against the cap before they are built."""
+    labels, rank = code.coset_labels
+    for selector in all_subsets(dist.n, r):
+        joint = _joint_table(dist, code, selector.indices, cap)
+        mass = joint.sum(axis=0)
+        live = np.nonzero(mass > 0)[0]
+        check_cap(len(live) * labels.size, cap)
+        rows = (joint[:, live] / mass[live]).T[:, labels] / dist.q ** rank
+        if rows.min() < 0 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
+            raise ValueError("a conditional encoded law is not a probability table")
+        values = [tuple(int(v) for v in np.unravel_index(z, (dist.q,) * r)) for z in live]
+        yield selector, values, rows
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +548,9 @@ def smoothing_report(
     conditionals = ()
     if subset_size is not None:
         conditionals = tuple(
-            ((selector.indices, z),
-             v_p_distance(conditional_encoded(dist, code, selector, z, cap), encoded, p))
-            for selector, z in conditioning_events(dist, subset_size)
+            ((selector.indices, z), float(vp))
+            for selector, values, rows in _conditional_encoded_laws(dist, code, subset_size, cap)
+            for z, vp in zip(values, _vp_rows(rows, encoded.probs, p))
         )
     relaxed = 2 ** ((2 * p - 1) / p) * epsilon ** (1.0 / p) if epsilon < 1 else math.inf
     return SmoothingReport(
@@ -538,15 +574,23 @@ def check_entropy_gap(dist: Distribution, p: int, r: int) -> dict:
 
     over every size-r coordinate subset R and every value z the subset
     attains with positive probability. Returns lhs, rhs, slack, holds.
+
+    H_p(X | X_R = z) falls as the power sum of the conditional law rises,
+    so rhs is taken from the largest power sum over all (R, z). Each slice
+    is normalised before its power is taken: raising the raw masses of a
+    slice of mass 1e-200 would underflow to 0.
     """
     _check_order(p)
     if not 1 <= r < dist.n:
         raise ValueError("need 1 <= r < n")
     full_entropy, max_subset = subset_entropies(dist, p, r)
-    rhs = min(
-        renyi_entropy(conditional_given(dist, selector, z), p)
-        for selector, z in conditioning_events(dist, r)
-    )
+    worst = 0.0
+    for selector in all_subsets(dist.n, r):
+        sub = _subset_index(dist.q, dist.n, selector.indices)
+        mass = np.bincount(sub, weights=dist.probs, minlength=dist.q ** r)
+        scaled = dist.probs / np.where(mass > 0, mass, 1.0)[sub]
+        worst = max(worst, float(np.bincount(sub, weights=scaled ** p).max()))
+    rhs = _log_q(worst, dist.q) / (1 - p)
     lhs = full_entropy - max_subset
     return {
         "lhs": lhs,
@@ -566,9 +610,13 @@ def check_divergence_distance_relation(
     second argument is a strictly positive (smoothed) law. Raw values are
     reported so a violation is inspectable rather than silently asserted.
     """
-    vp = v_p_distance(dist_a, dist_b, p)
-    dp = renyi_divergence(dist_a, dist_b, p)
-    bound = p / (p - 1) * _log_q(1 + vp, dist_a.q)
+    return _relation_report(
+        v_p_distance(dist_a, dist_b, p), renyi_divergence(dist_a, dist_b, p), p, dist_a.q
+    )
+
+
+def _relation_report(vp: float, dp: float, p: int, q: int) -> dict:
+    bound = p / (p - 1) * _log_q(1 + vp, q)
     return {"vp": vp, "dp": dp, "bound": bound, "holds": dp <= bound + VERDICT_TOL}
 
 
@@ -590,10 +638,10 @@ def relation_in_context(dist: Distribution, p: int, a: float, rng, cap=None):
     code = sample_code(dist.n, m, dist.q, int(rng.integers(0, 2 ** 63)))
     encoded = pushforward_encode(dist, code, cap)
     reports = [
-        check_divergence_distance_relation(
-            conditional_encoded(dist, code, selector, z, cap), encoded, p
-        )
-        for selector, z in conditioning_events(dist, 1)
+        _relation_report(float(vp), dp, p, dist.q)
+        for _, _, rows in _conditional_encoded_laws(dist, code, 1, cap)
+        for vp, dp in zip(_vp_rows(rows, encoded.probs, p),
+                          _renyi_divergence_rows(rows, encoded.probs, p, dist.q))
     ]
     if max(report["vp"] for report in reports) > _vp_envelope(bp, "proof"):
         return None

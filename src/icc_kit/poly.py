@@ -20,7 +20,9 @@ from math import comb
 
 import numpy as np
 
-from .gf import _check_prime, check_cap, exact_dtype, field_array, integer_array
+from .gf import (
+    _check_prime, check_cap, check_sampled_field, exact_dtype, field_array, integer_array,
+)
 
 
 def reduce_exponent(e: int, q: int) -> int:
@@ -294,7 +296,7 @@ def random_poly(num_vars: int, degree: int, q: int, rng_seed) -> MultiPoly:
     Deterministic under rng_seed; zero draws drop the monomial."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    _check_prime(q)
+    check_sampled_field(q)
     # exponent entries of the basis, as the JSON form lists them
     check_cap(monomial_count(num_vars, degree, q) * num_vars)
     var, exp = monomial_slots(num_vars, degree, q)

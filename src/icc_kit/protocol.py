@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .codes import LinearCode, encode, key_gen, shift
-from .gf import _check_prime
+from .gf import check_sampled_field
 from .poly import MultiPoly, evaluate_batch
 from .rm import SuperSet, rm_code, rm_dimension, select_available_infoset, trivial_superset
 
@@ -43,7 +43,7 @@ class SchemeParams:
     straggler_budget: int
 
     def __post_init__(self):
-        _check_prime(self.q)
+        check_sampled_field(self.q)
         if not 1 <= self.protected_size < self.n:
             raise ValueError("need 1 <= protected_size < n")
         if self.degree_bound < 0:

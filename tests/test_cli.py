@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -230,6 +233,33 @@ def test_main_crash_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["error"].startswith("RuntimeError: ")
     assert "Traceback" not in captured.err
+
+
+def test_main_simulate_refuses_field_order_from_2_63(tmp_path, capsys):
+    path = write_config(tmp_path, dict(BASE_SIM, n=4, q=2**64 - 59, m=3, seed=5))
+    assert main(["simulate", "--config", path]) == 2
+    assert "not below 2^63" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_main_closed_stdout_exits_2_without_traceback(tmp_path, unbuffered):
+    # `icc-kit simulate | head` closes the pipe early; the write must not
+    # fail again in the crash handler or in the flush at interpreter exit.
+    # Buffered, the write fails only at the flush; unbuffered, in print.
+    path = write_config(tmp_path, BASE_SIM)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "icc_kit.cli", "simulate", "--config", path],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                     PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == ""
 
 
 def test_main_simulate_many_variables(tmp_path, capsys):

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from icc_kit.codes import LinearCode, sample_code
@@ -413,6 +413,16 @@ def test_cap_guards_joint_enumeration():
         mutual_information(uniform(2, 4), code, SubsetSelector((0,), 4), cap=2**6)
     check_cap(2**6, 2**6)  # at the cap is allowed
     assert DEFAULT_CAP == 2**24
+    # a subset wider than m + rank: the dense (coset, X_R) table has
+    # 2^(8-1+6) cells, beyond a cap that admits q^(n+m) = 2^9
+    code = LinearCode([[1] * 8], 2)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        mutual_information(uniform(2, 8), code, SubsetSelector(tuple(range(6)), 8), cap=2**10)
+    # q^(n+m) = 32 and the table of a 2-subset fit the cap; its 4 rows of 16 do not
+    code = LinearCode([[1, 1, 0, 1]], 2)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        smoothing_report(uniform(2, 4), code, 2, 0.5, subset_size=2, cap=32)
+    assert len(smoothing_report(uniform(2, 4), code, 2, 0.5, 2, cap=64).conditional_vps) == 24
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +569,98 @@ def test_entropy_gap_random_distributions():
         report = check_entropy_gap(d, p, r)
         assert report["holds"], report
         assert report["slack"] >= -TOL
+
+
+def _laws_with_empty_slices(draw, q, n):
+    """A Dirichlet draw, a copy with one whole slice X_i = v and scattered
+    outcomes set to zero, or a point mass."""
+    kind = draw(st.sampled_from(["dirichlet", "zero slices", "point mass"]))
+    points = np.array(list(itertools.product(range(q), repeat=n)))
+    if kind == "point mass":
+        return point_mass(q, n, tuple(points[draw(st.integers(0, q**n - 1))].tolist()))
+    probs = random_dirichlet(q, n, draw(st.integers(0, 2**31))).probs.copy()
+    if kind == "zero slices":
+        probs[points[:, draw(st.integers(0, n - 1))] == draw(st.integers(0, q - 1))] = 0.0
+        keep = int(np.argmax(probs))
+        probs[[i for i in draw(st.lists(st.integers(0, q**n - 1))) if i != keep]] = 0.0
+    return Distribution(q, n, probs / probs.sum())
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_dense_kernels_match_per_event_oracle(data):
+    # the slow path builds one conditional Distribution per (R, z) event
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(2, {2: 5, 3: 4, 5: 3}[q]))
+    r = data.draw(st.integers(1, min(2, n - 1)))
+    p = data.draw(st.sampled_from([2, 3, 4]))
+    dist = _laws_with_empty_slices(data.draw, q, n)
+    events = list(conditioning_events(dist, r))
+    oracle_rhs = min(renyi_entropy(conditional_given(dist, sel, z), p) for sel, z in events)
+    assert abs(check_entropy_gap(dist, p, r)["rhs"] - oracle_rhs) <= 1e-12
+    m = data.draw(st.integers(1, n))
+    gen = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+    code = LinearCode(gen, q)
+    encoded = pushforward_encode(dist, code)
+    oracle_vps = [
+        ((sel.indices, z), v_p_distance(conditional_encoded(dist, code, sel, z), encoded, p))
+        for sel, z in events
+    ]
+    report = smoothing_report(dist, code, p, 0.5, subset_size=r)
+    assert [key for key, _ in report.conditional_vps] == [key for key, _ in oracle_vps]
+    for (_, vp), (_, oracle_vp) in zip(report.conditional_vps, oracle_vps):
+        assert abs(vp - oracle_vp) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_relation_reports_match_per_event_oracle(data):
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    p = data.draw(st.sampled_from([2, 3] if q == 5 else [2, 3, 4]))
+    n = p + (3 if q == 2 else 2)  # the smallest n whose budget clears the screen
+    dist = random_dirichlet(q, n, data.draw(st.integers(0, 2**31)), alpha=100.0)
+    seed = data.draw(st.integers(0, 2**31))
+    code_seed = int(np.random.default_rng(seed).integers(0, 2**63))  # the screen's one draw
+    screened = relation_in_context(dist, p, 2.0, np.random.default_rng(seed))
+    assume(screened is not None)
+    reports, bp = screened
+    code = sample_code(n, math.ceil(keysize_lower_bound(bp)), q, code_seed)
+    encoded = pushforward_encode(dist, code)
+    oracle = [
+        check_divergence_distance_relation(conditional_encoded(dist, code, sel, z), encoded, p)
+        for sel, z in conditioning_events(dist, 1)
+    ]
+    assert len(reports) == len(oracle)
+    for report, expected in zip(reports, oracle):
+        assert report["holds"] == expected["holds"]
+        for key in ("vp", "dp", "bound"):
+            assert abs(report[key] - expected[key]) <= 1e-12, key
+
+
+def test_entropy_gap_normalises_a_slice_of_tiny_mass():
+    # the slice X_0 = 1 holds 1e-200: its raw masses squared underflow to 0,
+    # yet its conditional law (0.7, 0.1, 0.1, 0.1) is the least entropic one
+    tiny = 1e-200 * np.array([0.7, 0.1, 0.1, 0.1])
+    dist = Distribution(2, 3, np.concatenate([np.full(4, (1.0 - tiny.sum()) / 4), tiny]))
+    oracle = min(renyi_entropy(conditional_given(dist, sel, z), 2)
+                 for sel, z in conditioning_events(dist, 1))
+    assert abs(oracle + math.log2(0.52)) <= 1e-12
+    assert abs(check_entropy_gap(dist, 2, 1)["rhs"] - oracle) <= 1e-12
+
+
+def test_conditioning_paths_build_no_per_event_distribution(monkeypatch):
+    import icc_kit.infometrics as im
+
+    def per_event(*args, **kwargs):
+        raise AssertionError("a per-event Distribution was built")
+
+    monkeypatch.setattr(im, "conditional_given", per_event)
+    monkeypatch.setattr(im, "conditional_encoded", per_event)
+    dist = random_dirichlet(2, 5, 3, alpha=100.0)
+    assert check_entropy_gap(dist, 2, 2)["holds"]
+    assert relation_in_context(dist, 2, 2.0, np.random.default_rng(11)) is not None
+    assert len(smoothing_report(dist, sample_code(5, 3, 2, 4), 2, 0.5, 1).conditional_vps) == 10
 
 
 def test_divergence_distance_relation_identity_case():

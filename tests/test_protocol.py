@@ -137,6 +137,19 @@ def test_round_trip_at_large_primes_matches_evaluate(data):
     assert computation_phase(session, f, stragglers) == evaluate(f, x)
 
 
+def test_random_draws_refuse_field_orders_from_2_63():
+    # numpy draws int64 field elements, so 2^64 - 59 failed with a raw
+    # "high is out of bounds for int64"; each drawing entry point names the bound
+    q = 2**64 - 59
+    with pytest.raises(ValueError, match=r"not below 2\^63"):
+        make_params(n=4, q=q)
+    for draw in (lambda: sample_code(4, 2, q, 1), lambda: key_gen(2, q, 1),
+                 lambda: random_poly(4, 1, q, 1)):
+        with pytest.raises(ValueError, match=r"not below 2\^63"):
+            draw()
+    assert len(key_gen(2, 2**63 - 25, 1)) == 2  # the largest prime below the bound
+
+
 def test_budget_and_degree_rejections():
     params = make_params(n=4, q=2, r=1, d=1, S=1)
     code = sample_code(4, 2, 2, 11)
