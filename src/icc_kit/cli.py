@@ -49,20 +49,20 @@ def _require(config: dict, keys) -> None:
         raise UsageError(f"config is missing required keys: {missing}")
 
 
-def _dist_from_config(spec: dict, q: int, n: int, seed: int) -> im.Distribution:
+def _dist_from_config(spec: dict, q: int, n: int, seed: int, cap=None) -> im.Distribution:
     family = spec.get("family", "dirichlet")
     if family == "uniform":
-        return im.uniform(q, n)
+        return im.uniform(q, n, cap)
     if family == "dirichlet":
-        return im.random_dirichlet(q, n, seed, alpha=float(spec.get("alpha", 1.0)))
+        return im.random_dirichlet(q, n, seed, alpha=float(spec.get("alpha", 1.0)), cap=cap)
     if family == "bernoulli":
         if q != 2:
             raise UsageError("bernoulli family requires q = 2")
-        return im.bernoulli_iid(n, float(spec["alpha"]))
+        return im.bernoulli_iid(n, float(spec["alpha"]), cap)
     if family == "point_mass":
-        return im.point_mass(q, n, tuple(spec["at"]))
+        return im.point_mass(q, n, tuple(spec["at"]), cap)
     if family == "explicit":
-        return im.Distribution(q, n, np.array(spec["probs"], dtype=np.float64))
+        return im.Distribution(q, n, np.array(spec["probs"], dtype=np.float64), cap)
     raise UsageError(f"unknown distribution family {family!r}")
 
 
@@ -150,7 +150,7 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
     dist_seed, *code_seeds = _child_seeds(seed, num_codes + 1)
     # the q^n probability table is the first thing built; q^n <= q^(n+m)
     check_cap(q ** n, cap)
-    dist = _dist_from_config(config.get("dist", {}), q, n, dist_seed)
+    dist = _dist_from_config(config.get("dist", {}), q, n, dist_seed, cap)
 
     m = math.ceil(im.keysize_lower_bound(im.measured_bounds(dist, p, r, epsilon, a)))
     if m < max(1, r):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -61,16 +61,19 @@ def _outcome_index(outcome, q: int, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probability table over F_q^n, indexed lexicographically."""
+    """Probability table over F_q^n, indexed lexicographically; its q^n
+    entries are checked against cap before the table is copied."""
 
     q: int
     n: int
     probs: np.ndarray
+    cap: InitVar[int] = None
 
-    def __post_init__(self):
+    def __post_init__(self, cap):
         _check_prime(self.q)
         if self.n < 1:
             raise ValueError("need at least one coordinate")
+        check_cap(self.q ** self.n, cap)
         table = np.asarray(self.probs, dtype=np.float64)
         if table.shape != (self.q ** self.n,):
             raise ValueError(
@@ -135,33 +138,37 @@ def all_subsets(n: int, r: int):
 # ---------------------------------------------------------------------------
 # named families
 
-def uniform(q: int, n: int) -> Distribution:
+def uniform(q: int, n: int, cap=None) -> Distribution:
     size = q ** n
-    return Distribution(q, n, np.full(size, 1.0 / size))
+    check_cap(size, cap)
+    return Distribution(q, n, np.full(size, 1.0 / size), cap)
 
 
-def point_mass(q: int, n: int, at) -> Distribution:
+def point_mass(q: int, n: int, at, cap=None) -> Distribution:
+    check_cap(q ** n, cap)
     table = np.zeros(q ** n)
     table[_outcome_index(at, q, n)] = 1.0
-    return Distribution(q, n, table)
+    return Distribution(q, n, table, cap)
 
 
-def bernoulli_iid(n: int, alpha: float) -> Distribution:
+def bernoulli_iid(n: int, alpha: float, cap=None) -> Distribution:
     """n i.i.d. binary symbols, each equal to 1 with probability alpha."""
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must lie in [0, 1]")
+    check_cap(2 ** n, cap)
     table = 1.0
     for i in range(n):
         table = table * np.where(point_digit(2, n, i) == 1, alpha, 1.0 - alpha)
-    return Distribution(2, n, np.broadcast_to(table, (2,) * n).ravel())
+    return Distribution(2, n, np.broadcast_to(table, (2,) * n).ravel(), cap)
 
 
-def random_dirichlet(q: int, n: int, rng_seed, alpha: float = 1.0) -> Distribution:
+def random_dirichlet(q: int, n: int, rng_seed, alpha: float = 1.0, cap=None) -> Distribution:
     """Strictly positive random table from a symmetric Dirichlet draw."""
+    check_cap(q ** n, cap)
     rng = np.random.default_rng(rng_seed)
     table = rng.dirichlet(np.full(q ** n, alpha))
     table = table / table.sum()
-    return Distribution(q, n, table)
+    return Distribution(q, n, table, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +266,7 @@ def pushforward_encode(dist: Distribution, code: LinearCode, cap=None) -> Distri
     check_cap(dist.q ** (dist.n + code.m), cap)
     labels, rank = code.coset_labels
     mass = np.bincount(labels, weights=dist.probs)
-    return Distribution(dist.q, dist.n, mass[labels] / dist.q ** rank)
+    return Distribution(dist.q, dist.n, mass[labels] / dist.q ** rank, cap)
 
 
 def conditional_given(dist: Distribution, selector: SubsetSelector, z) -> Distribution:
@@ -275,7 +282,8 @@ def conditional_given(dist: Distribution, selector: SubsetSelector, z) -> Distri
     total = float(dist.probs[mask].sum())
     if total <= 0:
         raise ValueError(f"conditioning on a zero-probability event: {tuple(z_arr.tolist())}")
-    return Distribution(dist.q, dist.n, np.where(mask, dist.probs, 0.0) / total)
+    # capped at its source's size: that table was admitted under the caller's cap
+    return Distribution(dist.q, dist.n, np.where(mask, dist.probs, 0.0) / total, dist.probs.size)
 
 
 def conditional_encoded(
@@ -293,7 +301,7 @@ def marginal(dist: Distribution, selector: SubsetSelector) -> Distribution:
         raise ValueError("selector was built for a different n")
     shaped = dist.probs.reshape((dist.q,) * dist.n)
     drop = tuple(i for i in range(dist.n) if i not in selector.indices)
-    return Distribution(dist.q, selector.size, shaped.sum(axis=drop).ravel())
+    return Distribution(dist.q, selector.size, shaped.sum(axis=drop).ravel(), dist.probs.size)
 
 
 def mutual_information(
@@ -544,7 +552,7 @@ def smoothing_report(
     """Measure v_p(encoded law, uniform) and, when subset_size is given,
     v_p of each conditional encoded law against the unconditioned one."""
     encoded = pushforward_encode(dist, code, cap)
-    unif = uniform(dist.q, dist.n)
+    unif = uniform(dist.q, dist.n, cap)
     conditionals = ()
     if subset_size is not None:
         conditionals = tuple(

@@ -252,29 +252,43 @@ def evaluate(f: MultiPoly, x) -> int:
     return sum(prods) % q
 
 
-def monomial_values(slots, points, q: int) -> np.ndarray:
-    """Every monomial at every point mod q, shape (terms, points).
-
-    slots is a (variables, exponents) pair of (terms, k) arrays, as held by
-    MultiPoly and monomial_slots; a (0, 0) slot contributes a factor 1. A
-    term gathers only the coordinates of its slots (at most d for total
-    degree d) and raises them by square-and-multiply, so the cost is
-    O(points * terms * d) whatever the number of variables. Entries are
-    int64 while a product of two residues fits, Python ints above.
-    """
+def _monomial_products(slots, points, q: int) -> tuple:
+    """(products, bound): every monomial at every point, shape (terms,
+    points), congruent mod q to its value and at most bound. slots is a
+    (variables, exponents) pair of (terms, k) arrays; a (0, 0) slot is a
+    factor 1. Each distinct (variable, exponent) pair, at most terms * k of
+    them, is raised once into a (pairs, points) table of residues, and a
+    term multiplies its gathered rows: O(points * terms * d) for degree d.
+    In int64 a product is reduced only when the next could reach 2^63."""
     dtype = exact_dtype(q)
-    coords = np.ascontiguousarray(np.asarray(points, dtype=dtype).T % q)
+    coords = np.asarray(points, dtype=dtype).T % q
     var, exp = slots
-    vals = np.ones((len(var), coords.shape[1]), dtype=dtype)
-    for slot_var, e in zip(var.T, exp.T):
-        base = coords[slot_var]
-        for bit in range(int(e.max(initial=0)).bit_length()):
-            if bit:
-                np.remainder(base * base, q, out=base)
-            odd = ((e >> bit) & 1).astype(bool)[:, None]
-            np.multiply(vals, base, out=vals, where=odd)
-            np.remainder(vals, q, out=vals, where=odd)
-    return vals
+    # a pair is keyed by its exponent's rank: var * q + exp overflows near q = 2^61
+    exps = np.sort(exp, axis=None)
+    exps = exps[np.diff(exps, prepend=-1) != 0]
+    pairs, pair_of = np.unique(var * len(exps) + np.searchsorted(exps, exp), return_inverse=True)
+    pair_exp, base = exps[pairs % len(exps)], coords[pairs // len(exps)]
+    table = np.ones_like(base)
+    for bit in range(int(pair_exp.max(initial=0)).bit_length()):
+        if bit:
+            np.remainder(base * base, q, out=base)
+        odd = ((pair_exp >> bit) & 1).astype(bool)[:, None]
+        np.multiply(table, base, out=table, where=odd)
+        np.remainder(table, q, out=table, where=odd)
+    vals, bound = np.ones((len(var), coords.shape[1]), dtype), 1
+    for col in pair_of.reshape(exp.shape).T:
+        if dtype is np.int64 and bound * (q - 1) >= 2 ** 63:
+            np.remainder(vals, q, out=vals)
+            bound = q - 1
+        vals *= table[col]
+        bound *= q - 1
+    return vals, bound
+
+
+def monomial_values(slots, points, q: int) -> np.ndarray:
+    """Every monomial at every point mod q, shape (terms, points)."""
+    vals, bound = _monomial_products(slots, points, q)
+    return vals % q if bound >= q else vals
 
 
 def evaluate_batch(f: MultiPoly, points: np.ndarray) -> np.ndarray:
@@ -282,12 +296,15 @@ def evaluate_batch(f: MultiPoly, points: np.ndarray) -> np.ndarray:
 
     points: integer array of shape (count, num_vars); q below 2^63.
     Returns an int64 array of f values, equal to evaluate() pointwise.
+    The coefficients meet the products unreduced while the sum fits int64.
     """
-    pts = field_array(points, f.q, (None, f.num_vars), "points")
-    vals = monomial_values(f.slots, pts, f.q)
-    # the sum over terms of coefficient-times-value products must fit too
-    dtype = exact_dtype(f.q, len(f.coefs))
-    return (f.coefs.astype(dtype) @ vals.astype(dtype, copy=False) % f.q).astype(np.int64)
+    q, terms = f.q, len(f.coefs)
+    pts = field_array(points, q, (None, f.num_vars), "points")
+    vals, bound = _monomial_products(f.slots, pts, q)
+    if terms * (q - 1) * bound >= 2 ** 63:
+        vals, bound = vals % q, q - 1
+    dtype = np.int64 if terms * (q - 1) * bound < 2 ** 63 else object
+    return (f.coefs.astype(dtype) @ vals.astype(dtype, copy=False) % q).astype(np.int64)
 
 
 def random_poly(num_vars: int, degree: int, q: int, rng_seed) -> MultiPoly:

@@ -3,10 +3,10 @@
 Storage phase: the user masks the data with a random codeword
 (encoded = data + key.G), uploads the masked vector, and keeps only the
 key. The admin derives one share per worker by shifting the masked
-vector along super-set points. Computation phase: workers evaluate the
-polynomial on their shares, the admin collects answers on an available
-information set, and the user interpolates and evaluates at the key,
-recovering the polynomial's value on the original data exactly.
+vector along super-set points. Computation phase: the admin picks an
+information set among the responders, only those D workers evaluate the
+polynomial on their shares, and the user interpolates and evaluates at the
+key, recovering the polynomial's value on the original data exactly.
 
 The session is an in-process transcript of which side saw what, so the
 separation claims (admin never holds the key, user never retains the
@@ -205,20 +205,15 @@ def computation_phase(
     )
 
     responding = [i for i in range(num_workers) if i not in straggler_set]
-    # indexed by worker id; a straggler's slot is never read
-    answers = np.zeros(num_workers, dtype=np.int64)
-    answers[responding] = evaluate_batch(f, session.admin.shares[responding])
     session.transcript.append(
-        {
-            "phase": "computation",
-            "event": "answers_collected",
-            "workers": responding,
-        }
+        {"phase": "computation", "event": "answers_collected", "workers": responding}
     )
 
+    # selection reads only points, so only the chosen workers' answers,
+    # distinct points in lexicographic order, are computed
     sources = select_available_infoset(session.admin.superset, responding)
-    # selection returns distinct points in lexicographic order
-    points, values = session.admin.superset.entries[sources], answers[sources]
+    points = session.admin.superset.entries[sources]
+    values = evaluate_batch(f, session.admin.shares[sources])
     session.last_answer_count = len(sources)
     session.transcript.append(
         {

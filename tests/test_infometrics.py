@@ -118,6 +118,38 @@ def test_random_dirichlet_is_a_distribution_and_deterministic():
     assert (a.probs >= 0).all()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: uniform(2, 30),
+    lambda: point_mass(2, 30, (0,) * 30),
+    lambda: bernoulli_iid(30, 0.25),
+    lambda: random_dirichlet(2, 30, 7),
+    lambda: Distribution(2, 30, [1.0]),
+], ids=["uniform", "point_mass", "bernoulli_iid", "random_dirichlet", "Distribution"])
+def test_table_builders_refuse_beyond_the_cap_before_allocating(build):
+    # 2^30 float64 probabilities would take 8 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1073741824 outcomes exceeds cap"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_table_builders_take_the_cap_argument():
+    # q^n at the cap is built, one entry above it is refused
+    for build in (uniform, lambda q, n, cap: random_dirichlet(q, n, 3, cap=cap)):
+        assert len(build(2, 3, cap=8).probs) == 8
+        with pytest.raises(ValueError, match="exceeds cap 7"):
+            build(2, 3, cap=7)
+    assert point_mass(3, 2, (1, 2), cap=9).prob_of((1, 2)) == 1.0
+    with pytest.raises(ValueError, match="exceeds cap 4"):
+        bernoulli_iid(3, 0.5, cap=4)
+    with pytest.raises(ValueError, match="exceeds cap 4"):
+        Distribution(2, 3, np.full(8, 0.125), cap=4)
+
+
 def test_subset_selector_bounds():
     SubsetSelector((0, 2), 4)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from icc_kit.poly import (
     MultiPoly,
     evaluate,
     evaluate_batch,
+    monomial_values,
     monomials,
     random_poly,
     reduce_exponent,
@@ -169,6 +170,67 @@ def test_evaluate_batch_matches_evaluate_at_every_prime(case):
     f, points = case
     vals = evaluate_batch(f, np.array(points, dtype=np.int64))
     assert [int(v) for v in vals] == [evaluate(f, x) for x in points]
+
+
+# The lazy-reduction boundaries of the monomial kernel, with the first
+# prime past each: three residues multiply within int64 below 2^21 (and
+# wrap just above it), two do below sqrt(2^63) (and are Python ints just
+# above it), and at 2^61 - 1 every product is an exact Python int.
+BOUNDARY_PRIMES = [2097143, 2097169, 3037000493, 3037000507, 2**61 - 1]
+
+
+def _near_top(low, q):
+    """Integers in [low, q), half of the draws within 3 of q - 1, where the
+    products come closest to the bounds."""
+    return st.one_of(st.integers(low, q - 1), st.integers(max(low, q - 4), q - 1))
+
+
+@st.composite
+def boundary_polys(draw):
+    q = draw(st.sampled_from(BOUNDARY_PRIMES))
+    n = draw(st.integers(1, 4))
+    exp = st.tuples(*[st.one_of(st.integers(0, 3), _near_top(q - 3, q))] * n)
+    terms = draw(st.lists(st.tuples(exp, _near_top(1, q)), min_size=1, max_size=40))
+    points = draw(st.lists(st.tuples(*[_near_top(0, q)] * n), min_size=1, max_size=6))
+    return MultiPoly.from_terms(n, q, terms), points
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=boundary_polys())
+def test_lazy_reduction_matches_evaluate_at_the_boundary_primes(case):
+    f, points = case
+    assert [int(v) for v in evaluate_batch(f, np.array(points))] == [evaluate(f, x) for x in points]
+    # each monomial on its own: the reduced kernel output against evaluate
+    values = monomial_values(f.slots, points, f.q)
+    for t, exp in enumerate(f.terms):
+        single = MultiPoly.from_terms(f.num_vars, f.q, {exp: 1})
+        assert [int(v) for v in values[t]] == [evaluate(single, x) for x in points]
+
+
+@pytest.mark.parametrize("q", BOUNDARY_PRIMES)
+def test_lazy_reduction_at_the_largest_products(q):
+    # every factor and coefficient is q - 1: a three-slot product reaches
+    # (q-1)^3, and three two-slot terms sum to 3 (q-1)^3 before reduction
+    x = (q - 1,) * 3
+    three_slots = MultiPoly.from_terms(3, q, {(1, 1, 1): q - 1, (1, 0, 0): q - 1})
+    pairs = MultiPoly.from_terms(3, q, {(1, 1, 0): q - 1, (1, 0, 1): q - 1, (0, 1, 1): q - 1})
+    for f in (three_slots, pairs):
+        assert int(evaluate_batch(f, np.array([x]))[0]) == evaluate(f, x)
+        # (q-1)^k is 1 for an even k and q - 1 for an odd k
+        assert monomial_values(f.slots, [x], q).ravel().tolist() == [
+            1 if sum(exp) % 2 == 0 else q - 1 for exp in f.terms]
+
+
+def test_lazy_reduction_contracts_past_int64_at_2_61_minus_1():
+    # 40 terms of three slots at x = q - 1: T (q-1)^(k+1) is far past 2^63
+    q = 2**61 - 1
+    terms = {tuple(int(i in (a, b, c)) for i in range(6)): q - 1 - t
+             for t, (a, b, c) in enumerate(itertools.combinations(range(6), 3))}
+    terms.update({(e, 1, 0, 0, 0, 0): q - 2 for e in range(2, 22)})
+    f = MultiPoly.from_terms(6, q, terms)
+    assert len(f.coefs) == 40
+    points = [(q - 1,) * 6, (2, 3, q - 2, 5, 7, q - 3)]
+    assert [int(v) for v in evaluate_batch(f, np.array(points))] == [evaluate(f, x) for x in points]
 
 
 def _dense_reference(f, x):

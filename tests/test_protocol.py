@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from icc_kit.codes import LinearCode, key_gen, sample_code, shift
 from icc_kit.infometrics import Distribution, leakage_audit, uniform
-from icc_kit.poly import MultiPoly, evaluate, random_poly
+from icc_kit import protocol
+from icc_kit.poly import MultiPoly, evaluate, evaluate_batch, random_poly
 from icc_kit.protocol import (
     SchemeParams,
     computation_phase,
@@ -116,6 +117,32 @@ def test_decode_equals_direct_evaluation_all_patterns(q, m, d, S):
     n_workers = session.metrics.num_workers
     for pattern in straggler_patterns(n_workers, S):
         assert computation_phase(session, f, pattern) == direct
+
+
+def test_computation_phase_evaluates_only_the_selected_answers(monkeypatch):
+    # decode reads D = dim RM_q(d, m) answers, so exactly D distinct shares
+    # are evaluated, never the N - |stragglers| that responded
+    params = make_params(n=5, q=3, r=1, d=2, S=2)
+    code = sample_code(5, 3, 3, 21)
+    x = (2, 0, 1, 1, 2)
+    f = random_poly(5, 2, 3, 8)
+    session = storage_phase(x, params, code, 5)
+    dim = session.metrics.download_cost
+    rows = []
+
+    def recording(poly, points):
+        rows.append(np.array(points))
+        return evaluate_batch(poly, points)
+
+    monkeypatch.setattr(protocol, "evaluate_batch", recording)
+    for pattern in straggler_patterns(session.metrics.num_workers, params.straggler_budget):
+        rows.clear()
+        assert computation_phase(session, f, pattern) == evaluate(f, x)
+        assert len(rows) == 1 and rows[0].shape == (dim, params.n)
+        assert len({tuple(row) for row in rows[0].tolist()}) == dim
+        sources = session.transcript[-2]["sources"]
+        assert not set(sources) & set(pattern)
+        assert rows[0].tolist() == session.admin.shares[sources].tolist()
 
 
 @settings(max_examples=60, deadline=None)
