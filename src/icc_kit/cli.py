@@ -148,7 +148,7 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
         raise UsageError("num_codes must be at least 1")
     seed = _int(config["seed"], "seed")
     dist_seed, *code_seeds = _child_seeds(seed, num_codes + 1)
-    # the q^n probability table is the first thing built; q^n <= q^(n+m)
+    # refuse the q^n probability table before anything is built for it
     check_cap(q ** n, cap)
     dist = _dist_from_config(config.get("dist", {}), q, n, dist_seed, cap)
 
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--seed", type=int, default=None, help="overrides config seed")
     for name in ("audit", "metrics-check"):
         commands[name].add_argument("--cap", type=int, default=im.DEFAULT_CAP,
-                                    help="joint-outcome enumeration cap")
+                                    help="most entries any one table may have")
     commands["audit"].add_argument("--variant", choices=("theorem", "proof"), default="theorem",
                                    help="leakage bound constant-factor variant")
     args = parser.parse_args(argv)

@@ -103,8 +103,8 @@ DEFAULT_CAP = 2 ** 24
 
 
 def check_cap(outcomes: int, cap=None) -> None:
-    """Reject an enumeration of more than cap (default DEFAULT_CAP) outcomes
-    before anything is allocated for it."""
+    """Reject a table of more than cap (default DEFAULT_CAP) entries; called
+    just before the table is allocated."""
     limit = DEFAULT_CAP if cap is None else cap
     if outcomes > limit:
         raise ValueError(f"enumeration of {outcomes} outcomes exceeds cap {limit}")

@@ -4,9 +4,10 @@ Everything here is enumeration based: distributions are full tables over
 q^n outcomes. With a uniform key, data + key.G is uniform on the coset of
 the data modulo the code's row space, so encoders are pushed forward and
 audited exactly through the code's one coset labelling of F_q^n
-(LinearCode.coset_labels). Requests whose (data, key) outcome count
-q^(n+m) exceeds the enumeration cap are rejected rather than sampled; the
-point of this module is exact verification, not estimation.
+(LinearCode.coset_labels). The enumeration cap bounds the entries of each
+table built from the caller's input, checked just before it is allocated:
+a request beyond it is rejected rather than sampled, since the point of
+this module is exact verification, not estimation.
 
 Conventions
 -----------
@@ -132,6 +133,8 @@ class SubsetSelector:
 
 def all_subsets(n: int, r: int):
     """Every SubsetSelector of size r over n coordinates."""
+    if not 1 <= r < n:
+        raise ValueError("need 1 <= subset size < n")
     return [SubsetSelector(c, n) for c in itertools.combinations(range(n), r)]
 
 
@@ -164,8 +167,8 @@ def bernoulli_iid(n: int, alpha: float, cap=None) -> Distribution:
 
 def random_dirichlet(q: int, n: int, rng_seed, alpha: float = 1.0, cap=None) -> Distribution:
     """Strictly positive random table from a symmetric Dirichlet draw."""
-    check_cap(q ** n, cap)
     rng = np.random.default_rng(rng_seed)
+    check_cap(q ** n, cap)
     table = rng.dirichlet(np.full(q ** n, alpha))
     table = table / table.sum()
     return Distribution(q, n, table, cap)
@@ -255,18 +258,17 @@ def _check_code_matches(dist: Distribution, code: LinearCode) -> None:
         raise ValueError(f"code length {code.n} does not match n = {dist.n}")
 
 
-def pushforward_encode(dist: Distribution, code: LinearCode, cap=None) -> Distribution:
+def pushforward_encode(dist: Distribution, code: LinearCode) -> Distribution:
     """Exact law of data + key.G under a uniform key.
 
     The encoded vector is uniform on the coset data + C, so
-    out(y) = (mass of y's coset) / q^rank(G). The enumeration cap still
-    bounds the q^(n+m) (data, key) outcomes this law is taken over.
+    out(y) = (mass of y's coset) / q^rank(G). The law has as many entries
+    as dist, whose table was already admitted, so it is not refused again.
     """
     _check_code_matches(dist, code)
-    check_cap(dist.q ** (dist.n + code.m), cap)
     labels, rank = code.coset_labels
     mass = np.bincount(labels, weights=dist.probs)
-    return Distribution(dist.q, dist.n, mass[labels] / dist.q ** rank, cap)
+    return Distribution(dist.q, dist.n, mass[labels] / dist.q ** rank, dist.probs.size)
 
 
 def conditional_given(dist: Distribution, selector: SubsetSelector, z) -> Distribution:
@@ -287,12 +289,12 @@ def conditional_given(dist: Distribution, selector: SubsetSelector, z) -> Distri
 
 
 def conditional_encoded(
-    dist: Distribution, code: LinearCode, selector: SubsetSelector, z, cap=None
+    dist: Distribution, code: LinearCode, selector: SubsetSelector, z
 ) -> Distribution:
     """Exact law of data + key.G given that the selected data coordinates
     equal z. Errors on a zero-probability conditioning event. One event
     at a time: the reference for _conditional_encoded_laws."""
-    return pushforward_encode(conditional_given(dist, selector, z), code, cap)
+    return pushforward_encode(conditional_given(dist, selector, z), code)
 
 
 def marginal(dist: Distribution, selector: SubsetSelector) -> Distribution:
@@ -317,7 +319,6 @@ def mutual_information(
     _check_code_matches(dist, code)
     if selector.n != dist.n:
         raise ValueError("selector was built for a different n")
-    check_cap(dist.q ** (dist.n + code.m), cap)
     joint = _joint_table(dist, code, selector.indices, cap)
     marginals = joint.sum(axis=1)[:, None] * joint.sum(axis=0)
     support = joint > 0
@@ -551,7 +552,7 @@ def smoothing_report(
 ) -> SmoothingReport:
     """Measure v_p(encoded law, uniform) and, when subset_size is given,
     v_p of each conditional encoded law against the unconditioned one."""
-    encoded = pushforward_encode(dist, code, cap)
+    encoded = pushforward_encode(dist, code)
     unif = uniform(dist.q, dist.n, cap)
     conditionals = ()
     if subset_size is not None:
@@ -589,8 +590,6 @@ def check_entropy_gap(dist: Distribution, p: int, r: int) -> dict:
     slice of mass 1e-200 would underflow to 0.
     """
     _check_order(p)
-    if not 1 <= r < dist.n:
-        raise ValueError("need 1 <= r < n")
     full_entropy, max_subset = subset_entropies(dist, p, r)
     worst = 0.0
     for selector in all_subsets(dist.n, r):
@@ -644,7 +643,7 @@ def relation_in_context(dist: Distribution, p: int, a: float, rng, cap=None):
     if m < 1 or m > dist.n:
         return None
     code = sample_code(dist.n, m, dist.q, int(rng.integers(0, 2 ** 63)))
-    encoded = pushforward_encode(dist, code, cap)
+    encoded = pushforward_encode(dist, code)
     reports = [
         _relation_report(float(vp), dp, p, dist.q)
         for _, _, rows in _conditional_encoded_laws(dist, code, 1, cap)

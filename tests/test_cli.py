@@ -301,9 +301,16 @@ def test_main_audit_point_mass_outside_the_space_exits_2(tmp_path, capsys):
 
 
 def test_main_cap_env_enforced_on_audit(tmp_path, capsys):
+    # q^n = 64 probabilities: the largest table this audit builds
     path = write_config(tmp_path, AUDIT_UNIFORM)
-    assert main(["audit", "--config", path, "--cap", "100"]) == 2
-    assert "exceeds cap 100" in json.loads(capsys.readouterr().out)["error"]
+    assert main(["audit", "--config", path, "--cap", "32"]) == 2
+    assert "exceeds cap 32" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_main_audit_refuses_a_subset_size_above_n(tmp_path, capsys):
+    path = write_config(tmp_path, dict(AUDIT_UNIFORM, r=AUDIT_UNIFORM["n"] + 1))
+    assert main(["audit", "--config", path]) == 2
+    assert "need 1 <= subset size < n" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_audit_checks_the_cap_before_building_the_table(monkeypatch):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from icc_kit import gf
 from icc_kit.codes import LinearCode, sample_code
 from icc_kit.infometrics import (
     BoundParams,
@@ -31,6 +32,7 @@ from icc_kit.infometrics import (
     conditional_given,
     keysize_lower_bound,
     kl_divergence,
+    leakage_audit,
     leakage_bound,
     leakage_bounds_both,
     marginal,
@@ -45,6 +47,8 @@ from icc_kit.infometrics import (
     renyi_entropy,
     smoothing_report,
     smoothing_threshold,
+    subset_entropies,
+    subset_leakages,
     uniform,
     v_distance,
     v_p_distance,
@@ -440,21 +444,78 @@ def test_mutual_information_memory_at_cap_boundary():
 
 
 def test_cap_guards_joint_enumeration():
-    code = sample_code(4, 3, 2, 3)
-    with pytest.raises(ValueError):
-        mutual_information(uniform(2, 4), code, SubsetSelector((0,), 4), cap=2**6)
+    # the cap counts the cells of the tables allocated, not the q^(n+m) =
+    # 2^7 (data, key) outcomes: this (coset, X_R) table has 2^(4-3+1) cells
+    dist, code, sel = random_dirichlet(2, 4, 5), sample_code(4, 3, 2, 3), SubsetSelector((0,), 4)
+    joint = _key_loop_joint(dist, code, sel.indices)
+    outer = joint.sum(axis=1)[:, None] * joint.sum(axis=0)[None, :]
+    support = joint > 0
+    oracle_mi = float(np.sum(joint[support] * np.log(joint[support] / outer[support]))) / math.log(2)
+    assert abs(mutual_information(dist, code, sel, cap=2**6) - oracle_mi) <= 1e-12
     check_cap(2**6, 2**6)  # at the cap is allowed
     assert DEFAULT_CAP == 2**24
-    # a subset wider than m + rank: the dense (coset, X_R) table has
-    # 2^(8-1+6) cells, beyond a cap that admits q^(n+m) = 2^9
+    # a subset wider than the rank: the dense (coset, X_R) table has
+    # 2^(8-1+6) cells, beyond the cap
     code = LinearCode([[1] * 8], 2)
     with pytest.raises(ValueError, match="exceeds cap"):
         mutual_information(uniform(2, 8), code, SubsetSelector(tuple(range(6)), 8), cap=2**10)
-    # q^(n+m) = 32 and the table of a 2-subset fit the cap; its 4 rows of 16 do not
+    # the 32-cell table of a 2-subset fits the cap; its 4 rows of 16 do not
     code = LinearCode([[1, 1, 0, 1]], 2)
     with pytest.raises(ValueError, match="exceeds cap"):
         smoothing_report(uniform(2, 4), code, 2, 0.5, subset_size=2, cap=32)
     assert len(smoothing_report(uniform(2, 4), code, 2, 0.5, 2, cap=64).conditional_vps) == 24
+
+
+def test_audit_paths_answer_at_the_table_cap():
+    # q^n = 2^16 = cap: every table an audit allocates has at most q^n
+    # entries for r <= rank, whatever the key length; 2^(16+m) (data, key)
+    # outcomes are no reason to refuse
+    cap = 2**16
+    dist = random_dirichlet(2, 16, 7, cap=cap)
+    sel = SubsetSelector((5,), 16)
+    for m in (1, 2, 15):
+        code = sample_code(16, m, 2, 40 + m)
+        tracemalloc.start()
+        try:
+            mi = mutual_information(dist, code, sel, cap)
+            encoded = pushforward_encode(dist, code)
+            report = leakage_audit(dist, code, 1, p=2, epsilon=0.25, a=2.0, cap=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 <= mi <= report["max_mi"] and report["key_length"] == m
+        assert abs(encoded.probs.sum() - 1.0) < 1e-12
+        assert peak < 8 * (8 * cap), (m, peak / (8 * cap))
+
+
+def test_pushforward_keeps_the_cap_its_table_was_admitted_under(monkeypatch):
+    # a table admitted under its caller's cap yields laws of the same size
+    # that are not refused again under the smaller default
+    monkeypatch.setattr(gf, "DEFAULT_CAP", 2**6)
+    dist = Distribution(2, 8, random_dirichlet(2, 8, 3, cap=2**8).probs, cap=2**8)
+    code = sample_code(8, 3, 2, 4)
+    encoded = pushforward_encode(dist, code)
+    assert encoded.probs.size == 2**8 and abs(encoded.probs.sum() - 1.0) < 1e-12
+    cond = conditional_encoded(dist, code, SubsetSelector((0,), 8), (1,))
+    assert cond.probs.size == 2**8
+    with pytest.raises(ValueError, match="exceeds cap 64"):
+        uniform(2, 8)
+
+
+def test_subset_size_above_n_is_refused():
+    # r = n + 1 selects no subset: refused, not answered with an empty result
+    dist, code = random_dirichlet(2, 4, 1), sample_code(4, 2, 2, 1)
+    calls = [
+        lambda: smoothing_report(dist, code, 2, 0.5, subset_size=5),
+        lambda: subset_leakages(dist, code, 5),
+        lambda: list(conditioning_events(dist, 5)),
+        lambda: subset_entropies(dist, 2, 5),
+        lambda: check_entropy_gap(dist, 2, 5),
+        lambda: leakage_audit(dist, code, 5, p=2, epsilon=0.25, a=2.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="need 1 <= subset size < n"):
+            call()
 
 
 # ---------------------------------------------------------------------------
