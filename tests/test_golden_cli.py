@@ -37,6 +37,17 @@ CASES = {
         {"n": 8, "q": 2, "r": 1, "d": 2, "S": 2, "m": 5, "seed": 12, "stragglers": [0, 7]},
         ["out.json"],
     ),
+    "simulate_wide_straggler": (
+        "simulate",
+        {"n": 90, "q": 5, "r": 1, "d": 2, "S": 1, "m": 4, "seed": 7, "stragglers": [3]},
+        ["out.json"],
+    ),
+    "simulate_q61_straggler": (
+        "simulate",
+        {"n": 6, "q": 2305843009213693951, "r": 1, "d": 2, "S": 1, "m": 3, "seed": 5,
+         "stragglers": [4]},
+        ["out.json"],
+    ),
     "audit_three_codes": (
         "audit",
         {"n": 8, "q": 2, "r": 2, "p": 2, "epsilon": 0.25, "a": 2.0, "seed": 5,
