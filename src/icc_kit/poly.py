@@ -102,6 +102,19 @@ def monomial_count(num_vars: int, max_degree: int, q: int) -> int:
                for j in range(min(num_vars, max_degree // q) + 1))
 
 
+def _rows_ascend(columns, count: int) -> bool:
+    """Whether the count rows made of the given columns strictly increase
+    in lexicographic order. numpy reduces along a short row slowly, so walk
+    the columns, keeping the neighbouring rows not yet told apart."""
+    undecided = np.ones(max(count - 1, 0), bool)
+    for col in columns:
+        # compared, not subtracted: a difference of unsigned entries wraps
+        if (undecided & (col[1:] < col[:-1])).any():
+            return False
+        undecided &= col[1:] == col[:-1]
+    return not undecided.any()
+
+
 @dataclass(frozen=True, eq=False)
 class MultiPoly:
     """Terms in lexicographic exponent order. slots is the (variables,
@@ -132,15 +145,13 @@ class MultiPoly:
                 (rev[:, 1:] >= rev[:, :-1]) & (exp[:, 1:] > 0)).any():
             raise ValueError(f"slots must hold exponents below q={self.q} of distinct variables "
                              f"below {self.num_vars}, in increasing order, then (0, 0) padding")
-        # exponent tuples compare as their rows of (rev, exponent) pairs do;
-        # the zero column keeps argmax defined when no term has a slot
-        key = np.stack([rev, exp], axis=2).reshape(len(exp), 2 * exp.shape[1])
-        step = np.diff(np.pad(key, ((0, 0), (0, 1))), axis=0)
-        if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any():
+        # exponent tuples compare as their rows of (rev, exponent) pairs do
+        if not _rows_ascend(chain.from_iterable(zip(rev.T, exp.T)), len(exp)):
             raise ValueError("terms must be distinct and in lexicographic exponent order")
         if not ((coefs > 0) & (coefs < self.q)).all():
             raise ValueError("stored coefficients must be nonzero residues")
-        degree = int(exp.sum(axis=1).max(initial=0))
+        # summed column by column, as in _rows_ascend
+        degree = int(sum(exp.T, np.zeros(len(exp), exp.dtype)).max(initial=0))
         if self.degree_bound < 0:
             object.__setattr__(self, "degree_bound", degree)
         elif degree > self.degree_bound:
@@ -266,7 +277,11 @@ def _monomial_products(slots, points, q: int) -> tuple:
     # a pair is keyed by its exponent's rank: var * q + exp overflows near q = 2^61
     exps = np.sort(exp, axis=None)
     exps = exps[np.diff(exps, prepend=-1) != 0]
-    pairs, pair_of = np.unique(var * len(exps) + np.searchsorted(exps, exp), return_inverse=True)
+    keys = var * len(exps) + np.searchsorted(exps, exp)
+    # mark the keys in use and number them in key order, without a sort
+    seen = np.zeros(coords.shape[0] * len(exps), bool)
+    seen[keys] = True
+    pairs, pair_of = np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
     pair_exp, base = exps[pairs % len(exps)], coords[pairs // len(exps)]
     table = np.ones_like(base)
     for bit in range(int(pair_exp.max(initial=0)).bit_length()):
@@ -319,5 +334,6 @@ def random_poly(num_vars: int, degree: int, q: int, rng_seed) -> MultiPoly:
     var, exp = monomial_slots(num_vars, degree, q)
     rng = np.random.default_rng(rng_seed)
     coefs = rng.integers(0, q, size=len(var))
-    keep = coefs != 0
-    return MultiPoly(num_vars, q, (var[keep], exp[keep]), coefs[keep], degree)
+    keep = np.flatnonzero(coefs)
+    return MultiPoly(num_vars, q, (var.take(keep, axis=0), exp.take(keep, axis=0)),
+                     coefs.take(keep), degree)

@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .codes import LinearCode, encode, key_gen, shift
-from .gf import check_sampled_field
+from .gf import check_sampled_field, integer_array
 from .poly import MultiPoly, evaluate_batch
 from .rm import SuperSet, rm_code, rm_dimension, select_available_infoset, trivial_superset
 
@@ -43,6 +43,12 @@ class SchemeParams:
     straggler_budget: int
 
     def __post_init__(self):
+        # by integer_array's rule: floats and bools are refused, not truncated
+        for name in ("n", "q", "protected_size", "degree_bound", "straggler_budget"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"scheme parameter {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         check_sampled_field(self.q)
         if not 1 <= self.protected_size < self.n:
             raise ValueError("need 1 <= protected_size < n")
@@ -187,7 +193,10 @@ def computation_phase(
     but possibly absent).
     """
     params = session.user.params
-    straggler_set = set(int(s) for s in stragglers)
+    ids = integer_array(list(stragglers), "straggler ids")
+    if ids.ndim != 1:
+        raise ValueError("straggler ids must be a flat list of worker ids")
+    straggler_set = set(ids.tolist())
     num_workers = len(session.admin.shares)
     if not straggler_set.issubset(range(num_workers)):
         raise ValueError("straggler ids must be valid worker ids")

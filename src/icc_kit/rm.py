@@ -11,7 +11,10 @@ basis, the super-set entries (checked and reduced once, when the super-set
 is built), and the answered points that decode takes beside their values.
 Selection returns the indices of the chosen entries and runs an
 elimination only when the responders miss part of the canonical
-information set.
+information set. Decoding on the canonical set, which is what selection
+returns whenever it runs no elimination, takes Newton divided differences
+over the lower set of basis exponents and runs no elimination either; only
+another information set is decoded by solving its restricted system.
 """
 
 from __future__ import annotations
@@ -101,6 +104,59 @@ def information_set(rm: RMCode) -> np.ndarray:
     return monomials(rm.m, rm.d, rm.q)
 
 
+@lru_cache(maxsize=None)
+def _canonical_keys(rm: RMCode) -> tuple:
+    """(weights, keys): the points of the canonical information set read as
+    base-q numbers (point @ weights), which keeps lexicographic order, so
+    the keys are sorted."""
+    dtype = np.int64 if rm.q ** rm.m <= 2 ** 63 else object
+    weights = np.array([rm.q ** j for j in reversed(range(rm.m))], dtype=dtype)
+    return weights, information_set(rm).astype(dtype) @ weights
+
+
+@lru_cache(maxsize=None)
+def _newton_steps(rm: RMCode) -> tuple:
+    """The divided-difference steps over the canonical information set, one
+    (inverse of l mod q, rows, lowered rows) triple per coordinate j and
+    level l up to the top exponent min(d, q - 1): the rows whose exponent
+    at j is at least l, and the row of each one's exponent vector less e_j,
+    which is in the basis because the basis is a lower set. Each array is
+    at most dimension long, and there are m * min(d, q - 1) < dimension
+    steps."""
+    basis = information_set(rm)
+    weights, keys = _canonical_keys(rm)
+    steps = []
+    for j, col in enumerate(basis.T):
+        above = np.flatnonzero(col)
+        lowered = np.searchsorted(keys, keys[above] - weights[j])
+        for level in range(1, min(rm.d, rm.q - 1) + 1):
+            at = col[above] >= level
+            steps.append((pow(level, -1, rm.q), above[at], lowered[at]))
+    return tuple(steps)
+
+
+def _newton_decode(rm: RMCode, values: np.ndarray, key: np.ndarray) -> int:
+    """The interpolant of values on the canonical information set, at the
+    key. The basis exponents read as grid points form a lower set, so the
+    interpolant is sum_a c_a N_a(x) in the Newton basis N_a(x) = prod_j
+    prod_{i < a_j} (x_j - i), whose coefficients c are the tensor divided
+    differences of the values: per coordinate and level, every row at or
+    above the level takes (c - c at the row lowered by e_j) / level, the
+    right-hand side read before the update."""
+    q, basis = rm.q, information_set(rm)
+    coefs = values.copy()
+    for inv, rows, lowered in _newton_steps(rm):
+        coefs[rows] = (coefs[rows] - coefs[lowered]) * inv % q
+    # falling[l, j] = prod_{i < l} (key_j - i), for l up to the top exponent
+    falling = np.ones((min(rm.d, rm.q - 1) + 1, rm.m), values.dtype)
+    for level in range(1, len(falling)):
+        falling[level] = falling[level - 1] * ((key - (level - 1)) % q) % q
+    for j, col in enumerate(basis.T):
+        coefs = coefs * falling[col, j] % q
+    # in int64, q < 2^32 and the cap's dimension < 2^12 keep the sum exact
+    return int(coefs.sum() % q)
+
+
 def trivial_superset(rm: RMCode, stragglers: int) -> SuperSet:
     """stragglers + 1 replicas of the canonical information set; total
     size (stragglers + 1) * dimension."""
@@ -128,13 +184,10 @@ def select_available_infoset(ss: SuperSet, responded) -> np.ndarray:
     if bad.size:
         raise ValueError(f"responder index {bad[0]} out of range")
     rm = rm_code(*ss.code_params)
-    # residues read as base-q numbers keep lexicographic point order
-    dtype = np.int64 if rm.q ** rm.m <= 2 ** 63 else object
-    weights = np.array([rm.q ** j for j in reversed(range(rm.m))], dtype=dtype)
+    weights, canonical = _canonical_keys(rm)
     # the distinct responding points, each from its first (lowest) index
-    keys, first = np.unique(ss.entries[resp].astype(dtype) @ weights, return_index=True)
+    keys, first = np.unique(ss.entries[resp].astype(weights.dtype) @ weights, return_index=True)
     sources = resp[first]
-    canonical = information_set(rm).astype(dtype) @ weights
     at = np.searchsorted(keys, canonical)
     if (at < len(keys)).all() and (keys[at] == canonical).all():
         return sources[at]
@@ -152,6 +205,9 @@ def decode_at_key(rm: RMCode, points, values, key) -> int:
 
     points: (count, m) evaluation points; values: the count answers in
     F_q, values[i] the answer at points[i]. A point may repeat.
+    When the points are the canonical information set in its order, as
+    selection returns it, decoding takes divided differences and runs no
+    elimination; any other point set is solved by elimination.
     Raises ValueError when the answered points do not pin the polynomial
     down (the restricted system is singular) or contradict each other.
     """
@@ -161,6 +217,8 @@ def decode_at_key(rm: RMCode, points, values, key) -> int:
     if len(points) < dim:
         raise ValueError(f"need at least {dim} answered points, got {len(points)}")
     values = field_array(values, q, (len(points),), "answers")
+    if len(points) == dim and (points == information_set(rm)).all():
+        return _newton_decode(rm, values, key)
     cols = _generator_columns(rm, np.concatenate([points, key[None]]))
     # rows are the answered points: [basis values at the point | answer]
     system, pivots = row_reduce(np.concatenate([cols[:, :-1].T, values[:, None]], axis=1), q)

@@ -394,6 +394,65 @@ def test_constructor_checks_the_canonical_slot_form():
         MultiPoly(3, 5, (_arr([[0]]), np.array([[1.0]])), np.array([1]))
 
 
+def _slot_rows(rows, num_vars, dtype):
+    """(variables, exponents) slot arrays of dense exponent rows, as given."""
+    pairs = [[(v, e) for v, e in enumerate(row) if e] for row in rows]
+    width = max(map(len, pairs), default=0)
+    padded = [p + [(0, 0)] * (width - len(p)) for p in pairs]
+    var = np.array([[v for v, _ in p] for p in padded], dtype).reshape(len(rows), width)
+    exp = np.array([[e for _, e in p] for p in padded], dtype).reshape(len(rows), width)
+    return var, exp
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_constructor_order_check_matches_sorted_oracle(data):
+    # random rows with repeats and rows equal up to padding (a term and the
+    # same term less its last factor), in drawn or sorted order, signed or
+    # unsigned: the constructor accepts exactly the strictly increasing lists
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=8))
+    for row in data.draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []:
+        nonzero = [v for v, e in enumerate(row) if e]
+        if nonzero:
+            rows.append(tuple(0 if v == nonzero[-1] else e for v, e in enumerate(row)))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []
+    order = data.draw(st.sampled_from(["drawn", "sorted", "distinct"]))
+    if order == "sorted":
+        rows = sorted(rows)
+    elif order == "distinct":
+        rows = sorted(set(rows))
+    dtype = data.draw(st.sampled_from([np.int64, np.uint8]))
+    slots = _slot_rows(rows, n, dtype)
+    coefs = np.ones(len(rows), np.int64)
+    if rows == sorted(set(rows)):
+        f = MultiPoly(n, q, slots, coefs)
+        assert list(f.terms) == rows
+        assert f.degree == max(map(sum, rows), default=0)
+    else:
+        with pytest.raises(ValueError, match="lexicographic exponent order"):
+            MultiPoly(n, q, slots, coefs)
+
+
+def test_evaluate_batch_matches_evaluate_with_many_variables_at_2_61_minus_1():
+    # 600 variables and exponents spread over [1, q - 1]: the pair index
+    # marks variable-exponent keys far beyond the basis shapes
+    q, n = 2**61 - 1, 600
+    rng = np.random.default_rng(6100)
+    terms = {}
+    for _ in range(80):
+        chosen = rng.choice(n, size=int(rng.integers(0, 5)), replace=False)
+        exp = [0] * n
+        for v in chosen.tolist():
+            exp[v] = int(rng.choice([1, 2, q - 2, q - 1, int(rng.integers(1, q))]))
+        terms[tuple(exp)] = int(rng.integers(1, q))
+    f = MultiPoly.from_terms(n, q, terms)
+    points = [[int(c) for c in rng.integers(0, q, size=n)] for _ in range(4)]
+    points.append([q - 1] * n)
+    assert [int(v) for v in evaluate_batch(f, np.array(points))] == [evaluate(f, x) for x in points]
+
+
 def test_constructor_keeps_private_read_only_copies():
     var, exp, coefs = _arr([[1, 0], [0, 2]]), _arr([[2, 0], [1, 1]]), np.array([2, 1])
     f = MultiPoly(3, 5, (var, exp), coefs)

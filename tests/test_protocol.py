@@ -293,3 +293,26 @@ def test_scheme_params_json_round_trip():
     blob = params.to_json()
     assert blob == {"n": 6, "q": 3, "r": 2, "d": 2, "S": 1}
     assert SchemeParams.from_json(blob) == params
+
+
+@pytest.mark.parametrize("field,value", [("straggler_budget", 1.5), ("n", 6.0),
+                                         ("protected_size", 1.0), ("straggler_budget", True),
+                                         ("degree_bound", "2"), ("q", 3.0)])
+def test_scheme_params_refuse_non_integer_fields_by_name(field, value):
+    fields = {"n": 6, "q": 3, "protected_size": 1, "degree_bound": 2, "straggler_budget": 1}
+    with pytest.raises(ValueError, match=f"scheme parameter {field} must be an integer"):
+        SchemeParams(**dict(fields, **{field: value}))
+    # numpy integers are integers, held as Python ints
+    params = SchemeParams(**{name: np.int64(v) for name, v in fields.items()})
+    assert params == SchemeParams(**fields) and type(params.n) is int
+
+
+@pytest.mark.parametrize("ids", [[1.7], [True], ["3"], [[1]]])
+def test_computation_phase_refuses_non_integer_straggler_ids(ids):
+    params = make_params(n=4, q=3, r=1, d=1, S=1)
+    session = storage_phase((0, 1, 2, 0), params, sample_code(4, 2, 3, 11), 5)
+    f = random_poly(4, 1, 3, 8)
+    with pytest.raises(ValueError, match="straggler ids"):
+        computation_phase(session, f, ids)
+    # integer ids, numpy ones included, still run
+    assert computation_phase(session, f, [np.int64(1)]) == evaluate(f, (0, 1, 2, 0))

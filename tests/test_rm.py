@@ -292,6 +292,64 @@ def test_covered_canonical_set_runs_no_elimination(q, d, m, monkeypatch):
     assert sources.tolist() == list(range(rm.dimension, 2 * rm.dimension))
 
 
+# d >= q (every divided-difference level up to q - 1 runs) and the large
+# primes, where the Newton coefficients are exact Python ints
+CANONICAL_DECODE_CODES = [(2, 1, 3), (2, 3, 4), (3, 2, 2), (3, 4, 3), (5, 2, 4), (5, 6, 2),
+                          (7, 3, 2), (2**31 - 1, 2, 3), (2**61 - 1, 2, 3), (2**61 - 1, 3, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_canonical_decode_matches_elimination_and_evaluate(data):
+    q, d, m = data.draw(st.sampled_from(CANONICAL_DECODE_CODES), label="q, d, m")
+    rm = rm_code(q, d, m)
+    info = information_set(rm)
+    g = random_poly(m, d, q, data.draw(st.integers(0, 2**32 - 1), label="poly seed"))
+    key = data.draw(st.tuples(*[st.integers(0, q - 1)] * m), label="key")
+    values = [evaluate(g, pt) for pt in info.tolist()]
+    # the same points with one repeated are not the canonical set, so they
+    # take the elimination path
+    extra = data.draw(st.integers(0, len(info) - 1), label="repeated point")
+    repeated = np.concatenate([info, info[extra:extra + 1]])
+    eliminated = decode_at_key(rm, repeated, values + [values[extra]], key)
+    assert decode_at_key(rm, info, values, key) == eliminated == evaluate(g, key)
+
+
+@pytest.mark.parametrize("q,d,m", [(2, 1, 3), (3, 4, 3), (5, 3, 2), (2**61 - 1, 2, 3)])
+def test_canonical_decode_runs_no_elimination(q, d, m, monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("decode ran an elimination")
+
+    rm = rm_code(q, d, m)
+    g = random_poly(m, d, q, 77)
+    ss = trivial_superset(rm, 1)
+    key = [(3 * j + 1) % q for j in range(m)]
+    monkeypatch.setattr(icc_kit.rm, "row_reduce", no_elimination)
+    # the first replica lost: selection answers the canonical set from the second
+    sources = select_available_infoset(ss, range(rm.dimension, 2 * rm.dimension))
+    points = ss.entries[sources]
+    values = [evaluate(g, pt) for pt in points.tolist()]
+    assert decode_at_key(rm, points, values, key) == evaluate(g, key)
+    # the canonical points in another order are another point set
+    with pytest.raises(AssertionError, match="elimination"):
+        decode_at_key(rm, points[::-1], values[::-1], key)
+
+
+@pytest.mark.parametrize("q,d,m", [(2, 2, 12), (3, 4, 3), (5, 2, 4), (7, 9, 2)])
+def test_newton_steps_stay_within_the_dimension(q, d, m):
+    # m * min(d, q - 1) steps, each at most dimension rows: no array of the
+    # decode is larger than the dimension x (dimension + 1) system
+    rm = rm_code(q, d, m)
+    steps = icc_kit.rm._newton_steps(rm)
+    assert len(steps) == m * min(d, q - 1) < rm.dimension
+    basis = information_set(rm)
+    for inv, rows, lowered in steps:
+        assert len(rows) == len(lowered) <= rm.dimension
+        # each lowered row differs from its row by e_j for one j
+        diff = basis[rows] - basis[lowered]
+        assert (diff.sum(axis=1) == 1).all() and (diff >= 0).all()
+
+
 def test_codewords_lie_in_generator_row_space():
     rng = np.random.default_rng(2718)
     for q, d, m in [(2, 1, 3), (2, 2, 3), (3, 2, 2), (5, 1, 1)]:
