@@ -23,7 +23,6 @@ from .infometrics import (
     SubsetSelector,
     check_divergence_distance_relation,
     check_entropy_gap,
-    conditional_encoded,
     keysize_lower_bound,
     kl_divergence,
     leakage_audit,

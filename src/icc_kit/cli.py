@@ -43,6 +43,19 @@ def _int(value, key: str) -> int:
     return arr.item()
 
 
+def _float(value, key: str) -> float:
+    """A real config value as a float: a JSON int or finite float. A bool,
+    string or non-finite number is a usage error, not coerced."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise UsageError(f"config key {key!r} must be a finite number, got {value!r}")
+
+
 def _require(config: dict, keys) -> None:
     missing = [k for k in keys if k not in config]
     if missing:
@@ -54,11 +67,11 @@ def _dist_from_config(spec: dict, q: int, n: int, seed: int, cap=None) -> im.Dis
     if family == "uniform":
         return im.uniform(q, n, cap)
     if family == "dirichlet":
-        return im.random_dirichlet(q, n, seed, alpha=float(spec.get("alpha", 1.0)), cap=cap)
+        return im.random_dirichlet(q, n, seed, alpha=_float(spec.get("alpha", 1.0), "alpha"), cap=cap)
     if family == "bernoulli":
         if q != 2:
             raise UsageError("bernoulli family requires q = 2")
-        return im.bernoulli_iid(n, float(spec["alpha"]), cap)
+        return im.bernoulli_iid(n, _float(spec["alpha"], "alpha"), cap)
     if family == "point_mass":
         return im.point_mass(q, n, tuple(spec["at"]), cap)
     if family == "explicit":
@@ -141,8 +154,8 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
     q = _int(config["q"], "q")
     r = _int(config["r"], "r")
     p = _int(config["p"], "p")
-    epsilon = float(config["epsilon"])
-    a = float(config["a"])
+    epsilon = _float(config["epsilon"], "epsilon")
+    a = _float(config["a"], "a")
     num_codes = _int(config.get("num_codes", 100), "num_codes")
     if num_codes < 1:
         raise UsageError("num_codes must be at least 1")
@@ -196,10 +209,10 @@ def cmd_keysize_curves(config: dict) -> tuple:
     n = _int(config.get("n", 2 ** 18), "n")
     p = _int(config.get("p", 2), "p")
     q = _int(config.get("q", 2), "q")
-    entropy_a = float(config.get("entropy_a", n - 4))
+    entropy_a = _float(config.get("entropy_a", n - 4), "entropy_a")
     eps_exponents = [_int(j, "epsilon_log_q_exponents")
                      for j in config.get("epsilon_log_q_exponents", range(-60, 0))]
-    epsilon_b = float(config.get("epsilon_b", float(q) ** (-2 * math.log(n, q))))
+    epsilon_b = _float(config.get("epsilon_b", float(q) ** (-2 * math.log(n, q))), "epsilon_b")
     entropy_offsets = [_int(k, "entropy_offsets")
                        for k in config.get("entropy_offsets", range(64, -1, -1))]
 
@@ -235,7 +248,7 @@ def cmd_keysize_curves(config: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # metrics check
 
-def cmd_metrics_check(config: dict, cap=None) -> tuple:
+def cmd_metrics_check(config: dict) -> tuple:
     num_dists = _int(config.get("num_dists", 200), "num_dists")
     num_pairs = _int(config.get("num_pairs", 1000), "num_pairs")
     seed = _int(config.get("seed", 0), "seed")
@@ -283,7 +296,7 @@ def cmd_metrics_check(config: dict, cap=None) -> tuple:
         q, n = [(2, 5), (2, 6), (3, 4)][i % 3]
         alpha = [20.0, 50.0, 100.0][i % 3]
         dist = im.random_dirichlet(q, n, rng.integers(0, 2 ** 63), alpha=alpha)
-        screened = im.relation_in_context(dist, 2, 2.0, rng, cap)
+        screened = im.relation_in_context(dist, 2, 2.0, rng)
         if screened is None:
             relation_skipped += 1
             continue
@@ -337,9 +350,8 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", default=None, help="JSON config file")
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
         cmd.add_argument("--seed", type=int, default=None, help="overrides config seed")
-    for name in ("audit", "metrics-check"):
-        commands[name].add_argument("--cap", type=int, default=im.DEFAULT_CAP,
-                                    help="most entries any one table may have")
+    commands["audit"].add_argument("--cap", type=int, default=im.DEFAULT_CAP,
+                                   help="most entries any one table may have")
     commands["audit"].add_argument("--variant", choices=("theorem", "proof"), default="theorem",
                                    help="leakage bound constant-factor variant")
     args = parser.parse_args(argv)
@@ -379,7 +391,7 @@ def _run(args) -> int:
         if args.command == "simulate":
             code, result = cmd_simulate(config)
         else:
-            code, result = cmd_metrics_check(config, cap=args.cap)
+            code, result = cmd_metrics_check(config)
         text = json.dumps(result, indent=2, sort_keys=True)
         print(text)
         if args.out:

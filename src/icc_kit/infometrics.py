@@ -101,13 +101,6 @@ class Distribution:
     def prob_of(self, outcome) -> float:
         return float(self.probs[_outcome_index(outcome, self.q, self.n)])
 
-    def to_json(self) -> dict:
-        return {"q": self.q, "n": self.n, "probs": [float(p) for p in self.probs]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Distribution":
-        return cls(obj["q"], obj["n"], np.array(obj["probs"], dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class SubsetSelector:
@@ -271,32 +264,6 @@ def pushforward_encode(dist: Distribution, code: LinearCode) -> Distribution:
     return Distribution(dist.q, dist.n, mass[labels] / dist.q ** rank, dist.probs.size)
 
 
-def conditional_given(dist: Distribution, selector: SubsetSelector, z) -> Distribution:
-    """Law of the full vector given that the selected coordinates equal z,
-    as a table over the whole space (zero off the conditioning slice).
-    One event at a time: the reference that the dense kernels of
-    check_entropy_gap and relation_in_context are tested against."""
-    if selector.n != dist.n:
-        raise ValueError("selector was built for a different n")
-    z_arr = integer_array(z, "conditioning value")
-    z_idx = _outcome_index(z_arr, dist.q, selector.size)  # rejects a z outside F_q^r
-    mask = _subset_index(dist.q, dist.n, selector.indices) == z_idx
-    total = float(dist.probs[mask].sum())
-    if total <= 0:
-        raise ValueError(f"conditioning on a zero-probability event: {tuple(z_arr.tolist())}")
-    # capped at its source's size: that table was admitted under the caller's cap
-    return Distribution(dist.q, dist.n, np.where(mask, dist.probs, 0.0) / total, dist.probs.size)
-
-
-def conditional_encoded(
-    dist: Distribution, code: LinearCode, selector: SubsetSelector, z
-) -> Distribution:
-    """Exact law of data + key.G given that the selected data coordinates
-    equal z. Errors on a zero-probability conditioning event. One event
-    at a time: the reference for _conditional_encoded_laws."""
-    return pushforward_encode(conditional_given(dist, selector, z), code)
-
-
 def marginal(dist: Distribution, selector: SubsetSelector) -> Distribution:
     """Marginal law of the selected coordinates."""
     if selector.n != dist.n:
@@ -340,11 +307,12 @@ def _joint_table(dist: Distribution, code: LinearCode, indices, cap) -> np.ndarr
 
 
 def _conditional_encoded_laws(dist: Distribution, code: LinearCode, r: int, cap):
-    """conditional_encoded for every conditioning event, a subset at a time:
-    yields (selector, its values z of positive probability, one row per z
-    over F_q^n), in conditioning_events order. Row z is J[label, z] / P(z)
-    / q^rank off the subset's _joint_table; no Distribution is built. The
-    rows of a subset are checked against the cap before they are built."""
+    """Exact law of data + key.G given X_R = z for every size-r subset R and
+    every z of positive probability, a subset at a time: yields (selector,
+    its values z, one row per z over F_q^n), both in lexicographic order.
+    Row z is J[label, z] / P(z) / q^rank off the subset's _joint_table; no
+    Distribution is built (tests/oracles.py holds the per-event reference).
+    The rows of a subset are checked against the cap before they are built."""
     labels, rank = code.coset_labels
     for selector in all_subsets(dist.n, r):
         joint = _joint_table(dist, code, selector.indices, cap)
@@ -474,15 +442,6 @@ def subset_leakages(dist: Distribution, code: LinearCode, r: int, cap=None) -> d
     }
 
 
-def conditioning_events(dist: Distribution, r: int):
-    """Yield (selector, z) for every size-r coordinate subset and every
-    value z it takes with positive probability, both in lexicographic
-    order."""
-    for selector in all_subsets(dist.n, r):
-        for z_idx in np.nonzero(marginal(dist, selector).probs > 0)[0]:
-            yield selector, tuple(int(v) for v in np.unravel_index(z_idx, (dist.q,) * r))
-
-
 def leakage_audit(
     dist: Distribution,
     code: LinearCode,
@@ -492,7 +451,6 @@ def leakage_audit(
     epsilon: float,
     a: float,
     cap=None,
-    code_seed=None,
 ) -> dict:
     """Exact leakage of one encoder against the bound calculators.
 
@@ -509,7 +467,6 @@ def leakage_audit(
     ]
     max_mi = max(row["mi"] for row in per_subset)
     return {
-        "code_seed": code_seed,
         "subset_size": subset_size,
         "p": p,
         "epsilon": epsilon,
@@ -532,7 +489,6 @@ def leakage_audit(
 class SmoothingReport:
     """Measured smoothing quality of one code against its targets."""
 
-    code_seed: object
     p: int
     epsilon: float
     vp_uniform: float
@@ -547,7 +503,6 @@ def smoothing_report(
     p: int,
     epsilon: float,
     subset_size: int = None,
-    code_seed=None,
     cap=None,
 ) -> SmoothingReport:
     """Measure v_p(encoded law, uniform) and, when subset_size is given,
@@ -563,7 +518,6 @@ def smoothing_report(
         )
     relaxed = 2 ** ((2 * p - 1) / p) * epsilon ** (1.0 / p) if epsilon < 1 else math.inf
     return SmoothingReport(
-        code_seed=code_seed,
         p=p,
         epsilon=epsilon,
         vp_uniform=v_p_distance(encoded, unif, p),
@@ -627,7 +581,7 @@ def _relation_report(vp: float, dp: float, p: int, q: int) -> dict:
     return {"vp": vp, "dp": dp, "bound": bound, "holds": dp <= bound + VERDICT_TOL}
 
 
-def relation_in_context(dist: Distribution, p: int, a: float, rng, cap=None):
+def relation_in_context(dist: Distribution, p: int, a: float, rng):
     """check_divergence_distance_relation of each single-coordinate
     conditional encoded law against the encoded law, where the relation is
     claimed: budget H_p(X) - max_i H_p(X_i) - p > 0.05, epsilon =
@@ -646,7 +600,7 @@ def relation_in_context(dist: Distribution, p: int, a: float, rng, cap=None):
     encoded = pushforward_encode(dist, code)
     reports = [
         _relation_report(float(vp), dp, p, dist.q)
-        for _, _, rows in _conditional_encoded_laws(dist, code, 1, cap)
+        for _, _, rows in _conditional_encoded_laws(dist, code, 1, None)
         for vp, dp in zip(_vp_rows(rows, encoded.probs, p),
                           _renyi_divergence_rows(rows, encoded.probs, p, dist.q))
     ]

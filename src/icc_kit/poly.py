@@ -205,14 +205,6 @@ class MultiPoly:
             return NotImplemented
         return self.to_json() == other.to_json()
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.q != other.q or self.num_vars != other.num_vars:
-            raise ValueError("polynomials live over different rings")
-        raw = list(self.terms.items()) + list(other.terms.items())
-        return MultiPoly.from_terms(
-            self.num_vars, self.q, raw, max(self.degree_bound, other.degree_bound)
-        )
-
     def to_json(self) -> dict:
         return {
             "n": self.num_vars,

@@ -18,15 +18,13 @@ phase pays nothing for a JSON form that nobody asks for.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from math import comb
 from typing import Iterable
 
 import numpy as np
 
 from .codes import LinearCode, encode, key_gen, shift
-from .gf import check_sampled_field, integer_array
+from .gf import check_cap, check_sampled_field, integer_array
 from .poly import MultiPoly, evaluate_batch
 from .rm import SuperSet, rm_code, rm_dimension, select_available_infoset, trivial_superset
 
@@ -148,8 +146,12 @@ def plan(params: SchemeParams, key_length: int) -> SchemeMetrics:
             f"require d < m(q-1) = {key_length * (params.q - 1)}"
         )
     download = rm_dimension(params.q, params.degree_bound, key_length)
+    num_workers = (params.straggler_budget + 1) * download
+    # the share array (N x n) is the largest the storage phase allocates;
+    # the super-set (N x m) is no larger, since m <= n
+    check_cap(num_workers * params.n)
     return SchemeMetrics(
-        num_workers=(params.straggler_budget + 1) * download,
+        num_workers=num_workers,
         download_cost=download,
         key_length=key_length,
     )
@@ -247,12 +249,3 @@ def download_cost(session: SessionState) -> int:
         raise ValueError("no computation phase has run in this session")
     return session.last_answer_count
 
-
-def straggler_patterns(num_workers: int, budget: int):
-    """Every straggler set of size at most budget (including the empty set)."""
-    for size in range(budget + 1):
-        yield from itertools.combinations(range(num_workers), size)
-
-
-def count_straggler_patterns(num_workers: int, budget: int) -> int:
-    return sum(comb(num_workers, size) for size in range(budget + 1))

@@ -1,0 +1,67 @@
+"""Slow references the package is tested against, one event at a time.
+
+The package computes every conditional law in bulk, from one dense
+(coset, X_R) table per subset, and enumerates no straggler patterns.
+These functions build the same objects the plain way: one conditional
+Distribution per event (R, z), one straggler set per pattern. Nothing
+in icc_kit imports this module.
+"""
+
+import itertools
+from math import comb
+
+import numpy as np
+
+from icc_kit.codes import LinearCode
+from icc_kit.gf import integer_array
+from icc_kit.infometrics import (
+    Distribution,
+    SubsetSelector,
+    _outcome_index,
+    _subset_index,
+    all_subsets,
+    marginal,
+    pushforward_encode,
+)
+
+
+def conditional_given(dist: Distribution, selector: SubsetSelector, z) -> Distribution:
+    """Law of the full vector given that the selected coordinates equal z,
+    as a table over the whole space (zero off the conditioning slice)."""
+    if selector.n != dist.n:
+        raise ValueError("selector was built for a different n")
+    z_arr = integer_array(z, "conditioning value")
+    z_idx = _outcome_index(z_arr, dist.q, selector.size)  # rejects a z outside F_q^r
+    mask = _subset_index(dist.q, dist.n, selector.indices) == z_idx
+    total = float(dist.probs[mask].sum())
+    if total <= 0:
+        raise ValueError(f"conditioning on a zero-probability event: {tuple(z_arr.tolist())}")
+    # capped at its source's size: that table was admitted under the caller's cap
+    return Distribution(dist.q, dist.n, np.where(mask, dist.probs, 0.0) / total, dist.probs.size)
+
+
+def conditional_encoded(
+    dist: Distribution, code: LinearCode, selector: SubsetSelector, z
+) -> Distribution:
+    """Exact law of data + key.G given that the selected data coordinates
+    equal z. Errors on a zero-probability conditioning event."""
+    return pushforward_encode(conditional_given(dist, selector, z), code)
+
+
+def conditioning_events(dist: Distribution, r: int):
+    """Yield (selector, z) for every size-r coordinate subset and every
+    value z it takes with positive probability, both in lexicographic
+    order."""
+    for selector in all_subsets(dist.n, r):
+        for z_idx in np.nonzero(marginal(dist, selector).probs > 0)[0]:
+            yield selector, tuple(int(v) for v in np.unravel_index(z_idx, (dist.q,) * r))
+
+
+def straggler_patterns(num_workers: int, budget: int):
+    """Every straggler set of size at most budget (including the empty set)."""
+    for size in range(budget + 1):
+        yield from itertools.combinations(range(num_workers), size)
+
+
+def count_straggler_patterns(num_workers: int, budget: int) -> int:
+    return sum(comb(num_workers, size) for size in range(budget + 1))

@@ -19,15 +19,14 @@ from icc_kit import cli
 from icc_kit import infometrics as im
 from icc_kit.codes import LinearCode, sample_code, subcolumns_full_rank
 from icc_kit.poly import evaluate, evaluate_batch, random_poly
-from icc_kit.protocol import (
-    SchemeParams,
-    computation_phase,
+from icc_kit.protocol import SchemeParams, computation_phase, plan, storage_phase
+from icc_kit.rm import decode_at_key, rm_code, rm_dimension, select_available_infoset
+from oracles import (
+    conditional_encoded,
+    conditioning_events,
     count_straggler_patterns,
-    plan,
-    storage_phase,
     straggler_patterns,
 )
-from icc_kit.rm import decode_at_key, rm_code, rm_dimension, select_available_infoset
 
 
 def verdict(name, ok, detail):
@@ -333,8 +332,8 @@ def test_metric_axioms_hold_on_randomized_cases():
         encoded = im.pushforward_encode(dist, code)
         unif = im.uniform(q, n)
         enc_to_unif = im.v_distance(encoded, unif)
-        for sel, z in im.conditioning_events(dist, 1):
-            cond = im.conditional_encoded(dist, code, sel, z)
+        for sel, z in conditioning_events(dist, 1):
+            cond = conditional_encoded(dist, code, sel, z)
             lhs = im.v_distance(cond, encoded)
             rhs = im.v_distance(cond, unif) + enc_to_unif
             violations += lhs > rhs + 1e-9

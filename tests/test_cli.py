@@ -131,7 +131,7 @@ def test_keysize_curves_custom_grid():
 
 
 def test_metrics_check_passes_and_counts():
-    code, result = cmd_metrics_check({"num_dists": 40, "num_pairs": 100, "seed": 7}, cap=2**24)
+    code, result = cmd_metrics_check({"num_dists": 40, "num_pairs": 100, "seed": 7})
     assert code == 0
     assert result["all_pass"] is True
     assert result["violations"] == []
@@ -141,8 +141,8 @@ def test_metrics_check_passes_and_counts():
 
 
 def test_metrics_check_schema_stable_across_seeds():
-    _, r7 = cmd_metrics_check({"num_dists": 40, "num_pairs": 100, "seed": 7}, cap=2**24)
-    _, r8 = cmd_metrics_check({"num_dists": 40, "num_pairs": 100, "seed": 8}, cap=2**24)
+    _, r7 = cmd_metrics_check({"num_dists": 40, "num_pairs": 100, "seed": 7})
+    _, r8 = cmd_metrics_check({"num_dists": 40, "num_pairs": 100, "seed": 8})
     assert set(r7) == set(r8)
     assert set(r7["counts"]) == set(r8["counts"])
 
@@ -328,6 +328,7 @@ def test_audit_checks_the_cap_before_building_the_table(monkeypatch):
     ["simulate", "--cap", "100"],
     ["keysize-curves", "--variant", "proof"],
     ["metrics-check", "--variant", "proof"],
+    ["metrics-check", "--cap", "100"],
 ])
 def test_main_refuses_options_a_subcommand_does_not_take(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -356,13 +357,27 @@ def test_audit_needs_at_least_one_code(tmp_path, capsys, num_codes):
     ("keysize-curves", {"n": 64.0}),
     ("keysize-curves", {"entropy_offsets": [0, 1.5]}),
     ("metrics-check", {"num_pairs": 10.5}),
+    ("audit", dict(AUDIT_UNIFORM, epsilon="0.25")),
+    ("audit", dict(AUDIT_UNIFORM, epsilon=10**400)),
+    ("audit", dict(AUDIT_UNIFORM, a="Infinity")),
+    ("audit", dict(AUDIT_UNIFORM, a=math.inf)),
+    ("audit", dict(AUDIT_UNIFORM, dist={"family": "dirichlet", "alpha": True})),
+    ("audit", dict(AUDIT_UNIFORM, dist={"family": "bernoulli", "alpha": "0.1"})),
+    ("keysize-curves", {"epsilon_b": True}),
+    ("keysize-curves", {"entropy_a": "60"}),
 ])
 def test_main_rejects_non_integer_config_values(tmp_path, capsys, command, config):
-    # a float or bool for an integer key is a usage error, not truncated
+    # a float or bool for an integer key, or a bool, string or non-finite
+    # value for a real key, is a usage error that names the key, not coerced
     argv = [command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o.csv")]
     assert main(argv) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error.startswith("config key") and "must be" in error
+
+
+def test_real_config_keys_accept_json_integers():
+    # an int is a real number: a = 2 reads as 2.0
+    assert cmd_audit(dict(AUDIT_UNIFORM, a=2)) == cmd_audit(dict(AUDIT_UNIFORM, a=2.0))
 
 
 def test_split_out_naming():

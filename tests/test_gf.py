@@ -19,7 +19,7 @@ from icc_kit.gf import (
     row_reduce,
 )
 from icc_kit.infometrics import pushforward_encode, uniform
-from icc_kit.poly import MultiPoly, monomial_values
+from icc_kit.poly import monomial_values
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -151,8 +151,6 @@ def test_element_pow_matches_repeated_product():
 def test_modulus_mismatch_is_an_error():
     with pytest.raises(ValueError, match="modulus mismatch"):
         pushforward_encode(uniform(3, 2), LinearCode(((1, 0),), 2))
-    with pytest.raises(ValueError, match="different rings"):
-        MultiPoly.from_terms(1, 2, {(1,): 1}) + MultiPoly.from_terms(1, 3, {(1,): 1})
 
 
 IDENTITY = {q: LinearCode(np.eye(n, dtype=np.int64), q) for q, n in ((2, 3), (5, 2))}

@@ -27,9 +27,6 @@ from icc_kit.infometrics import (
     check_cap,
     check_divergence_distance_relation,
     check_entropy_gap,
-    conditioning_events,
-    conditional_encoded,
-    conditional_given,
     keysize_lower_bound,
     kl_divergence,
     leakage_audit,
@@ -53,6 +50,7 @@ from icc_kit.infometrics import (
     v_distance,
     v_p_distance,
 )
+from oracles import conditional_encoded, conditional_given, conditioning_events
 
 TOL = 1e-9
 
@@ -78,14 +76,6 @@ def test_distribution_equality_compares_tables():
     assert uniform(2, 2) != point_mass(2, 2, (0, 0))
     assert uniform(2, 2) != uniform(2, 1)
     assert uniform(2, 2) != "uniform"
-
-
-def test_distribution_json_round_trip():
-    d = bernoulli_iid(2, 0.25)
-    blob = d.to_json()
-    back = Distribution.from_json(blob)
-    assert back.q == 2 and back.n == 2
-    assert np.allclose(back.probs, d.probs)
 
 
 def test_uniform_and_point_mass_tables():
@@ -743,17 +733,24 @@ def test_entropy_gap_normalises_a_slice_of_tiny_mass():
 
 
 def test_conditioning_paths_build_no_per_event_distribution(monkeypatch):
-    import icc_kit.infometrics as im
-
-    def per_event(*args, **kwargs):
-        raise AssertionError("a per-event Distribution was built")
-
-    monkeypatch.setattr(im, "conditional_given", per_event)
-    monkeypatch.setattr(im, "conditional_encoded", per_event)
+    # a per-event path builds at least one Distribution per (R, z) event;
+    # the dense kernels build a fixed few per subset or per call
     dist = random_dirichlet(2, 5, 3, alpha=100.0)
-    assert check_entropy_gap(dist, 2, 2)["holds"]
-    assert relation_in_context(dist, 2, 2.0, np.random.default_rng(11)) is not None
-    assert len(smoothing_report(dist, sample_code(5, 3, 2, 4), 2, 0.5, 1).conditional_vps) == 10
+    events = {r: len(list(conditioning_events(dist, r))) for r in (1, 2)}
+    built = []
+    real = Distribution.__post_init__
+    monkeypatch.setattr(Distribution, "__post_init__",
+                        lambda self, cap: built.append(1) or real(self, cap))
+    calls = [
+        (2, lambda: check_entropy_gap(dist, 2, 2)["holds"]),
+        (1, lambda: relation_in_context(dist, 2, 2.0, np.random.default_rng(11)) is not None),
+        (1, lambda: len(smoothing_report(dist, sample_code(5, 3, 2, 4), 2, 0.5, 1)
+                        .conditional_vps) == events[1]),
+    ]
+    for r, call in calls:
+        built.clear()
+        assert call()
+        assert len(built) < events[r], (len(built), events[r])
 
 
 def test_divergence_distance_relation_identity_case():
@@ -830,8 +827,7 @@ def test_triangle_audit_through_uniform_reference():
 def test_smoothing_report_fields_and_bounds():
     d = random_dirichlet(2, 4, 11)
     code = sample_code(4, 3, 2, 13)
-    rep = smoothing_report(d, code, 2, 0.1, subset_size=1, code_seed=13)
-    assert rep.code_seed == 13
+    rep = smoothing_report(d, code, 2, 0.1, subset_size=1)
     assert rep.vp_uniform >= 0
     assert len(rep.conditional_vps) > 0
     assert all(v >= 0 for _, v in rep.conditional_vps)

@@ -16,13 +16,12 @@ from icc_kit.poly import MultiPoly, evaluate, evaluate_batch, random_poly
 from icc_kit.protocol import (
     SchemeParams,
     computation_phase,
-    count_straggler_patterns,
     download_cost,
     plan,
     storage_phase,
-    straggler_patterns,
 )
 from icc_kit.rm import rm_dimension
+from oracles import count_straggler_patterns, straggler_patterns
 
 
 def make_params(n=4, q=2, r=1, d=1, S=0):
@@ -261,6 +260,20 @@ def test_session_json_separates_user_and_admin():
     json.dumps(blob)  # fully serializable
 
 
+def test_storage_phase_refuses_share_arrays_beyond_the_cap(monkeypatch):
+    # 10^9 + 1 replicas of a 3-point information set: the super-set alone
+    # would take 44.7 GiB; plan refuses N x n before anything is built
+    def build_superset(*args):
+        raise AssertionError("the super-set was built")
+
+    monkeypatch.setattr(protocol, "trivial_superset", build_superset)
+    params = make_params(n=4, q=2, r=1, d=1, S=10**9)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        storage_phase((0, 1, 1, 0), params, sample_code(4, 2, 2, 1), 1)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        plan(params, 2)
+
+
 def test_straggler_pattern_counting():
     patterns = list(straggler_patterns(6, 2))
     assert len(patterns) == count_straggler_patterns(6, 2) == 1 + 6 + 15
@@ -272,7 +285,7 @@ def test_leakage_audit_uniform_full_rank_code():
     # every pair of columns of this generator is independent
     code = LinearCode(((1, 0, 1), (0, 1, 1)), 2)
     report = leakage_audit(
-        uniform(2, 3), code, 2, p=2, epsilon=1e-3, a=2.0, code_seed=0
+        uniform(2, 3), code, 2, p=2, epsilon=1e-3, a=2.0
     )
     assert report["max_mi"] <= 1e-9
     assert report["passes"]["theorem"] and report["passes"]["proof"]
@@ -281,7 +294,7 @@ def test_leakage_audit_uniform_full_rank_code():
 def test_leakage_audit_detects_untouched_coordinate():
     d = Distribution(2, 2, np.array([0.5, 0.0, 0.0, 0.5]))
     code = LinearCode(((1, 0),), 2)
-    report = leakage_audit(d, code, 1, p=2, epsilon=1e-3, a=2.0, code_seed=0)
+    report = leakage_audit(d, code, 1, p=2, epsilon=1e-3, a=2.0)
     by_subset = {entry["indices"]: entry["mi"] for entry in report["per_subset"]}
     assert by_subset[(1,)] == 1.0
     assert report["max_mi"] == 1.0
