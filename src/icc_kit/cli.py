@@ -1,7 +1,9 @@
 """Command-line front door: simulate, audit, keysize-curves, metrics-check.
 
-Every output file starts with a '#'-prefixed JSON header holding the
-resolved config and seed, so a run can be reproduced byte for byte.
+Every CSV output (audit, keysize-curves) starts with a '#'-prefixed JSON
+header holding the resolved config and seed, so a run can be reproduced
+byte for byte; simulate and metrics-check write one JSON object, which
+holds the seed.
 Exit codes: 0 success, 1 property failure, 2 usage or config error.
 """
 
@@ -31,13 +33,18 @@ def _child_seeds(seed: int, count: int) -> list:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)]
 
 
-def _int(value, key: str) -> int:
-    """An integer config value as a Python int; by gf.integer_array's rule a
-    float or bool is a usage error, not truncated."""
+def _integers(value, key: str) -> np.ndarray:
+    """Integer config values as an array; by gf.integer_array's rule a float
+    or bool is a usage error, not truncated."""
     try:
-        arr = integer_array(value, f"config key {key!r}")
+        return integer_array(value, f"config key {key!r}")
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _int(value, key: str) -> int:
+    """One integer config value as a Python int (see _integers)."""
+    arr = _integers(value, key)
     if arr.ndim:
         raise UsageError(f"config key {key!r} must be one integer, got {value!r}")
     return arr.item()
@@ -56,13 +63,15 @@ def _float(value, key: str) -> float:
     raise UsageError(f"config key {key!r} must be a finite number, got {value!r}")
 
 
-def _require(config: dict, keys) -> None:
+def _require(config: dict, keys, where: str = "config") -> None:
     missing = [k for k in keys if k not in config]
     if missing:
-        raise UsageError(f"config is missing required keys: {missing}")
+        raise UsageError(f"{where} is missing required keys: {missing}")
 
 
 def _dist_from_config(spec: dict, q: int, n: int, seed: int, cap=None) -> im.Distribution:
+    if not isinstance(spec, dict):
+        raise UsageError(f"config key 'dist' must be an object with a 'family', got {spec!r}")
     family = spec.get("family", "dirichlet")
     if family == "uniform":
         return im.uniform(q, n, cap)
@@ -71,11 +80,19 @@ def _dist_from_config(spec: dict, q: int, n: int, seed: int, cap=None) -> im.Dis
     if family == "bernoulli":
         if q != 2:
             raise UsageError("bernoulli family requires q = 2")
+        _require(spec, ["alpha"], "config key 'dist'")
         return im.bernoulli_iid(n, _float(spec["alpha"], "alpha"), cap)
     if family == "point_mass":
-        return im.point_mass(q, n, tuple(spec["at"]), cap)
+        _require(spec, ["at"], "config key 'dist'")
+        at = _integers(spec["at"], "at")
+        if at.shape != (n,) or not np.all((at >= 0) & (at < q)):
+            raise UsageError(f"config key 'at' is not a point of F_{q}^{n}: {spec['at']!r}")
+        return im.point_mass(q, n, tuple(at.tolist()), cap)
     if family == "explicit":
-        return im.Distribution(q, n, np.array(spec["probs"], dtype=np.float64), cap)
+        _require(spec, ["probs"], "config key 'dist'")
+        if not isinstance(spec["probs"], list):
+            raise UsageError(f"config key 'probs' must be a list of numbers, got {spec['probs']!r}")
+        return im.Distribution(q, n, [_float(v, "probs") for v in spec["probs"]], cap)
     raise UsageError(f"unknown distribution family {family!r}")
 
 
@@ -176,9 +193,8 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
     rows = ["code_seed,max_mi,epsilon_c_theorem,epsilon_c_proof,pass"]
     passes = 0
     for code_seed in code_seeds:
-        report = im.leakage_audit(
-            dist, sample_code(n, m, q, code_seed), r, p=p, epsilon=epsilon, a=a, cap=cap
-        )
+        report = im.leakage_audit(dist, sample_code(n, m, q, code_seed), r,
+                                  p=p, epsilon=epsilon, a=a)
         bounds = report["epsilon_c"]
         ok = report["passes"][variant]
         passes += ok

@@ -5,9 +5,10 @@ q^n outcomes. With a uniform key, data + key.G is uniform on the coset of
 the data modulo the code's row space, so encoders are pushed forward and
 audited exactly through the code's one coset labelling of F_q^n
 (LinearCode.coset_labels). The enumeration cap bounds the entries of each
-table built from the caller's input, checked just before it is allocated:
-a request beyond it is rejected rather than sampled, since the point of
-this module is exact verification, not estimation.
+table, checked just before it is allocated: a law is admitted under a cap
+it keeps (Distribution.cap), and every table built from it is checked
+against that cap. A request beyond it is rejected rather than sampled,
+since the point of this module is exact verification, not estimation.
 
 Conventions
 -----------
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -62,24 +63,27 @@ def _outcome_index(outcome, q: int, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probability table over F_q^n, indexed lexicographically; its q^n
-    entries are checked against cap before the table is copied."""
+    """Probability table over F_q^n, indexed lexicographically. Its q^n
+    entries, and every table later built from it, are checked against cap
+    (None: gf.DEFAULT_CAP at the time of the check)."""
 
     q: int
     n: int
     probs: np.ndarray
-    cap: InitVar[int] = None
+    cap: int = None
 
-    def __post_init__(self, cap):
+    def __post_init__(self):
         _check_prime(self.q)
         if self.n < 1:
             raise ValueError("need at least one coordinate")
-        check_cap(self.q ** self.n, cap)
+        check_cap(self.q ** self.n, self.cap)
         table = np.asarray(self.probs, dtype=np.float64)
         if table.shape != (self.q ** self.n,):
             raise ValueError(
                 f"probability table must have length q^n = {self.q ** self.n}"
             )
+        if not np.all(np.isfinite(table)):
+            raise ValueError("probabilities must be finite")
         if table.min() < 0:
             raise ValueError("probabilities must be non-negative")
         if abs(float(table.sum()) - 1.0) > 1e-12:
@@ -160,6 +164,8 @@ def bernoulli_iid(n: int, alpha: float, cap=None) -> Distribution:
 
 def random_dirichlet(q: int, n: int, rng_seed, alpha: float = 1.0, cap=None) -> Distribution:
     """Strictly positive random table from a symmetric Dirichlet draw."""
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
     rng = np.random.default_rng(rng_seed)
     check_cap(q ** n, cap)
     table = rng.dirichlet(np.full(q ** n, alpha))
@@ -177,8 +183,12 @@ def renyi_entropy(dist: Distribution, p: int) -> float:
     and a point mass scores 0.
     """
     _check_order(p)
-    power_sum = float(np.sum(dist.probs ** p))
-    return _log_q(power_sum, dist.q) / (1 - p)
+    return _renyi_of_table(dist.probs, dist.q, p)
+
+
+def _renyi_of_table(probs: np.ndarray, q: int, p: int) -> float:
+    """renyi_entropy of a bare table of any shape, order p already checked."""
+    return _log_q(float(np.sum(probs ** p)), q) / (1 - p)
 
 
 def _check_order(p) -> None:
@@ -256,26 +266,15 @@ def pushforward_encode(dist: Distribution, code: LinearCode) -> Distribution:
 
     The encoded vector is uniform on the coset data + C, so
     out(y) = (mass of y's coset) / q^rank(G). The law has as many entries
-    as dist, whose table was already admitted, so it is not refused again.
+    as dist and keeps its cap.
     """
     _check_code_matches(dist, code)
     labels, rank = code.coset_labels
     mass = np.bincount(labels, weights=dist.probs)
-    return Distribution(dist.q, dist.n, mass[labels] / dist.q ** rank, dist.probs.size)
+    return Distribution(dist.q, dist.n, mass[labels] / dist.q ** rank, dist.cap)
 
 
-def marginal(dist: Distribution, selector: SubsetSelector) -> Distribution:
-    """Marginal law of the selected coordinates."""
-    if selector.n != dist.n:
-        raise ValueError("selector was built for a different n")
-    shaped = dist.probs.reshape((dist.q,) * dist.n)
-    drop = tuple(i for i in range(dist.n) if i not in selector.indices)
-    return Distribution(dist.q, selector.size, shaped.sum(axis=drop).ravel(), dist.probs.size)
-
-
-def mutual_information(
-    dist: Distribution, code: LinearCode, selector: SubsetSelector, cap=None
-) -> float:
+def mutual_information(dist: Distribution, code: LinearCode, selector: SubsetSelector) -> float:
     """Exact I(encoded vector; selected data coordinates) in q-ary symbols.
 
     Equals I(coset of the data; X_R): given its coset, the encoded vector
@@ -286,39 +285,40 @@ def mutual_information(
     _check_code_matches(dist, code)
     if selector.n != dist.n:
         raise ValueError("selector was built for a different n")
-    joint = _joint_table(dist, code, selector.indices, cap)
+    joint = _joint_table(dist, code, selector.indices)
     marginals = joint.sum(axis=1)[:, None] * joint.sum(axis=0)
     support = joint > 0
     ratio = joint[support] / marginals[support]
     return float(np.sum(joint[support] * np.log(ratio))) / math.log(dist.q)
 
 
-def _joint_table(dist: Distribution, code: LinearCode, indices, cap) -> np.ndarray:
+def _joint_table(dist: Distribution, code: LinearCode, indices) -> np.ndarray:
     """Dense (coset, X_R) table J[c, z] = P(data in coset c, X_R = z) of
-    shape (q^(n - rank), q^r), for a code that matches dist. Every path
-    that conditions on a subset reads it: one bincount, no sort."""
+    shape (q^(n - rank), q^r), for a code that matches dist, checked
+    against dist's cap. Every path that conditions on a subset reads it:
+    one bincount, no sort."""
     labels, rank = code.coset_labels
     cols = dist.q ** len(indices)
     cells = dist.q ** (dist.n - rank) * cols
-    check_cap(cells, cap)
+    check_cap(cells, dist.cap)
     flat = np.bincount(labels * cols + _subset_index(dist.q, dist.n, indices),
                        weights=dist.probs, minlength=cells)
     return flat.reshape(-1, cols)
 
 
-def _conditional_encoded_laws(dist: Distribution, code: LinearCode, r: int, cap):
+def _conditional_encoded_laws(dist: Distribution, code: LinearCode, r: int):
     """Exact law of data + key.G given X_R = z for every size-r subset R and
     every z of positive probability, a subset at a time: yields (selector,
     its values z, one row per z over F_q^n), both in lexicographic order.
     Row z is J[label, z] / P(z) / q^rank off the subset's _joint_table; no
     Distribution is built (tests/oracles.py holds the per-event reference).
-    The rows of a subset are checked against the cap before they are built."""
+    The rows of a subset are checked against dist's cap before they are built."""
     labels, rank = code.coset_labels
     for selector in all_subsets(dist.n, r):
-        joint = _joint_table(dist, code, selector.indices, cap)
+        joint = _joint_table(dist, code, selector.indices)
         mass = joint.sum(axis=0)
         live = np.nonzero(mass > 0)[0]
-        check_cap(len(live) * labels.size, cap)
+        check_cap(len(live) * labels.size, dist.cap)
         rows = (joint[:, live] / mass[live]).T[:, labels] / dist.q ** rank
         if rows.min() < 0 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("a conditional encoded law is not a probability table")
@@ -419,10 +419,15 @@ def smoothing_threshold(p: int, epsilon: float) -> float:
 def subset_entropies(dist: Distribution, p: int, r: int) -> tuple:
     """Measured entropy inputs of BoundParams: (order-p entropy of the data
     law, largest order-p entropy among its size-r marginals). Computed once
-    per distribution: an audit of many codes over one law reuses them."""
+    per distribution: an audit of many codes over one law reuses them. Each
+    marginal is a sum over the dropped axes; no Distribution is built for it."""
     if (p, r) not in dist._entropies:
-        max_subset = max(renyi_entropy(marginal(dist, sel), p) for sel in all_subsets(dist.n, r))
-        dist._entropies[p, r] = renyi_entropy(dist, p), max_subset
+        full = renyi_entropy(dist, p)
+        shaped = dist.probs.reshape((dist.q,) * dist.n)
+        drops = (tuple(i for i in range(dist.n) if i not in sel.indices)
+                 for sel in all_subsets(dist.n, r))
+        max_subset = max(_renyi_of_table(shaped.sum(axis=drop), dist.q, p) for drop in drops)
+        dist._entropies[p, r] = full, max_subset
     return dist._entropies[p, r]
 
 
@@ -433,11 +438,11 @@ def measured_bounds(dist: Distribution, p: int, r: int, epsilon: float, a: float
                        data_entropy=data_entropy, max_subset_entropy=max_subset_entropy)
 
 
-def subset_leakages(dist: Distribution, code: LinearCode, r: int, cap=None) -> dict:
+def subset_leakages(dist: Distribution, code: LinearCode, r: int) -> dict:
     """Exact I(encoded vector; X_R) for every size-r coordinate subset R,
     keyed by R's indices in lexicographic subset order."""
     return {
-        sel.indices: mutual_information(dist, code, sel, cap)
+        sel.indices: mutual_information(dist, code, sel)
         for sel in all_subsets(dist.n, r)
     }
 
@@ -450,7 +455,6 @@ def leakage_audit(
     p: int,
     epsilon: float,
     a: float,
-    cap=None,
 ) -> dict:
     """Exact leakage of one encoder against the bound calculators.
 
@@ -463,7 +467,7 @@ def leakage_audit(
     bounds = leakage_bounds_both(bp)
     per_subset = [
         {"indices": indices, "mi": mi}
-        for indices, mi in subset_leakages(dist, code, subset_size, cap).items()
+        for indices, mi in subset_leakages(dist, code, subset_size).items()
     ]
     max_mi = max(row["mi"] for row in per_subset)
     return {
@@ -503,24 +507,22 @@ def smoothing_report(
     p: int,
     epsilon: float,
     subset_size: int = None,
-    cap=None,
 ) -> SmoothingReport:
     """Measure v_p(encoded law, uniform) and, when subset_size is given,
     v_p of each conditional encoded law against the unconditioned one."""
     encoded = pushforward_encode(dist, code)
-    unif = uniform(dist.q, dist.n, cap)
     conditionals = ()
     if subset_size is not None:
         conditionals = tuple(
             ((selector.indices, z), float(vp))
-            for selector, values, rows in _conditional_encoded_laws(dist, code, subset_size, cap)
+            for selector, values, rows in _conditional_encoded_laws(dist, code, subset_size)
             for z, vp in zip(values, _vp_rows(rows, encoded.probs, p))
         )
     relaxed = 2 ** ((2 * p - 1) / p) * epsilon ** (1.0 / p) if epsilon < 1 else math.inf
     return SmoothingReport(
         p=p,
         epsilon=epsilon,
-        vp_uniform=v_p_distance(encoded, unif, p),
+        vp_uniform=float(_vp_rows(encoded.probs, 1.0 / encoded.probs.size, p)),
         conditional_vps=conditionals,
         threshold=smoothing_threshold(p, epsilon),
         threshold_relaxed=relaxed,
@@ -600,7 +602,7 @@ def relation_in_context(dist: Distribution, p: int, a: float, rng):
     encoded = pushforward_encode(dist, code)
     reports = [
         _relation_report(float(vp), dp, p, dist.q)
-        for _, _, rows in _conditional_encoded_laws(dist, code, 1, None)
+        for _, _, rows in _conditional_encoded_laws(dist, code, 1)
         for vp, dp in zip(_vp_rows(rows, encoded.probs, p),
                           _renyi_divergence_rows(rows, encoded.probs, p, dist.q))
     ]

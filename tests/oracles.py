@@ -1,8 +1,9 @@
 """Slow references the package is tested against, one event at a time.
 
 The package computes every conditional law in bulk, from one dense
-(coset, X_R) table per subset, and enumerates no straggler patterns.
-These functions build the same objects the plain way: one conditional
+(coset, X_R) table per subset, takes each marginal as a plain sum, and
+enumerates no straggler patterns. These functions build the same objects
+the plain way: one marginal Distribution per subset, one conditional
 Distribution per event (R, z), one straggler set per pattern. Nothing
 in icc_kit imports this module.
 """
@@ -20,9 +21,17 @@ from icc_kit.infometrics import (
     _outcome_index,
     _subset_index,
     all_subsets,
-    marginal,
     pushforward_encode,
 )
+
+
+def marginal(dist: Distribution, selector: SubsetSelector) -> Distribution:
+    """Marginal law of the selected coordinates, under dist's cap."""
+    if selector.n != dist.n:
+        raise ValueError("selector was built for a different n")
+    shaped = dist.probs.reshape((dist.q,) * dist.n)
+    drop = tuple(i for i in range(dist.n) if i not in selector.indices)
+    return Distribution(dist.q, selector.size, shaped.sum(axis=drop).ravel(), dist.cap)
 
 
 def conditional_given(dist: Distribution, selector: SubsetSelector, z) -> Distribution:
@@ -36,8 +45,7 @@ def conditional_given(dist: Distribution, selector: SubsetSelector, z) -> Distri
     total = float(dist.probs[mask].sum())
     if total <= 0:
         raise ValueError(f"conditioning on a zero-probability event: {tuple(z_arr.tolist())}")
-    # capped at its source's size: that table was admitted under the caller's cap
-    return Distribution(dist.q, dist.n, np.where(mask, dist.probs, 0.0) / total, dist.probs.size)
+    return Distribution(dist.q, dist.n, np.where(mask, dist.probs, 0.0) / total, dist.cap)
 
 
 def conditional_encoded(

@@ -375,6 +375,24 @@ def test_main_rejects_non_integer_config_values(tmp_path, capsys, command, confi
     assert error.startswith("config key") and "must be" in error
 
 
+@pytest.mark.parametrize("dist,key", [
+    ("uniform", "dist"),
+    (None, "dist"),
+    ({"family": "bernoulli"}, "alpha"),
+    ({"family": "point_mass", "at": 3}, "at"),
+    ({"family": "explicit"}, "probs"),
+    ({"family": "explicit", "probs": "abc"}, "probs"),
+    ({"family": "explicit", "probs": [math.nan] + [1 / 63] * 63}, "probs"),
+])
+def test_main_audit_names_the_key_of_a_malformed_dist_spec(tmp_path, capsys, dist, key):
+    # these used to surface as raw AttributeError, KeyError, TypeError and
+    # ValueError messages (a NaN entry as "cannot convert float NaN to integer")
+    path = write_config(tmp_path, dict(AUDIT_UNIFORM, dist=dist))
+    assert main(["audit", "--config", path]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith("config key") and f"'{key}'" in error, error
+
+
 def test_real_config_keys_accept_json_integers():
     # an int is a real number: a = 2 reads as 2.0
     assert cmd_audit(dict(AUDIT_UNIFORM, a=2)) == cmd_audit(dict(AUDIT_UNIFORM, a=2.0))
@@ -401,11 +419,11 @@ def test_main_simulate_rejects_float_polynomial_terms(tmp_path, capsys):
 
 
 def test_audit_measures_subset_entropies_once_per_distribution(monkeypatch):
-    # choosing m and auditing every code read the same entropies of one law
-    marginals = []
-    real = cli.im.marginal
-    monkeypatch.setattr(cli.im, "marginal", lambda *args: marginals.append(1) or real(*args))
-    config = dict(AUDIT_UNIFORM, num_codes=3)
-    code, rows = cmd_audit(config)
+    # choosing m and auditing every code read the same entropies of one
+    # law: the law's own entropy is taken once, not once per code
+    calls = []
+    real = cli.im.renyi_entropy
+    monkeypatch.setattr(cli.im, "renyi_entropy", lambda *args: calls.append(1) or real(*args))
+    code, rows = cmd_audit(dict(AUDIT_UNIFORM, num_codes=3))
     assert len(rows) == 3 + 2
-    assert len(marginals) == math.comb(config["n"], config["r"])
+    assert len(calls) == 1

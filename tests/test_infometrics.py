@@ -32,7 +32,6 @@ from icc_kit.infometrics import (
     leakage_audit,
     leakage_bound,
     leakage_bounds_both,
-    marginal,
     measured_bounds,
     mutual_information,
     pinsker_check,
@@ -50,7 +49,7 @@ from icc_kit.infometrics import (
     v_distance,
     v_p_distance,
 )
-from oracles import conditional_encoded, conditional_given, conditioning_events
+from oracles import conditional_encoded, conditional_given, conditioning_events, marginal
 
 TOL = 1e-9
 
@@ -63,6 +62,10 @@ def test_distribution_normalization_enforced():
         Distribution(2, 1, np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
         Distribution(2, 1, np.array([1.2, -0.2]))
+    # NaN passed both the sign and the sum check, and entropies came out NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            Distribution(2, 2, [bad, 0.5, 0.25, 0.25])
 
 
 def test_distribution_table_is_read_only():
@@ -110,6 +113,9 @@ def test_random_dirichlet_is_a_distribution_and_deterministic():
     assert np.array_equal(a.probs, b.probs)
     assert abs(a.probs.sum() - 1.0) < 1e-12
     assert (a.probs >= 0).all()
+    # alpha = 0 drew an all-zero table, normalised to NaN
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        random_dirichlet(3, 2, 12, alpha=0.0)
 
 
 @pytest.mark.parametrize("build", [
@@ -436,24 +442,27 @@ def test_mutual_information_memory_at_cap_boundary():
 def test_cap_guards_joint_enumeration():
     # the cap counts the cells of the tables allocated, not the q^(n+m) =
     # 2^7 (data, key) outcomes: this (coset, X_R) table has 2^(4-3+1) cells
-    dist, code, sel = random_dirichlet(2, 4, 5), sample_code(4, 3, 2, 3), SubsetSelector((0,), 4)
+    dist, sel = random_dirichlet(2, 4, 5, cap=2**6), SubsetSelector((0,), 4)
+    code = sample_code(4, 3, 2, 3)
     joint = _key_loop_joint(dist, code, sel.indices)
     outer = joint.sum(axis=1)[:, None] * joint.sum(axis=0)[None, :]
     support = joint > 0
     oracle_mi = float(np.sum(joint[support] * np.log(joint[support] / outer[support]))) / math.log(2)
-    assert abs(mutual_information(dist, code, sel, cap=2**6) - oracle_mi) <= 1e-12
+    assert abs(mutual_information(dist, code, sel) - oracle_mi) <= 1e-12
     check_cap(2**6, 2**6)  # at the cap is allowed
     assert DEFAULT_CAP == 2**24
     # a subset wider than the rank: the dense (coset, X_R) table has
-    # 2^(8-1+6) cells, beyond the cap
+    # 2^(8-1+6) cells, beyond the cap the law was admitted under
     code = LinearCode([[1] * 8], 2)
-    with pytest.raises(ValueError, match="exceeds cap"):
-        mutual_information(uniform(2, 8), code, SubsetSelector(tuple(range(6)), 8), cap=2**10)
+    with pytest.raises(ValueError, match="8192 outcomes exceeds cap 1024"):
+        mutual_information(uniform(2, 8, cap=2**10), code, SubsetSelector(tuple(range(6)), 8))
+    with pytest.raises(ValueError, match="8192 outcomes exceeds cap 1024"):
+        leakage_audit(uniform(2, 8, cap=2**10), code, 6, p=2, epsilon=0.25, a=2.0)
     # the 32-cell table of a 2-subset fits the cap; its 4 rows of 16 do not
     code = LinearCode([[1, 1, 0, 1]], 2)
     with pytest.raises(ValueError, match="exceeds cap"):
-        smoothing_report(uniform(2, 4), code, 2, 0.5, subset_size=2, cap=32)
-    assert len(smoothing_report(uniform(2, 4), code, 2, 0.5, 2, cap=64).conditional_vps) == 24
+        smoothing_report(uniform(2, 4, cap=32), code, 2, 0.5, subset_size=2)
+    assert len(smoothing_report(uniform(2, 4, cap=64), code, 2, 0.5, 2).conditional_vps) == 24
 
 
 def test_audit_paths_answer_at_the_table_cap():
@@ -467,9 +476,9 @@ def test_audit_paths_answer_at_the_table_cap():
         code = sample_code(16, m, 2, 40 + m)
         tracemalloc.start()
         try:
-            mi = mutual_information(dist, code, sel, cap)
+            mi = mutual_information(dist, code, sel)
             encoded = pushforward_encode(dist, code)
-            report = leakage_audit(dist, code, 1, p=2, epsilon=0.25, a=2.0, cap=cap)
+            report = leakage_audit(dist, code, 1, p=2, epsilon=0.25, a=2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -490,6 +499,28 @@ def test_pushforward_keeps_the_cap_its_table_was_admitted_under(monkeypatch):
     assert cond.probs.size == 2**8
     with pytest.raises(ValueError, match="exceeds cap 64"):
         uniform(2, 8)
+
+
+def test_a_law_audits_under_the_cap_it_was_admitted_under(monkeypatch):
+    # no audit call repeats the cap: each (coset, X_R) table and
+    # conditional row set of a law is checked against the law's own cap:
+    # the largest here, two conditional laws of 2^8 entries, fits 2^9
+    monkeypatch.setattr(gf, "DEFAULT_CAP", 2**4)
+    dist = random_dirichlet(2, 8, 3, cap=2**9)
+    code = sample_code(8, 3, 2, 4)
+    report = leakage_audit(dist, code, 1, p=2, epsilon=0.25, a=2.0)
+    assert len(report["per_subset"]) == 8 and report["max_mi"] >= 0
+    smoothing = smoothing_report(dist, code, 2, 0.5, subset_size=1)
+    assert len(smoothing.conditional_vps) == 16 and smoothing.vp_uniform >= 0
+
+
+@pytest.mark.parametrize("q,n,seed", [(2, 5, 1), (2, 6, 2), (3, 3, 3), (3, 4, 4), (5, 3, 5)])
+def test_subset_entropies_equal_the_marginal_reference_exactly(q, n, seed):
+    dist = random_dirichlet(q, n, seed)
+    for p in (2, 3, 4):
+        for r in range(1, n):
+            expected = max(renyi_entropy(marginal(dist, sel), p) for sel in all_subsets(n, r))
+            assert subset_entropies(dist, p, r) == (renyi_entropy(dist, p), expected)
 
 
 def test_subset_size_above_n_is_refused():
@@ -740,7 +771,7 @@ def test_conditioning_paths_build_no_per_event_distribution(monkeypatch):
     built = []
     real = Distribution.__post_init__
     monkeypatch.setattr(Distribution, "__post_init__",
-                        lambda self, cap: built.append(1) or real(self, cap))
+                        lambda self: built.append(1) or real(self))
     calls = [
         (2, lambda: check_entropy_gap(dist, 2, 2)["holds"]),
         (1, lambda: relation_in_context(dist, 2, 2.0, np.random.default_rng(11)) is not None),
