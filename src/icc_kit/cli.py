@@ -96,6 +96,23 @@ def _dist_from_config(spec: dict, q: int, n: int, seed: int, cap=None) -> im.Dis
     raise UsageError(f"unknown distribution family {family!r}")
 
 
+def _poly_from_config(spec) -> MultiPoly:
+    """Config key 'f': a polynomial in MultiPoly.to_json's form."""
+    if not isinstance(spec, dict):
+        raise UsageError(f"config key 'f' must be a polynomial object, got {spec!r}")
+    _require(spec, ["n", "q", "terms"], "config key 'f'")
+    if not isinstance(spec["terms"], list):
+        raise UsageError(f"config key 'terms' must be a list of terms, got {spec['terms']!r}")
+    for term in spec["terms"]:
+        if not isinstance(term, dict):
+            raise UsageError(f"config key 'terms' must hold objects, got {term!r}")
+        _require(term, ["exp", "coef"], "a term of config key 'f'")
+    try:
+        return MultiPoly.from_json(spec)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config key 'f' is not a polynomial: {exc}") from None
+
+
 def _header(command: str, config: dict, seed) -> str:
     payload = {"command": command, "config": config, "seed": seed}
     return "# " + json.dumps(payload, sort_keys=True)
@@ -135,16 +152,23 @@ def cmd_simulate(config: dict) -> tuple:
     code_seed, key_seed, x_seed, f_seed = _child_seeds(seed, 4)
     code = sample_code(params.n, m, params.q, code_seed)
     if "x" in config:
-        data = config["x"]
+        data = _integers(config["x"], "x")
+        if data.shape != (params.n,):
+            raise UsageError(f"config key 'x' must be a list of n = {params.n} integers, "
+                             f"got {config['x']!r}")
     else:
         data = np.random.default_rng(x_seed).integers(0, params.q, params.n)
     # storage first: it refuses an oversized code before random_poly lists a basis
     session = storage_phase(data, params, code, key_seed)
     if "f" in config:
-        f = MultiPoly.from_json(config["f"])
+        f = _poly_from_config(config["f"])
     else:
         f = random_poly(params.n, params.degree_bound, params.q, f_seed)
-    stragglers = [_int(s, "stragglers") for s in config.get("stragglers", [])]
+    stragglers = config.get("stragglers", [])
+    if not isinstance(stragglers, list):
+        raise UsageError(f"config key 'stragglers' must be a list of worker indices, "
+                         f"got {stragglers!r}")
+    stragglers = [_int(s, "stragglers") for s in stragglers]
     decoded = computation_phase(session, f, stragglers)
     direct = evaluate(f, data)
     result = {

@@ -12,6 +12,7 @@ checks; from_terms builds it from raw (exponent tuple, coefficient) pairs.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -115,13 +116,36 @@ def _rows_ascend(columns, count: int) -> bool:
     return not undecided.any()
 
 
+def _pair_index(slots) -> tuple:
+    """(pair_var, pair_exp, pair_of): the distinct (variable, exponent)
+    pairs of the (variables, exponents) slots, in (variable, exponent)
+    order, and each slot's pair, shaped like the slots; a (0, 0) padding
+    slot is the pair x_0^0. All three are read-only; pair_exp keeps the
+    exponents' dtype and the other two are int64."""
+    var, exp = slots
+    # a pair is keyed by its exponent's rank: var * q + exp overflows near q = 2^61
+    exps = np.sort(exp, axis=None)
+    exps = exps[np.diff(exps, prepend=-1) != 0]
+    keys = var * len(exps) + np.searchsorted(exps, exp)
+    # mark the keys in use and number them in key order, without a sort
+    seen = np.zeros((int(var.max(initial=-1)) + 1) * len(exps), bool)
+    seen[keys] = True
+    pairs = np.flatnonzero(seen)
+    index = (pairs // len(exps), exps[pairs % len(exps)], (np.cumsum(seen) - 1)[keys])
+    for arr in index:
+        arr.setflags(write=False)
+    return index
+
+
 @dataclass(frozen=True, eq=False)
 class MultiPoly:
     """Terms in lexicographic exponent order. slots is the (variables,
     exponents) pair of (terms, k) arrays: each row holds a term's nonzero
     exponents in increasing variable order, padded with (0, 0). coefs holds
     the nonzero coefficients. Build one with from_terms, from_json or
-    random_poly; the constructor only checks the form."""
+    random_poly; the constructor only checks the form. pairs, the index of
+    the distinct (variable, exponent) pairs in slots, is built on first use
+    and shared by evaluate and evaluate_batch."""
 
     num_vars: int
     q: int
@@ -187,6 +211,11 @@ class MultiPoly:
                         for exp in order], dtype)
         return cls(num_vars, q, slots, np.array([merged[exp] for exp in order], dtype), degree_bound)
 
+    @cached_property
+    def pairs(self) -> tuple:
+        """_pair_index(self.slots), read-only and found once per polynomial."""
+        return _pair_index(self.slots)
+
     @property
     def is_zero(self) -> bool:
         return len(self.coefs) == 0
@@ -241,40 +270,33 @@ class _Terms(Mapping):
 
 def evaluate(f: MultiPoly, x) -> int:
     """f(x) by term-wise product and sum over F_q, in Python ints: the slow
-    reference that evaluate_batch is checked against. It uses no numpy
-    arithmetic: each term's product starts at its coefficient and takes
-    one slot column at a time, a pow for every nonzero exponent."""
+    reference that evaluate_batch is checked against. It does no numpy
+    arithmetic on field values: a pow for each distinct (variable,
+    exponent) pair of f.pairs, then each term's product of its coefficient
+    and gathered powers, one slot column at a time, reduced once at the end."""
     # pow needs Python ints: pow(np.int64, e, q) raises TypeError
     values = field_array(x, f.q, (f.num_vars,), "point").tolist()
     q = f.q
-    var, exp = f.slots
+    pair_var, pair_exp, pair_of = f.pairs
+    powers = [pow(values[v], e, q) for v, e in zip(pair_var.tolist(), pair_exp.tolist())]
     prods = f.coefs.tolist()
-    for col_vars, col_exps in zip(var.T.tolist(), exp.T.tolist()):
-        prods = [p * pow(values[v], e, q) % q if e else p
-                 for p, v, e in zip(prods, col_vars, col_exps)]
+    for col in pair_of.T.tolist():
+        prods = map(operator.mul, prods, map(powers.__getitem__, col))
     return sum(prods) % q
 
 
-def _monomial_products(slots, points, q: int) -> tuple:
+def _monomial_products(pairs, points, q: int) -> tuple:
     """(products, bound): every monomial at every point, shape (terms,
-    points), congruent mod q to its value and at most bound. slots is a
-    (variables, exponents) pair of (terms, k) arrays; a (0, 0) slot is a
-    factor 1. Each distinct (variable, exponent) pair, at most terms * k of
-    them, is raised once into a (pairs, points) table of residues, and a
-    term multiplies its gathered rows: O(points * terms * d) for degree d.
+    points), congruent mod q to its value and at most bound. pairs is the
+    _pair_index of the monomials' slots. Each distinct (variable, exponent)
+    pair is raised once into a (pairs, points) table of residues, and a
+    term multiplies the rows its slot columns gather, starting from the
+    first: O(points * terms * d) for degree d. A term with no slots is 1.
     In int64 a product is reduced only when the next could reach 2^63."""
     dtype = exact_dtype(q)
     coords = np.asarray(points, dtype=dtype).T % q
-    var, exp = slots
-    # a pair is keyed by its exponent's rank: var * q + exp overflows near q = 2^61
-    exps = np.sort(exp, axis=None)
-    exps = exps[np.diff(exps, prepend=-1) != 0]
-    keys = var * len(exps) + np.searchsorted(exps, exp)
-    # mark the keys in use and number them in key order, without a sort
-    seen = np.zeros(coords.shape[0] * len(exps), bool)
-    seen[keys] = True
-    pairs, pair_of = np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
-    pair_exp, base = exps[pairs % len(exps)], coords[pairs // len(exps)]
+    pair_var, pair_exp, pair_of = pairs
+    base = coords.take(pair_var, axis=0)
     table = np.ones_like(base)
     for bit in range(int(pair_exp.max(initial=0)).bit_length()):
         if bit:
@@ -282,19 +304,21 @@ def _monomial_products(slots, points, q: int) -> tuple:
         odd = ((pair_exp >> bit) & 1).astype(bool)[:, None]
         np.multiply(table, base, out=table, where=odd)
         np.remainder(table, q, out=table, where=odd)
-    vals, bound = np.ones((len(var), coords.shape[1]), dtype), 1
-    for col in pair_of.reshape(exp.shape).T:
+    if not pair_of.shape[1]:
+        return np.ones((len(pair_of), coords.shape[1]), dtype), 1
+    vals, bound = table.take(pair_of[:, 0], axis=0), q - 1
+    for col in pair_of.T[1:]:
         if dtype is np.int64 and bound * (q - 1) >= 2 ** 63:
             np.remainder(vals, q, out=vals)
             bound = q - 1
-        vals *= table[col]
+        vals *= table.take(col, axis=0)
         bound *= q - 1
     return vals, bound
 
 
 def monomial_values(slots, points, q: int) -> np.ndarray:
     """Every monomial at every point mod q, shape (terms, points)."""
-    vals, bound = _monomial_products(slots, points, q)
+    vals, bound = _monomial_products(_pair_index(slots), points, q)
     return vals % q if bound >= q else vals
 
 
@@ -307,7 +331,7 @@ def evaluate_batch(f: MultiPoly, points: np.ndarray) -> np.ndarray:
     """
     q, terms = f.q, len(f.coefs)
     pts = field_array(points, q, (None, f.num_vars), "points")
-    vals, bound = _monomial_products(f.slots, pts, q)
+    vals, bound = _monomial_products(f.pairs, pts, q)
     if terms * (q - 1) * bound >= 2 ** 63:
         vals, bound = vals % q, q - 1
     dtype = np.int64 if terms * (q - 1) * bound < 2 ** 63 else object

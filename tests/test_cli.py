@@ -409,6 +409,22 @@ def test_fmt_compact_numbers():
     assert cli._fmt(0.25) == "0.25"
 
 
+@pytest.mark.parametrize("extra,key", [
+    ({"stragglers": 3}, "stragglers"),
+    ({"f": 7}, "f"),
+    ({"f": {"n": 5, "q": 3, "d": 1}}, "terms"),
+    ({"f": {"n": 5, "q": 3, "d": 1, "terms": [{"exp": [1, 0, 0, 0, 0]}]}}, "coef"),
+    ({"f": {"n": 5, "q": 3, "d": 1, "terms": [{"exp": 1, "coef": 1}]}}, "f"),
+    ({"x": [0, 1, 2]}, "x"),
+    ({"x": 4}, "x"),
+])
+def test_main_simulate_names_the_key_of_a_malformed_input(tmp_path, capsys, extra, key):
+    path = write_config(tmp_path, dict(BASE_SIM, **extra))
+    assert main(["simulate", "--config", path]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert "config key" in error and f"'{key}'" in error, error
+
+
 def test_main_simulate_rejects_float_polynomial_terms(tmp_path, capsys):
     # a float exponent or coefficient in "f" is refused, not truncated
     for term in ({"exp": [1.7, 0, 0, 0, 0], "coef": 1}, {"exp": [1, 0, 0, 0, 0], "coef": 2.9}):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icc_kit import poly
 from icc_kit.poly import (
     MultiPoly,
     evaluate,
@@ -31,6 +32,10 @@ def test_total_degree_of_constant_is_zero():
     f = P(1, 11, {(0,): 7})
     assert f.degree == 0
     assert not f.is_zero
+    # no slot columns: the kernel's product is 1 at every point
+    points = [(0,), (5,), (10,)]
+    assert monomial_values(f.slots, points, 11).tolist() == [[1, 1, 1]]
+    assert evaluate_batch(f, np.array(points)).tolist() == [7, 7, 7]
 
 
 def test_total_degree_mixed_exponents():
@@ -44,6 +49,9 @@ def test_zero_polynomial():
     assert z.degree == 0
     for x in itertools.product(range(3), repeat=2):
         assert evaluate(z, x) == 0
+    points = np.array(list(itertools.product(range(3), repeat=2)))
+    assert monomial_values(z.slots, points, 3).shape == (0, 9)
+    assert evaluate_batch(z, points).tolist() == [0] * 9
 
 
 def test_evaluate_hand_cases():
@@ -271,6 +279,30 @@ def polys_for_the_oracle(draw):
 def test_evaluate_matches_dense_exponent_reference(case):
     f, x = case
     assert evaluate(f, x) == _dense_reference(f, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=polys_for_the_oracle())
+def test_pair_index_reproduces_the_slots(case):
+    f, _ = case
+    pair_var, pair_exp, pair_of = f.pairs
+    var, exp = f.slots
+    assert pair_of.shape == var.shape
+    assert pair_var[pair_of].tolist() == var.tolist()
+    assert pair_exp[pair_of].tolist() == exp.tolist()
+    pairs = list(zip(pair_var.tolist(), pair_exp.tolist()))
+    assert len(set(pairs)) == len(pairs)
+
+
+def test_evaluate_raises_each_distinct_pair_once(monkeypatch):
+    f = random_poly(90, 2, 5, 3)
+    x = [(3 * i + 1) % 5 for i in range(90)]
+    expected = evaluate(f, x)
+    calls = []
+    monkeypatch.setattr(poly, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
+    assert evaluate(f, x) == expected
+    var, exp = f.slots
+    assert len(calls) == len(set(zip(var.ravel().tolist(), exp.ravel().tolist())))
 
 
 @pytest.mark.parametrize("q", LARGE_PRIMES)
