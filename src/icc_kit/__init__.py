@@ -20,7 +20,6 @@ from .infometrics import (
     BoundParams,
     Distribution,
     SmoothingReport,
-    SubsetSelector,
     check_divergence_distance_relation,
     check_entropy_gap,
     keysize_lower_bound,

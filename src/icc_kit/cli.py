@@ -42,11 +42,14 @@ def _integers(value, key: str) -> np.ndarray:
         raise UsageError(str(exc)) from None
 
 
-def _int(value, key: str) -> int:
-    """One integer config value as a Python int (see _integers)."""
+def _int(value, key: str, least: int = None) -> int:
+    """One integer config value as a Python int (see _integers), refused
+    below least when least is given."""
     arr = _integers(value, key)
     if arr.ndim:
         raise UsageError(f"config key {key!r} must be one integer, got {value!r}")
+    if least is not None and arr.item() < least:
+        raise UsageError(f"config key {key!r} must be at least {least}, got {value!r}")
     return arr.item()
 
 
@@ -96,8 +99,9 @@ def _dist_from_config(spec: dict, q: int, n: int, seed: int, cap=None) -> im.Dis
     raise UsageError(f"unknown distribution family {family!r}")
 
 
-def _poly_from_config(spec) -> MultiPoly:
-    """Config key 'f': a polynomial in MultiPoly.to_json's form."""
+def _poly_from_config(spec, params: SchemeParams) -> MultiPoly:
+    """Config key 'f': a polynomial in MultiPoly.to_json's form, over the
+    scheme's n variables and field F_q."""
     if not isinstance(spec, dict):
         raise UsageError(f"config key 'f' must be a polynomial object, got {spec!r}")
     _require(spec, ["n", "q", "terms"], "config key 'f'")
@@ -108,9 +112,13 @@ def _poly_from_config(spec) -> MultiPoly:
             raise UsageError(f"config key 'terms' must hold objects, got {term!r}")
         _require(term, ["exp", "coef"], "a term of config key 'f'")
     try:
-        return MultiPoly.from_json(spec)
+        f = MultiPoly.from_json(spec)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config key 'f' is not a polynomial: {exc}") from None
+    for key, have, want in (("n", f.num_vars, params.n), ("q", f.q, params.q)):
+        if have != want:
+            raise UsageError(f"config key 'f' has {key} = {have}, but the scheme has {key} = {want}")
+    return f
 
 
 def _header(command: str, config: dict, seed) -> str:
@@ -148,7 +156,7 @@ def cmd_simulate(config: dict) -> tuple:
         straggler_budget=_int(config["S"], "S"),
     )
     m = _int(config["m"], "m")
-    seed = _int(config["seed"], "seed")
+    seed = _int(config["seed"], "seed", 0)
     code_seed, key_seed, x_seed, f_seed = _child_seeds(seed, 4)
     code = sample_code(params.n, m, params.q, code_seed)
     if "x" in config:
@@ -158,11 +166,10 @@ def cmd_simulate(config: dict) -> tuple:
                              f"got {config['x']!r}")
     else:
         data = np.random.default_rng(x_seed).integers(0, params.q, params.n)
+    f = _poly_from_config(config["f"], params) if "f" in config else None
     # storage first: it refuses an oversized code before random_poly lists a basis
     session = storage_phase(data, params, code, key_seed)
-    if "f" in config:
-        f = _poly_from_config(config["f"])
-    else:
+    if f is None:
         f = random_poly(params.n, params.degree_bound, params.q, f_seed)
     stragglers = config.get("stragglers", [])
     if not isinstance(stragglers, list):
@@ -200,7 +207,7 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
     num_codes = _int(config.get("num_codes", 100), "num_codes")
     if num_codes < 1:
         raise UsageError("num_codes must be at least 1")
-    seed = _int(config["seed"], "seed")
+    seed = _int(config["seed"], "seed", 0)
     dist_seed, *code_seeds = _child_seeds(seed, num_codes + 1)
     # refuse the q^n probability table before anything is built for it
     check_cap(q ** n, cap)
@@ -246,7 +253,7 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
 # keysize curves
 
 def cmd_keysize_curves(config: dict) -> tuple:
-    n = _int(config.get("n", 2 ** 18), "n")
+    n = _int(config.get("n", 2 ** 18), "n", 1)
     p = _int(config.get("p", 2), "p")
     q = _int(config.get("q", 2), "q")
     entropy_a = _float(config.get("entropy_a", n - 4), "entropy_a")
@@ -289,9 +296,9 @@ def cmd_keysize_curves(config: dict) -> tuple:
 # metrics check
 
 def cmd_metrics_check(config: dict) -> tuple:
-    num_dists = _int(config.get("num_dists", 200), "num_dists")
-    num_pairs = _int(config.get("num_pairs", 1000), "num_pairs")
-    seed = _int(config.get("seed", 0), "seed")
+    num_dists = _int(config.get("num_dists", 200), "num_dists", 0)
+    num_pairs = _int(config.get("num_pairs", 1000), "num_pairs", 0)
+    seed = _int(config.get("seed", 0), "seed", 0)
     rng = np.random.default_rng(seed)
     spaces = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]
     violations = []

@@ -14,7 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import check_sampled_field, exact_dtype, field_array, point_digit, rank, row_reduce
+from .gf import (
+    check_sampled_field, exact_dtype, field_array, point_digit, rank, row_reduce, subset_indices,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +119,7 @@ def subcolumns_full_rank(code: LinearCode, subset: Sequence[int]) -> bool:
     Diagnostic only (equivalent to the masked positions receiving a
     uniform additive pad); not part of the encode path.
     """
-    cols = tuple(subset)
-    if len(set(cols)) != len(cols):
-        raise ValueError("column subset must not repeat indices")
+    cols = subset_indices(subset, code.n)
     if len(cols) > code.m:
         raise ValueError(f"subset size {len(cols)} exceeds key length {code.m}")
-    if any(not 0 <= c < code.n for c in cols):
-        raise ValueError(f"column subset {cols} out of range for n = {code.n}")
     return rank(code.generator[:, list(cols)], code.q) == len(cols)

@@ -70,6 +70,20 @@ def integer_array(values, name: str = "field data") -> np.ndarray:
     return arr
 
 
+def subset_indices(indices, n: int) -> tuple:
+    """A coordinate subset given from outside as a sorted tuple: a flat,
+    non-empty run of distinct integers in [0, n), by integer_array's rule."""
+    arr = integer_array(indices, "subset indices")
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"subset indices must be a flat non-empty list, got {indices!r}")
+    idx = tuple(sorted(arr.tolist()))
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"subset indices {idx} must be distinct")
+    if idx[0] < 0 or idx[-1] >= n:
+        raise ValueError(f"subset indices {idx} out of range for n = {n}")
+    return idx
+
+
 def field_array(values, q: int, shape=None, name: str = "field data") -> np.ndarray:
     """Validate field data at the API boundary and reduce it mod q.
 

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .codes import LinearCode, sample_code
-from .gf import DEFAULT_CAP, _check_prime, check_cap, integer_array, point_digit
+from .gf import DEFAULT_CAP, _check_prime, check_cap, point_digit, subset_indices
 
 # absolute slack for floating-point verdicts: far above accumulated
 # double-precision error at cap-sized sums, far below any real effect
@@ -106,33 +106,19 @@ class Distribution:
         return float(self.probs[_outcome_index(outcome, self.q, self.n)])
 
 
-@dataclass(frozen=True)
-class SubsetSelector:
-    """Sorted distinct coordinate positions; the audited sub-vector."""
-
-    indices: tuple
-    n: int
-
-    def __post_init__(self):
-        idx = tuple(integer_array(self.indices, "subset indices").tolist())
-        if idx != tuple(sorted(set(idx))):
-            raise ValueError("indices must be sorted and distinct")
-        if not idx or not (len(idx) < self.n):
-            raise ValueError("need 1 <= subset size < n")
-        if idx[0] < 0 or idx[-1] >= self.n:
-            raise ValueError("indices out of range")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
-def all_subsets(n: int, r: int):
-    """Every SubsetSelector of size r over n coordinates."""
+def all_subsets(n: int, r: int) -> list:
+    """Every size-r coordinate subset of n, as sorted index tuples in
+    lexicographic order."""
     if not 1 <= r < n:
         raise ValueError("need 1 <= subset size < n")
-    return [SubsetSelector(c, n) for c in itertools.combinations(range(n), r)]
+    return list(itertools.combinations(range(n), r))
+
+
+def _dropped_axes(n: int, r: int):
+    """For each size-r subset R in all_subsets order, the axes of a (q,)*n
+    table that R drops: the X_R marginal is the table's sum over them."""
+    for indices in all_subsets(n, r):
+        yield tuple(i for i in range(n) if i not in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +260,9 @@ def pushforward_encode(dist: Distribution, code: LinearCode) -> Distribution:
     return Distribution(dist.q, dist.n, mass[labels] / dist.q ** rank, dist.cap)
 
 
-def mutual_information(dist: Distribution, code: LinearCode, selector: SubsetSelector) -> float:
-    """Exact I(encoded vector; selected data coordinates) in q-ary symbols.
+def mutual_information(dist: Distribution, code: LinearCode, indices) -> float:
+    """Exact I(encoded vector; X_R) in q-ary symbols, R the given data
+    coordinates (gf.subset_indices), 1 <= |R| < n.
 
     Equals I(coset of the data; X_R): given its coset, the encoded vector
     is uniform on it whatever X_R is. Sums J log_q(J / (coset marginal *
@@ -283,9 +270,10 @@ def mutual_information(dist: Distribution, code: LinearCode, selector: SubsetSel
     joint table (_joint_table).
     """
     _check_code_matches(dist, code)
-    if selector.n != dist.n:
-        raise ValueError("selector was built for a different n")
-    joint = _joint_table(dist, code, selector.indices)
+    indices = subset_indices(indices, dist.n)
+    if len(indices) >= dist.n:
+        raise ValueError("need 1 <= subset size < n")
+    joint = _joint_table(dist, code, indices)
     marginals = joint.sum(axis=1)[:, None] * joint.sum(axis=0)
     support = joint > 0
     ratio = joint[support] / marginals[support]
@@ -308,14 +296,14 @@ def _joint_table(dist: Distribution, code: LinearCode, indices) -> np.ndarray:
 
 def _conditional_encoded_laws(dist: Distribution, code: LinearCode, r: int):
     """Exact law of data + key.G given X_R = z for every size-r subset R and
-    every z of positive probability, a subset at a time: yields (selector,
-    its values z, one row per z over F_q^n), both in lexicographic order.
+    every z of positive probability, a subset at a time: yields (R, its
+    values z, one row per z over F_q^n), both in lexicographic order.
     Row z is J[label, z] / P(z) / q^rank off the subset's _joint_table; no
     Distribution is built (tests/oracles.py holds the per-event reference).
     The rows of a subset are checked against dist's cap before they are built."""
     labels, rank = code.coset_labels
-    for selector in all_subsets(dist.n, r):
-        joint = _joint_table(dist, code, selector.indices)
+    for indices in all_subsets(dist.n, r):
+        joint = _joint_table(dist, code, indices)
         mass = joint.sum(axis=0)
         live = np.nonzero(mass > 0)[0]
         check_cap(len(live) * labels.size, dist.cap)
@@ -323,7 +311,7 @@ def _conditional_encoded_laws(dist: Distribution, code: LinearCode, r: int):
         if rows.min() < 0 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("a conditional encoded law is not a probability table")
         values = [tuple(int(v) for v in np.unravel_index(z, (dist.q,) * r)) for z in live]
-        yield selector, values, rows
+        yield indices, values, rows
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +412,8 @@ def subset_entropies(dist: Distribution, p: int, r: int) -> tuple:
     if (p, r) not in dist._entropies:
         full = renyi_entropy(dist, p)
         shaped = dist.probs.reshape((dist.q,) * dist.n)
-        drops = (tuple(i for i in range(dist.n) if i not in sel.indices)
-                 for sel in all_subsets(dist.n, r))
-        max_subset = max(_renyi_of_table(shaped.sum(axis=drop), dist.q, p) for drop in drops)
+        max_subset = max(_renyi_of_table(shaped.sum(axis=drop), dist.q, p)
+                         for drop in _dropped_axes(dist.n, r))
         dist._entropies[p, r] = full, max_subset
     return dist._entropies[p, r]
 
@@ -441,10 +428,7 @@ def measured_bounds(dist: Distribution, p: int, r: int, epsilon: float, a: float
 def subset_leakages(dist: Distribution, code: LinearCode, r: int) -> dict:
     """Exact I(encoded vector; X_R) for every size-r coordinate subset R,
     keyed by R's indices in lexicographic subset order."""
-    return {
-        sel.indices: mutual_information(dist, code, sel)
-        for sel in all_subsets(dist.n, r)
-    }
+    return {indices: mutual_information(dist, code, indices) for indices in all_subsets(dist.n, r)}
 
 
 def leakage_audit(
@@ -514,8 +498,8 @@ def smoothing_report(
     conditionals = ()
     if subset_size is not None:
         conditionals = tuple(
-            ((selector.indices, z), float(vp))
-            for selector, values, rows in _conditional_encoded_laws(dist, code, subset_size)
+            ((indices, z), float(vp))
+            for indices, values, rows in _conditional_encoded_laws(dist, code, subset_size)
             for z, vp in zip(values, _vp_rows(rows, encoded.probs, p))
         )
     relaxed = 2 ** ((2 * p - 1) / p) * epsilon ** (1.0 / p) if epsilon < 1 else math.inf
@@ -543,16 +527,17 @@ def check_entropy_gap(dist: Distribution, p: int, r: int) -> dict:
     H_p(X | X_R = z) falls as the power sum of the conditional law rises,
     so rhs is taken from the largest power sum over all (R, z). Each slice
     is normalised before its power is taken: raising the raw masses of a
-    slice of mass 1e-200 would underflow to 0.
+    slice of mass 1e-200 would underflow to 0. Each X_R marginal, and each
+    slice's power sum, is a sum over the axes R drops.
     """
     _check_order(p)
     full_entropy, max_subset = subset_entropies(dist, p, r)
+    shaped = dist.probs.reshape((dist.q,) * dist.n)
     worst = 0.0
-    for selector in all_subsets(dist.n, r):
-        sub = _subset_index(dist.q, dist.n, selector.indices)
-        mass = np.bincount(sub, weights=dist.probs, minlength=dist.q ** r)
-        scaled = dist.probs / np.where(mass > 0, mass, 1.0)[sub]
-        worst = max(worst, float(np.bincount(sub, weights=scaled ** p).max()))
+    for drop in _dropped_axes(dist.n, r):
+        mass = shaped.sum(axis=drop, keepdims=True)
+        scaled = shaped / np.where(mass > 0, mass, 1.0)
+        worst = max(worst, float((scaled ** p).sum(axis=drop).max()))
     rhs = _log_q(worst, dist.q) / (1 - p)
     lhs = full_entropy - max_subset
     return {

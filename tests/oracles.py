@@ -14,10 +14,9 @@ from math import comb
 import numpy as np
 
 from icc_kit.codes import LinearCode
-from icc_kit.gf import integer_array
+from icc_kit.gf import integer_array, subset_indices
 from icc_kit.infometrics import (
     Distribution,
-    SubsetSelector,
     _outcome_index,
     _subset_index,
     all_subsets,
@@ -25,23 +24,21 @@ from icc_kit.infometrics import (
 )
 
 
-def marginal(dist: Distribution, selector: SubsetSelector) -> Distribution:
-    """Marginal law of the selected coordinates, under dist's cap."""
-    if selector.n != dist.n:
-        raise ValueError("selector was built for a different n")
+def marginal(dist: Distribution, indices) -> Distribution:
+    """Marginal law of the coordinates in indices, under dist's cap."""
+    indices = subset_indices(indices, dist.n)
     shaped = dist.probs.reshape((dist.q,) * dist.n)
-    drop = tuple(i for i in range(dist.n) if i not in selector.indices)
-    return Distribution(dist.q, selector.size, shaped.sum(axis=drop).ravel(), dist.cap)
+    drop = tuple(i for i in range(dist.n) if i not in indices)
+    return Distribution(dist.q, len(indices), shaped.sum(axis=drop).ravel(), dist.cap)
 
 
-def conditional_given(dist: Distribution, selector: SubsetSelector, z) -> Distribution:
-    """Law of the full vector given that the selected coordinates equal z,
-    as a table over the whole space (zero off the conditioning slice)."""
-    if selector.n != dist.n:
-        raise ValueError("selector was built for a different n")
+def conditional_given(dist: Distribution, indices, z) -> Distribution:
+    """Law of the full vector given that the coordinates in indices equal
+    z, as a table over the whole space (zero off the conditioning slice)."""
+    indices = subset_indices(indices, dist.n)
     z_arr = integer_array(z, "conditioning value")
-    z_idx = _outcome_index(z_arr, dist.q, selector.size)  # rejects a z outside F_q^r
-    mask = _subset_index(dist.q, dist.n, selector.indices) == z_idx
+    z_idx = _outcome_index(z_arr, dist.q, len(indices))  # rejects a z outside F_q^r
+    mask = _subset_index(dist.q, dist.n, indices) == z_idx
     total = float(dist.probs[mask].sum())
     if total <= 0:
         raise ValueError(f"conditioning on a zero-probability event: {tuple(z_arr.tolist())}")
@@ -49,20 +46,20 @@ def conditional_given(dist: Distribution, selector: SubsetSelector, z) -> Distri
 
 
 def conditional_encoded(
-    dist: Distribution, code: LinearCode, selector: SubsetSelector, z
+    dist: Distribution, code: LinearCode, indices, z
 ) -> Distribution:
-    """Exact law of data + key.G given that the selected data coordinates
+    """Exact law of data + key.G given that the data coordinates in indices
     equal z. Errors on a zero-probability conditioning event."""
-    return pushforward_encode(conditional_given(dist, selector, z), code)
+    return pushforward_encode(conditional_given(dist, indices, z), code)
 
 
 def conditioning_events(dist: Distribution, r: int):
-    """Yield (selector, z) for every size-r coordinate subset and every
+    """Yield (indices, z) for every size-r coordinate subset and every
     value z it takes with positive probability, both in lexicographic
     order."""
-    for selector in all_subsets(dist.n, r):
-        for z_idx in np.nonzero(marginal(dist, selector).probs > 0)[0]:
-            yield selector, tuple(int(v) for v in np.unravel_index(z_idx, (dist.q,) * r))
+    for indices in all_subsets(dist.n, r):
+        for z_idx in np.nonzero(marginal(dist, indices).probs > 0)[0]:
+            yield indices, tuple(int(v) for v in np.unravel_index(z_idx, (dist.q,) * r))
 
 
 def straggler_patterns(num_workers: int, budget: int):

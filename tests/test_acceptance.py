@@ -162,9 +162,7 @@ def test_uniform_data_leaks_nothing_through_full_rank_subcolumns():
                 checked += 1
     # positive control: the rank condition is load bearing, a dropped
     # coordinate leaks even from uniform data
-    control = im.mutual_information(
-        im.uniform(2, 2), LinearCode(((1, 0),), 2), im.SubsetSelector((1,), 2)
-    )
+    control = im.mutual_information(im.uniform(2, 2), LinearCode(((1, 0),), 2), (1,))
     verdict(
         "zero-leakage-uniform",
         total == 500 and checked >= 1000 and worst <= 1e-9 and control == 1.0,
@@ -379,7 +377,7 @@ def test_metric_axioms_hold_on_randomized_cases():
 
 def test_hand_enumerated_mutual_information_cases():
     equal_bits = im.Distribution(2, 2, np.array([0.5, 0.0, 0.0, 0.5]))
-    sel = im.SubsetSelector((1,), 2)
+    sel = (1,)
     masked_both = im.mutual_information(equal_bits, LinearCode(((1, 1),), 2), sel)
     masked_first = im.mutual_information(equal_bits, LinearCode(((1, 0),), 2), sel)
     verdict(

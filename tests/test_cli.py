@@ -170,6 +170,9 @@ def test_main_seed_flag_overrides_config(tmp_path, capsys):
     path = write_config(tmp_path, BASE_SIM)
     assert main(["simulate", "--config", path, "--seed", "41"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 41
+    # the flag's seed is checked as the config's is
+    assert main(["simulate", "--config", path, "--seed", "-1"]) == 2
+    assert "config key 'seed'" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_main_malformed_config_exits_2(tmp_path, capsys):
@@ -375,6 +378,24 @@ def test_main_rejects_non_integer_config_values(tmp_path, capsys, command, confi
     assert error.startswith("config key") and "must be" in error
 
 
+@pytest.mark.parametrize("command,config,key", [
+    ("simulate", dict(BASE_SIM, seed=-1), "seed"),
+    ("audit", dict(AUDIT_UNIFORM, seed=-1), "seed"),
+    ("metrics-check", {"seed": -1}, "seed"),
+    ("metrics-check", {"num_dists": -1, "num_pairs": -5}, "num_dists"),
+    ("metrics-check", {"num_dists": 4, "num_pairs": -5}, "num_pairs"),
+    ("keysize-curves", {"n": 0}, "n"),
+])
+def test_main_refuses_an_integer_below_its_range_by_key(tmp_path, capsys, command, config, key):
+    # a negative seed used to leak numpy's "expected non-negative integer",
+    # negative counts to pass vacuously after no checks, and n = 0 to print
+    # "math domain error"
+    argv = [command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith(f"config key '{key}' must be at least"), error
+
+
 @pytest.mark.parametrize("dist,key", [
     ("uniform", "dist"),
     (None, "dist"),
@@ -423,6 +444,21 @@ def test_main_simulate_names_the_key_of_a_malformed_input(tmp_path, capsys, extr
     assert main(["simulate", "--config", path]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert "config key" in error and f"'{key}'" in error, error
+
+
+@pytest.mark.parametrize("f,field", [
+    ({"n": 4, "q": 3, "terms": [{"exp": [1, 0, 0, 0], "coef": 1}]}, "n"),
+    ({"n": 5, "q": 5, "terms": [{"exp": [1, 0, 0, 0, 0], "coef": 4}]}, "q"),
+])
+def test_main_simulate_refuses_a_polynomial_over_other_parameters(
+        tmp_path, capsys, monkeypatch, f, field):
+    # refused by key and field before the storage phase runs; this used to
+    # surface after it as "polynomial does not match the scheme parameters"
+    monkeypatch.setattr(cli, "storage_phase", lambda *args: pytest.fail("storage ran"))
+    path = write_config(tmp_path, dict(BASE_SIM, f=f))
+    assert main(["simulate", "--config", path]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith(f"config key 'f' has {field} = "), error
 
 
 def test_main_simulate_rejects_float_polynomial_terms(tmp_path, capsys):

@@ -143,6 +143,16 @@ def test_subcolumns_rejects_oversized_or_repeated_subsets():
         subcolumns_full_rank(G23, (1, 1))
 
 
+def test_subcolumns_take_indices_by_the_subset_rule():
+    # (True, False) used to read as a column mask, (0.5,) to raise a raw
+    # IndexError and ('1',) a TypeError
+    code = LinearCode(((1, 0), (0, 1)), 2)
+    for bad in ((True, False), (0.5,), ("1",)):
+        with pytest.raises(ValueError, match="must be integers"):
+            subcolumns_full_rank(code, bad)
+    assert subcolumns_full_rank(code, [1, 0])
+
+
 def test_subcolumns_match_image_enumeration_oracle():
     rng = np.random.default_rng(4242)
     for _ in range(150):

@@ -21,7 +21,6 @@ from icc_kit.infometrics import (
     BoundParams,
     DEFAULT_CAP,
     Distribution,
-    SubsetSelector,
     all_subsets,
     bernoulli_iid,
     check_cap,
@@ -150,32 +149,37 @@ def test_table_builders_take_the_cap_argument():
         Distribution(2, 3, np.full(8, 0.125), cap=4)
 
 
-def test_subset_selector_bounds():
-    SubsetSelector((0, 2), 4)
-    with pytest.raises(ValueError):
-        SubsetSelector((), 4)
-    with pytest.raises(ValueError):
-        SubsetSelector((0, 1, 2, 3), 4)  # r = n is not a proper subset
-    with pytest.raises(ValueError):
-        SubsetSelector((0, 0), 4)
+def test_subset_indices_bounds():
+    assert gf.subset_indices((0, 2), 4) == (0, 2)
+    assert gf.subset_indices([3, 0], 4) == (0, 3)  # any order, returned sorted
+    for bad in ((), (0, 0), (0, 4), (-1,), [[0, 1]], 2):
+        with pytest.raises(ValueError):
+            gf.subset_indices(bad, 4)
+    # r = n is not a proper subset: mutual_information keeps its own check
+    dist, code = uniform(2, 4), sample_code(4, 2, 2, 1)
+    with pytest.raises(ValueError, match="need 1 <= subset size < n"):
+        mutual_information(dist, code, (0, 1, 2, 3))
+    assert mutual_information(dist, code, [0, 2]) == mutual_information(dist, code, (0, 2))
 
 
-def test_subset_selector_rejects_non_integer_indices():
+def test_subset_indices_rejects_non_integer_indices():
     # (0.9, 1.2) used to truncate to (0, 1)
-    for bad in ((0.9, 1.2), (0.0, 1.0), (True,), ("0",)):
+    for bad in ((0.9, 1.2), (0.0, 1.0), (0.5,), (True,), ("0",)):
         with pytest.raises(ValueError, match="must be integers"):
-            SubsetSelector(bad, 3)
-    assert SubsetSelector(np.array([0, 2], dtype=np.uint8), 3).indices == (0, 2)
+            gf.subset_indices(bad, 3)
+        with pytest.raises(ValueError, match="must be integers"):
+            mutual_information(uniform(2, 3), sample_code(3, 2, 2, 1), bad)
+    assert gf.subset_indices(np.array([0, 2], dtype=np.uint8), 3) == (0, 2)
 
 
 def test_all_subsets_counts():
     assert len(all_subsets(5, 2)) == 10
-    assert len(all_subsets(4, 1)) == 4
+    assert all_subsets(4, 1) == [(0,), (1,), (2,), (3,)]
 
 
 def test_marginal_against_manual_sum():
     d = random_dirichlet(2, 3, 77)
-    sel = SubsetSelector((0, 2), 3)
+    sel = (0, 2)
     marg = marginal(d, sel)
     shaped = d.probs.reshape(2, 2, 2)
     assert np.allclose(marg.probs, shaped.sum(axis=1).ravel())
@@ -292,7 +296,7 @@ def test_pushforward_two_point_example():
 
 def test_conditional_given_null_event_errors():
     pm = point_mass(2, 2, (0, 0))
-    sel = SubsetSelector((0,), 2)
+    sel = (0,)
     with pytest.raises(ValueError):
         conditional_given(pm, sel, (1,))
 
@@ -300,7 +304,7 @@ def test_conditional_given_null_event_errors():
 def test_conditional_given_rejects_non_integer_values():
     # (0.7,) used to truncate to the event X_0 = 0
     d = uniform(2, 3)
-    sel = SubsetSelector((0,), 3)
+    sel = (0,)
     for bad in ((0.7,), (0.0,), (True,)):
         with pytest.raises(ValueError, match="must be integers"):
             conditional_given(d, sel, bad)
@@ -311,7 +315,7 @@ def test_conditional_encoded_of_deterministic_data_is_coset_uniform():
     code = sample_code(3, 2, 2, 21)
     x = (1, 0, 1)
     pm = point_mass(2, 3, x)
-    sel = SubsetSelector((0,), 3)
+    sel = (0,)
     cond = conditional_encoded(pm, code, sel, (1,))
     # the encoded law of a fixed vector is uniform over its masking coset
     coset = set()
@@ -336,8 +340,8 @@ def test_conditional_encoded_uniform_full_rank_matches_encoded():
     hits = 0
     while hits < 10:
         code = sample_code(4, 2, 2, int(rng.integers(2**31)))
-        sel = SubsetSelector((0, 1), 4)
-        if not subcolumns_full_rank(code, sel.indices):
+        sel = (0, 1)
+        if not subcolumns_full_rank(code, sel):
             continue
         cond = conditional_encoded(u, code, sel, (1, 0))
         assert np.allclose(cond.probs, 1 / 16, atol=1e-14)
@@ -356,14 +360,14 @@ def test_mutual_information_uniform_full_rank_is_zero():
     while checked < 20:
         code = sample_code(4, 2, 2, int(rng.integers(2**31)))
         for sel in all_subsets(4, 2):
-            if subcolumns_full_rank(code, sel.indices):
+            if subcolumns_full_rank(code, sel):
                 assert mutual_information(u, code, sel) <= TOL
                 checked += 1
 
 
 def test_mutual_information_micro_instances():
     d = Distribution(2, 2, np.array([0.5, 0.0, 0.0, 0.5]))
-    sel = SubsetSelector((1,), 2)
+    sel = (1,)
     leaky = LinearCode(((1, 0),), 2)
     tight = LinearCode(((1, 1),), 2)
     assert mutual_information(d, leaky, sel) == 1.0
@@ -417,7 +421,7 @@ def test_coset_path_matches_key_loop(data):
     dist = Distribution(q, n, probs / probs.sum())
     code = LinearCode(gen, q)
     sel = data.draw(st.sampled_from(all_subsets(n, r)))
-    joint = _key_loop_joint(dist, code, sel.indices)
+    joint = _key_loop_joint(dist, code, sel)
     encoded = joint.sum(axis=1)
     outer = encoded[:, None] * joint.sum(axis=0)[None, :]
     support = joint > 0
@@ -432,19 +436,33 @@ def test_mutual_information_memory_at_cap_boundary():
     code = sample_code(20, 2, 2, 8)
     tracemalloc.start()
     try:
-        mutual_information(dist, code, SubsetSelector((3, 11, 19), 20))
+        mutual_information(dist, code, (3, 11, 19))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20
 
 
+def test_entropy_gap_memory_is_a_few_tables():
+    # each marginal and slice power sum is an axis sum over the (2,)*20
+    # table: no q^n subset index and no gathered copy of the masses
+    dist = random_dirichlet(2, 20, 5, alpha=30.0)
+    subset_entropies(dist, 2, 1)
+    tracemalloc.start()
+    try:
+        check_entropy_gap(dist, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * dist.probs.nbytes, peak / dist.probs.nbytes
+
+
 def test_cap_guards_joint_enumeration():
     # the cap counts the cells of the tables allocated, not the q^(n+m) =
     # 2^7 (data, key) outcomes: this (coset, X_R) table has 2^(4-3+1) cells
-    dist, sel = random_dirichlet(2, 4, 5, cap=2**6), SubsetSelector((0,), 4)
+    dist, sel = random_dirichlet(2, 4, 5, cap=2**6), (0,)
     code = sample_code(4, 3, 2, 3)
-    joint = _key_loop_joint(dist, code, sel.indices)
+    joint = _key_loop_joint(dist, code, sel)
     outer = joint.sum(axis=1)[:, None] * joint.sum(axis=0)[None, :]
     support = joint > 0
     oracle_mi = float(np.sum(joint[support] * np.log(joint[support] / outer[support]))) / math.log(2)
@@ -455,7 +473,7 @@ def test_cap_guards_joint_enumeration():
     # 2^(8-1+6) cells, beyond the cap the law was admitted under
     code = LinearCode([[1] * 8], 2)
     with pytest.raises(ValueError, match="8192 outcomes exceeds cap 1024"):
-        mutual_information(uniform(2, 8, cap=2**10), code, SubsetSelector(tuple(range(6)), 8))
+        mutual_information(uniform(2, 8, cap=2**10), code, tuple(range(6)))
     with pytest.raises(ValueError, match="8192 outcomes exceeds cap 1024"):
         leakage_audit(uniform(2, 8, cap=2**10), code, 6, p=2, epsilon=0.25, a=2.0)
     # the 32-cell table of a 2-subset fits the cap; its 4 rows of 16 do not
@@ -471,7 +489,7 @@ def test_audit_paths_answer_at_the_table_cap():
     # outcomes are no reason to refuse
     cap = 2**16
     dist = random_dirichlet(2, 16, 7, cap=cap)
-    sel = SubsetSelector((5,), 16)
+    sel = (5,)
     for m in (1, 2, 15):
         code = sample_code(16, m, 2, 40 + m)
         tracemalloc.start()
@@ -495,7 +513,7 @@ def test_pushforward_keeps_the_cap_its_table_was_admitted_under(monkeypatch):
     code = sample_code(8, 3, 2, 4)
     encoded = pushforward_encode(dist, code)
     assert encoded.probs.size == 2**8 and abs(encoded.probs.sum() - 1.0) < 1e-12
-    cond = conditional_encoded(dist, code, SubsetSelector((0,), 8), (1,))
+    cond = conditional_encoded(dist, code, (0,), (1,))
     assert cond.probs.size == 2**8
     with pytest.raises(ValueError, match="exceeds cap 64"):
         uniform(2, 8)
@@ -666,9 +684,9 @@ def test_entropy_gap_product_distribution_equality():
 
 def test_conditioning_events_skip_zero_probability_values():
     d = point_mass(2, 3, (0, 1, 1))
-    events = [(sel.indices, z) for sel, z in conditioning_events(d, 1)]
+    events = list(conditioning_events(d, 1))
     assert events == [((0,), (0,)), ((1,), (1,)), ((2,), (1,))]
-    pairs = [(sel.indices, z) for sel, z in conditioning_events(uniform(2, 3), 2)]
+    pairs = list(conditioning_events(uniform(2, 3), 2))
     assert len(pairs) == 3 * 4
     assert pairs[:4] == [((0, 1), z) for z in ((0, 0), (0, 1), (1, 0), (1, 1))]
 
@@ -718,7 +736,7 @@ def test_dense_kernels_match_per_event_oracle(data):
     code = LinearCode(gen, q)
     encoded = pushforward_encode(dist, code)
     oracle_vps = [
-        ((sel.indices, z), v_p_distance(conditional_encoded(dist, code, sel, z), encoded, p))
+        ((sel, z), v_p_distance(conditional_encoded(dist, code, sel, z), encoded, p))
         for sel, z in events
     ]
     report = smoothing_report(dist, code, p, 0.5, subset_size=r)
