@@ -20,7 +20,7 @@ import numpy as np
 from . import infometrics as im
 from . import protocol
 from .codes import sample_code
-from .gf import check_cap, integer_array
+from .gf import _check_prime, cap_limit, check_cap, integer_array
 from .poly import MultiPoly, evaluate, random_poly
 from .protocol import SchemeParams, computation_phase, storage_phase
 
@@ -51,6 +51,16 @@ def _int(value, key: str, least: int = None) -> int:
     if least is not None and arr.item() < least:
         raise UsageError(f"config key {key!r} must be at least {least}, got {value!r}")
     return arr.item()
+
+
+def _prime(value, key: str) -> int:
+    """A field order config value: one prime integer (see _int)."""
+    number = _int(value, key)
+    try:
+        _check_prime(number)
+    except ValueError:
+        raise UsageError(f"config key {key!r} must be a prime, got {value!r}") from None
+    return number
 
 
 def _float(value, key: str) -> float:
@@ -199,18 +209,30 @@ def cmd_simulate(config: dict) -> tuple:
 def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
     _require(config, ["n", "q", "r", "p", "epsilon", "a", "seed"])
     n = _int(config["n"], "n")
-    q = _int(config["q"], "q")
+    q = _prime(config["q"], "q")
     r = _int(config["r"], "r")
-    p = _int(config["p"], "p")
+    if not 1 <= r < n:
+        raise UsageError(f"config key 'r' must lie in [1, n) = [1, {n}), got {config['r']!r}")
+    p = _int(config["p"], "p", 2)
     epsilon = _float(config["epsilon"], "epsilon")
+    if not 0 < epsilon <= 1:
+        raise UsageError(f"config key 'epsilon' must lie in (0, 1], got {config['epsilon']!r}")
     a = _float(config["a"], "a")
+    if not a > 1:
+        raise UsageError(f"config key 'a' must exceed 1, got {config['a']!r}")
     num_codes = _int(config.get("num_codes", 100), "num_codes")
     if num_codes < 1:
         raise UsageError("num_codes must be at least 1")
     seed = _int(config["seed"], "seed", 0)
-    dist_seed, *code_seeds = _child_seeds(seed, num_codes + 1)
-    # refuse the q^n probability table before anything is built for it
+    # refuse the q^n probability table, and more audited subsets than the
+    # cap, before anything is built for them
     check_cap(q ** n, cap)
+    subsets, limit = math.comb(n, r), cap_limit(cap)
+    if num_codes * subsets > limit:
+        raise UsageError(f"config key 'num_codes' must be at most {limit // subsets}: it times "
+                         f"the {subsets} subsets audited per code may not exceed cap {limit}, "
+                         f"got {config['num_codes']!r}")
+    dist_seed, *code_seeds = _child_seeds(seed, num_codes + 1)
     dist = _dist_from_config(config.get("dist", {}), q, n, dist_seed, cap)
 
     m = math.ceil(im.keysize_lower_bound(im.measured_bounds(dist, p, r, epsilon, a)))
@@ -254,14 +276,21 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
 
 def cmd_keysize_curves(config: dict) -> tuple:
     n = _int(config.get("n", 2 ** 18), "n", 1)
-    p = _int(config.get("p", 2), "p")
-    q = _int(config.get("q", 2), "q")
-    entropy_a = _float(config.get("entropy_a", n - 4), "entropy_a")
+    p = _int(config.get("p", 2), "p", 2)
+    q = _prime(config.get("q", 2), "q")
+    # a data entropy lies in [0, n]: entropy_a, and n minus each offset
+    entropy_a = _float(config.get("entropy_a", max(n - 4, 0)), "entropy_a")
+    if not 0 <= entropy_a <= n:
+        raise UsageError(f"config key 'entropy_a' must lie in [0, n] = [0, {n}], "
+                         f"got {config['entropy_a']!r}")
     eps_exponents = [_int(j, "epsilon_log_q_exponents")
                      for j in config.get("epsilon_log_q_exponents", range(-60, 0))]
     epsilon_b = _float(config.get("epsilon_b", float(q) ** (-2 * math.log(n, q))), "epsilon_b")
     entropy_offsets = [_int(k, "entropy_offsets")
-                       for k in config.get("entropy_offsets", range(64, -1, -1))]
+                       for k in config.get("entropy_offsets", range(min(64, n), -1, -1))]
+    if not all(0 <= k <= n for k in entropy_offsets):
+        raise UsageError(f"config key 'entropy_offsets' must lie in [0, n] = [0, {n}], "
+                         f"got {config['entropy_offsets']!r}")
 
     def bound(epsilon: float, entropy: float) -> float:
         bp = im.BoundParams(

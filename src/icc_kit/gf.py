@@ -116,10 +116,15 @@ def point_digit(q: int, n: int, position: int) -> np.ndarray:
 DEFAULT_CAP = 2 ** 24
 
 
+def cap_limit(cap=None) -> int:
+    """The most entries a table may have under cap (None: DEFAULT_CAP)."""
+    return DEFAULT_CAP if cap is None else cap
+
+
 def check_cap(outcomes: int, cap=None) -> None:
     """Reject a table of more than cap (default DEFAULT_CAP) entries; called
     just before the table is allocated."""
-    limit = DEFAULT_CAP if cap is None else cap
+    limit = cap_limit(cap)
     if outcomes > limit:
         raise ValueError(f"enumeration of {outcomes} outcomes exceeds cap {limit}")
 
@@ -129,7 +134,10 @@ def row_reduce(mat, q: int) -> tuple:
 
     Returns (reduced copy, pivot column indices in left-to-right order).
     The only Gaussian-elimination routine in the package: rank, pivots,
-    the generic straggler selection and decoding all go through it.
+    the generic straggler selection and decoding all go through it. Rows
+    from the pivot row down are zero left of the pivot column, so a pivot
+    step scales (unless the pivot is 1) and clears only the columns from it
+    rightwards.
     """
     red = np.array(mat, dtype=exact_dtype(q)) % q
     pivots = []
@@ -141,12 +149,14 @@ def row_reduce(mat, q: int) -> tuple:
         piv = pr + int(nz[0])
         if piv != pr:
             red[[pr, piv]] = red[[piv, pr]]
-        inv = pow(int(red[pr, col]), -1, q)
-        red[pr] = red[pr] * inv % q
-        others = np.nonzero(red[:, col])[0]
-        others = others[others != pr]
-        if others.size:
-            red[others] = (red[others] - np.outer(red[others, col], red[pr])) % q
+        pivot = int(red[pr, col])
+        if pivot != 1:
+            red[pr, col:] = red[pr, col:] * pow(pivot, -1, q) % q
+        others = red[:, col] != 0
+        others[pr] = False
+        block = red[others, col:]
+        if len(block):
+            red[others, col:] = (block - block[:, :1] * red[pr, col:]) % q
         pivots.append(col)
         pr += 1
         if pr == red.shape[0]:

@@ -24,28 +24,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .codes import LinearCode, sample_code
-from .gf import DEFAULT_CAP, _check_prime, check_cap, point_digit, subset_indices
+from .gf import DEFAULT_CAP, _check_prime, cap_limit, check_cap, point_digit, subset_indices
 
 # absolute slack for floating-point verdicts: far above accumulated
 # double-precision error at cap-sized sums, far below any real effect
 VERDICT_TOL = 1e-9
+
+# _joint_tables batches every size-r subset into one bincount, from memoised
+# subset keys, while those keys number at most this many: C(n, r) * q^n
+_BATCH_KEYS = 2 ** 16
 
 
 def _log_q(x: float, q: int) -> float:
     if q == 2:
         return math.log2(x)
     return math.log(x) / math.log(q)
-
-
-def _subset_index(q: int, n: int, indices) -> np.ndarray:
-    """Lexicographic index of the selected sub-vector of every point."""
-    digits = [point_digit(q, n, i) for i in indices]
-    return np.broadcast_to(np.ravel_multi_index(digits, (q,) * len(digits)), (q,) * n).ravel()
 
 
 def _outcome_index(outcome, q: int, n: int) -> int:
@@ -114,11 +112,11 @@ def all_subsets(n: int, r: int) -> list:
     return list(itertools.combinations(range(n), r))
 
 
-def _dropped_axes(n: int, r: int):
+@lru_cache(maxsize=None)
+def _dropped_axes(n: int, r: int) -> tuple:
     """For each size-r subset R in all_subsets order, the axes of a (q,)*n
     table that R drops: the X_R marginal is the table's sum over them."""
-    for indices in all_subsets(n, r):
-        yield tuple(i for i in range(n) if i not in indices)
+    return tuple(tuple(i for i in range(n) if i not in indices) for indices in all_subsets(n, r))
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +167,7 @@ def renyi_entropy(dist: Distribution, p: int) -> float:
     and a point mass scores 0.
     """
     _check_order(p)
-    return _renyi_of_table(dist.probs, dist.q, p)
-
-
-def _renyi_of_table(probs: np.ndarray, q: int, p: int) -> float:
-    """renyi_entropy of a bare table of any shape, order p already checked."""
-    return _log_q(float(np.sum(probs ** p)), q) / (1 - p)
+    return _log_q(float(np.sum(dist.probs ** p)), dist.q) / (1 - p)
 
 
 def _check_order(p) -> None:
@@ -265,53 +258,119 @@ def mutual_information(dist: Distribution, code: LinearCode, indices) -> float:
     coordinates (gf.subset_indices), 1 <= |R| < n.
 
     Equals I(coset of the data; X_R): given its coset, the encoded vector
-    is uniform on it whatever X_R is. Sums J log_q(J / (coset marginal *
-    X_R marginal)) over the nonzero cells J of the dense (coset, X_R)
-    joint table (_joint_table).
+    is uniform on it whatever X_R is. The one-subset case of
+    subset_leakages: _informations of R's (coset, X_R) table.
     """
     _check_code_matches(dist, code)
     indices = subset_indices(indices, dist.n)
     if len(indices) >= dist.n:
         raise ValueError("need 1 <= subset size < n")
-    joint = _joint_table(dist, code, indices)
-    marginals = joint.sum(axis=1)[:, None] * joint.sum(axis=0)
+    (_, joint), = _joint_tables(dist, code, [indices])
+    return _informations(joint, dist.q)[0]
+
+
+def _informations(joint: np.ndarray, q: int) -> list:
+    """I(coset; X_R) of each table J of a (k, cosets, X_R values) batch, in
+    q-ary symbols: the sum of J log_q(J / (coset marginal * X_R marginal))
+    over J's nonzero cells in C order, with one float per table. The terms
+    are built in one marginal-product buffer and then in joint, which is
+    overwritten."""
     support = joint > 0
-    ratio = joint[support] / marginals[support]
-    return float(np.sum(joint[support] * np.log(ratio))) / math.log(dist.q)
+    terms = joint.sum(axis=2)[:, :, None] * joint.sum(axis=1)[:, None, :]
+    np.divide(joint, terms, out=terms, where=support)
+    np.log(terms, out=terms, where=support)
+    np.multiply(joint, terms, out=joint, where=support)
+    del terms  # freed before the nonzero terms are gathered: at most two tables live
+    counts = support.sum(axis=(1, 2))
+    kept = joint[support]
+    if counts.min() == counts.max():  # each row sum adds its table's terms as np.sum would
+        sums = kept.reshape(len(counts), -1).sum(axis=1)
+    else:
+        sums = [part.sum() for part in np.split(kept, np.cumsum(counts[:-1]))]
+    return [float(total) / math.log(q) for total in sums]
 
 
-def _joint_table(dist: Distribution, code: LinearCode, indices) -> np.ndarray:
-    """Dense (coset, X_R) table J[c, z] = P(data in coset c, X_R = z) of
-    shape (q^(n - rank), q^r), for a code that matches dist, checked
-    against dist's cap. Every path that conditions on a subset reads it:
-    one bincount, no sort."""
+@lru_cache(maxsize=None)
+def _subset_keys(q: int, n: int, r: int) -> tuple:
+    """({subset: row}, read-only (C(n, r), q^n) array): row s holds the
+    lexicographic index of every point's sub-vector on the s-th subset of
+    all_subsets(n, r). Built only while C(n, r) * q^n <= _BATCH_KEYS."""
+    subsets = all_subsets(n, r)
+    digits = np.indices((q,) * n).reshape(n, -1)
+    keys = 0
+    for column in np.array(subsets).T:  # the subsets' j-th coordinates
+        keys = keys * q + digits[column]
+    keys.setflags(write=False)
+    return {indices: row for row, indices in enumerate(subsets)}, keys
+
+
+def _point_keys(labels: np.ndarray, q: int, n: int, indices) -> np.ndarray:
+    """label * q^r + (index of the sub-vector on indices) of every point,
+    built in place on one array."""
+    r = len(indices)
+    keys = labels * q ** r
+    grid = keys.reshape((q,) * n)
+    for j, i in enumerate(indices):
+        grid += point_digit(q, n, i) * q ** (r - 1 - j)
+    return keys
+
+
+def _joint_tables(dist: Distribution, code: LinearCode, subsets: list):
+    """Dense (coset, X_R) tables J[c, z] = P(data in coset c, X_R = z) of the
+    given size-r subsets (sorted index tuples, 1 <= r < n), for a code that
+    matches dist, in batches: yields (the batch's subsets, their (k,
+    q^(n - rank), q^r) tables) in the given order. Every path that
+    conditions on a subset reads them.
+
+    Each subset's table is checked against dist's cap, and a batch holds at
+    most cap cells. While C(n, r) * q^n <= _BATCH_KEYS a batch is one
+    bincount over stacked keys (memoised subset keys + label * q^r + the
+    subset's offset); above it each subset is its own batch, its keys built
+    in place on the labels. bincount adds each cell's outcomes in point
+    order, so a table holds the same floats in either form."""
     labels, rank = code.coset_labels
-    cols = dist.q ** len(indices)
-    cells = dist.q ** (dist.n - rank) * cols
+    q, n, r = dist.q, dist.n, len(subsets[0])
+    cols = q ** r
+    cells = q ** (n - rank) * cols
     check_cap(cells, dist.cap)
-    flat = np.bincount(labels * cols + _subset_index(dist.q, dist.n, indices),
-                       weights=dist.probs, minlength=cells)
-    return flat.reshape(-1, cols)
+    if math.comb(n, r) * labels.size > _BATCH_KEYS:
+        for indices in subsets:
+            flat = np.bincount(_point_keys(labels, q, n, indices), weights=dist.probs,
+                               minlength=cells)
+            yield [indices], flat.reshape(1, -1, cols)
+        return
+    rows, subset_keys = _subset_keys(q, n, r)
+    coset_keys = labels * cols
+    per_batch = max(1, cap_limit(dist.cap) // cells)
+    for start in range(0, len(subsets), per_batch):
+        batch = subsets[start:start + per_batch]
+        keys = subset_keys[[rows[indices] for indices in batch]]
+        keys += coset_keys
+        keys += np.arange(0, len(batch) * cells, cells)[:, None]
+        flat = np.bincount(keys.ravel(), weights=np.tile(dist.probs, len(batch)),
+                           minlength=len(batch) * cells)
+        yield batch, flat.reshape(len(batch), -1, cols)
 
 
 def _conditional_encoded_laws(dist: Distribution, code: LinearCode, r: int):
     """Exact law of data + key.G given X_R = z for every size-r subset R and
     every z of positive probability, a subset at a time: yields (R, its
     values z, one row per z over F_q^n), both in lexicographic order.
-    Row z is J[label, z] / P(z) / q^rank off the subset's _joint_table; no
-    Distribution is built (tests/oracles.py holds the per-event reference).
-    The rows of a subset are checked against dist's cap before they are built."""
+    Row z is J[label, z] / P(z) / q^rank off the subset's (coset, X_R) table
+    (_joint_tables); no Distribution is built (tests/oracles.py holds the
+    per-event reference). The rows of a subset are checked against dist's
+    cap before they are built."""
     labels, rank = code.coset_labels
-    for indices in all_subsets(dist.n, r):
-        joint = _joint_table(dist, code, indices)
-        mass = joint.sum(axis=0)
-        live = np.nonzero(mass > 0)[0]
-        check_cap(len(live) * labels.size, dist.cap)
-        rows = (joint[:, live] / mass[live]).T[:, labels] / dist.q ** rank
-        if rows.min() < 0 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("a conditional encoded law is not a probability table")
-        values = [tuple(int(v) for v in np.unravel_index(z, (dist.q,) * r)) for z in live]
-        yield indices, values, rows
+    for batch, tables in _joint_tables(dist, code, all_subsets(dist.n, r)):
+        for indices, joint in zip(batch, tables):
+            mass = joint.sum(axis=0)
+            live = np.nonzero(mass > 0)[0]
+            check_cap(len(live) * labels.size, dist.cap)
+            rows = (joint[:, live] / mass[live]).T[:, labels] / dist.q ** rank
+            if rows.min() < 0 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
+                raise ValueError("a conditional encoded law is not a probability table")
+            values = [tuple(int(v) for v in np.unravel_index(z, (dist.q,) * r)) for z in live]
+            yield indices, values, rows
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +467,14 @@ def subset_entropies(dist: Distribution, p: int, r: int) -> tuple:
     """Measured entropy inputs of BoundParams: (order-p entropy of the data
     law, largest order-p entropy among its size-r marginals). Computed once
     per distribution: an audit of many codes over one law reuses them. Each
-    marginal is a sum over the dropped axes; no Distribution is built for it."""
+    marginal is a sum over the dropped axes, and their power sums are taken
+    from one stacked array; no Distribution is built for a marginal."""
     if (p, r) not in dist._entropies:
         full = renyi_entropy(dist, p)
         shaped = dist.probs.reshape((dist.q,) * dist.n)
-        max_subset = max(_renyi_of_table(shaped.sum(axis=drop), dist.q, p)
-                         for drop in _dropped_axes(dist.n, r))
+        marginals = np.stack([shaped.sum(axis=drop) for drop in _dropped_axes(dist.n, r)])
+        power_sums = (marginals.reshape(len(marginals), -1) ** p).sum(axis=1)
+        max_subset = max(_log_q(float(s), dist.q) / (1 - p) for s in power_sums)
         dist._entropies[p, r] = full, max_subset
     return dist._entropies[p, r]
 
@@ -427,8 +488,14 @@ def measured_bounds(dist: Distribution, p: int, r: int, epsilon: float, a: float
 
 def subset_leakages(dist: Distribution, code: LinearCode, r: int) -> dict:
     """Exact I(encoded vector; X_R) for every size-r coordinate subset R,
-    keyed by R's indices in lexicographic subset order."""
-    return {indices: mutual_information(dist, code, indices) for indices in all_subsets(dist.n, r)}
+    keyed by R's indices in lexicographic subset order; each value equals
+    mutual_information(dist, code, R)."""
+    subsets = all_subsets(dist.n, r)
+    _check_code_matches(dist, code)
+    leakages = {}
+    for batch, tables in _joint_tables(dist, code, subsets):
+        leakages.update(zip(batch, _informations(tables, dist.q)))
+    return leakages
 
 
 def leakage_audit(

@@ -1,27 +1,28 @@
 """Slow references the package is tested against, one event at a time.
 
-The package computes every conditional law in bulk, from one dense
-(coset, X_R) table per subset, takes each marginal as a plain sum, and
-enumerates no straggler patterns. These functions build the same objects
-the plain way: one marginal Distribution per subset, one conditional
-Distribution per event (R, z), one straggler set per pattern. Nothing
-in icc_kit imports this module.
+The package computes every leakage and conditional law in bulk, from
+dense (coset, X_R) tables built for many subsets at once, takes each
+marginal as a plain sum, and enumerates no straggler patterns. These
+functions build the same objects the plain way: one (coset, X_R) table
+and one marginal Distribution per subset, one conditional Distribution
+per event (R, z), one straggler set per pattern. Nothing in icc_kit
+imports this module.
 """
 
 import itertools
-from math import comb
+from math import comb, log
 
 import numpy as np
 
 from icc_kit.codes import LinearCode
-from icc_kit.gf import integer_array, subset_indices
-from icc_kit.infometrics import (
-    Distribution,
-    _outcome_index,
-    _subset_index,
-    all_subsets,
-    pushforward_encode,
-)
+from icc_kit.gf import integer_array, point_digit, subset_indices
+from icc_kit.infometrics import Distribution, _outcome_index, all_subsets, pushforward_encode
+
+
+def _subset_index(q: int, n: int, indices) -> np.ndarray:
+    """Lexicographic index of the selected sub-vector of every point."""
+    digits = [point_digit(q, n, i) for i in indices]
+    return np.broadcast_to(np.ravel_multi_index(digits, (q,) * len(digits)), (q,) * n).ravel()
 
 
 def marginal(dist: Distribution, indices) -> Distribution:
@@ -30,6 +31,21 @@ def marginal(dist: Distribution, indices) -> Distribution:
     shaped = dist.probs.reshape((dist.q,) * dist.n)
     drop = tuple(i for i in range(dist.n) if i not in indices)
     return Distribution(dist.q, len(indices), shaped.sum(axis=drop).ravel(), dist.cap)
+
+
+def dense_mutual_information(dist: Distribution, code: LinearCode, indices) -> float:
+    """I(encoded; X_R) from R's own (coset, X_R) table, one bincount per
+    subset, and J log_q(J / (coset marginal * X_R marginal)) summed over the
+    nonzero cells J in C order: the batched kernel must match it bit for bit."""
+    labels, rank = code.coset_labels
+    cols = dist.q ** len(indices)
+    joint = np.bincount(labels * cols + _subset_index(dist.q, dist.n, indices),
+                        weights=dist.probs, minlength=dist.q ** (dist.n - rank) * cols)
+    joint = joint.reshape(-1, cols)
+    marginals = joint.sum(axis=1)[:, None] * joint.sum(axis=0)
+    support = joint > 0
+    ratio = joint[support] / marginals[support]
+    return float(np.sum(joint[support] * np.log(ratio))) / log(dist.q)
 
 
 def conditional_given(dist: Distribution, indices, z) -> Distribution:
@@ -70,3 +86,24 @@ def straggler_patterns(num_workers: int, budget: int):
 
 def count_straggler_patterns(num_workers: int, budget: int) -> int:
     return sum(comb(num_workers, size) for size in range(budget + 1))
+
+
+def gauss_jordan(rows, q: int) -> tuple:
+    """Reduced row echelon form over F_q of a list of integer rows, by the
+    textbook pivot loop on Python ints: (reduced rows, pivot columns)."""
+    red = [[v % q for v in row] for row in rows]
+    pivots = []
+    for col in range(len(red[0]) if red else 0):
+        top = len(pivots)
+        hit = next((i for i in range(top, len(red)) if red[i][col]), None)
+        if hit is None:
+            continue
+        red[top], red[hit] = red[hit], red[top]
+        inverse = pow(red[top][col], -1, q)
+        red[top] = [v * inverse % q for v in red[top]]
+        for i in range(len(red)):
+            if i != top and red[i][col]:
+                factor = red[i][col]
+                red[i] = [(a - factor * b) % q for a, b in zip(red[i], red[top])]
+        pivots.append(col)
+    return red, pivots

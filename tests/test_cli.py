@@ -313,7 +313,8 @@ def test_main_cap_env_enforced_on_audit(tmp_path, capsys):
 def test_main_audit_refuses_a_subset_size_above_n(tmp_path, capsys):
     path = write_config(tmp_path, dict(AUDIT_UNIFORM, r=AUDIT_UNIFORM["n"] + 1))
     assert main(["audit", "--config", path]) == 2
-    assert "need 1 <= subset size < n" in json.loads(capsys.readouterr().out)["error"]
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == "config key 'r' must lie in [1, n) = [1, 6), got 7", error
 
 
 def test_audit_checks_the_cap_before_building_the_table(monkeypatch):
@@ -394,6 +395,54 @@ def test_main_refuses_an_integer_below_its_range_by_key(tmp_path, capsys, comman
     assert main(argv) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error.startswith(f"config key '{key}' must be at least"), error
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("audit", dict(AUDIT_UNIFORM, r=0), "r"),
+    ("audit", dict(AUDIT_UNIFORM, p=1), "p"),
+    ("audit", dict(AUDIT_UNIFORM, epsilon=0.0), "epsilon"),
+    ("audit", dict(AUDIT_UNIFORM, epsilon=1.5), "epsilon"),
+    ("audit", dict(AUDIT_UNIFORM, a=1.0), "a"),
+    ("audit", dict(AUDIT_UNIFORM, q=4), "q"),
+    ("audit", dict(AUDIT_UNIFORM, num_codes=10**9), "num_codes"),
+    ("keysize-curves", {"q": 1}, "q"),
+    ("keysize-curves", {"n": 3, "entropy_offsets": [5]}, "entropy_offsets"),
+    ("keysize-curves", {"n": 3, "entropy_offsets": [-1]}, "entropy_offsets"),
+    ("keysize-curves", {"n": 3, "entropy_a": 4}, "entropy_a"),
+    ("keysize-curves", {"entropy_a": -1}, "entropy_a"),
+])
+def test_main_refuses_a_value_outside_its_range_by_key(tmp_path, capsys, monkeypatch,
+                                                       command, config, key):
+    # these used to reach the catch-all as "need 1 <= subset size < n",
+    # "order p must be ...", "ZeroDivisionError", a MemoryError from 10^9
+    # code seeds, or (keysize-curves) to write rows from a negative entropy;
+    # an audit refuses them before its q^n law is built
+    def build_table(*args):
+        raise AssertionError("the probability table was built")
+
+    monkeypatch.setattr(cli, "_dist_from_config", build_table)
+    argv = [command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith(f"config key '{key}' must"), error
+
+
+def test_audit_num_codes_is_capped_by_the_subsets_it_audits():
+    # C(6, 2) = 15 subsets a code: 4 codes fit a cap of 64, 5 do not
+    config = dict(AUDIT_UNIFORM, r=2, epsilon=0.5, num_codes=5)
+    with pytest.raises(UsageError, match="'num_codes' must be at most 4: .* cap 64, got 5"):
+        cmd_audit(config, cap=64)
+    assert cmd_audit(dict(config, num_codes=4), cap=64)[0] in (0, 1)
+
+
+def test_keysize_curves_defaults_stay_within_n():
+    # the offsets run from min(64, n) down to 0, and entropy_a is n - 4 or 0
+    code, payload = cmd_keysize_curves({"n": 3})
+    assert code == 0
+    assert payload["config"]["entropy_offsets"] == [0, 1, 2, 3]
+    assert payload["config"]["entropy_a"] == 0.0
+    assert [row.split(",")[0] for row in payload["curve_b"][1:]] == ["0", "1", "2", "3"]
+    assert cmd_keysize_curves({})[1]["config"]["entropy_offsets"] == list(range(65))
 
 
 @pytest.mark.parametrize("dist,key", [

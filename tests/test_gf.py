@@ -9,6 +9,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icc_kit.codes import LinearCode, encode, shift, subcolumns_full_rank
 from icc_kit.gf import (
@@ -20,6 +22,7 @@ from icc_kit.gf import (
 )
 from icc_kit.infometrics import pushforward_encode, uniform
 from icc_kit.poly import monomial_values
+from oracles import gauss_jordan
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -261,6 +264,29 @@ def span_size(rows, q):
         )
         seen.add(combo)
     return len(seen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_row_reduce_matches_textbook_gauss_jordan(data):
+    # row_reduce scales only pivots other than 1 and clears only the columns
+    # from the pivot rightwards; the RREF must not change, entry for entry,
+    # on square, wide and tall (m > n) systems
+    q = data.draw(st.sampled_from([2, 3, 5, 2**31 - 1, 2**61 - 1]))
+    m, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, q - 1))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    for i in data.draw(st.lists(st.integers(0, m - 1), max_size=2)):  # zero rows
+        rows[i] = [0] * n
+    for j in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):  # zero columns
+        for row in rows:
+            row[j] = 0
+    if m > 1 and data.draw(st.booleans()):  # a repeated row
+        rows[data.draw(st.integers(1, m - 1))] = list(rows[0])
+    red, pivots = row_reduce(rows, q)
+    want, want_pivots = gauss_jordan(rows, q)
+    assert pivots == want_pivots
+    assert [[int(v) for v in row] for row in red] == want
 
 
 def test_rank_matches_span_enumeration_oracle():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from icc_kit import gf
+from icc_kit import gf, infometrics
 from icc_kit.codes import LinearCode, sample_code
 from icc_kit.infometrics import (
     BoundParams,
@@ -48,7 +48,13 @@ from icc_kit.infometrics import (
     v_distance,
     v_p_distance,
 )
-from oracles import conditional_encoded, conditional_given, conditioning_events, marginal
+from oracles import (
+    conditional_encoded,
+    conditional_given,
+    conditioning_events,
+    dense_mutual_information,
+    marginal,
+)
 
 TOL = 1e-9
 
@@ -443,6 +449,24 @@ def test_mutual_information_memory_at_cap_boundary():
     assert peak < 128 * 2**20
 
 
+def test_mutual_information_builds_its_terms_in_place():
+    # the (coset, X_R) table of subset (3, 11) under a rank-2 code has
+    # 2^20 cells, as many as the probability table. With the coset labels
+    # cached, the peak is bincount's: the keys, the table and bincount's
+    # writable copy of the read-only probabilities. The terms are built in
+    # one marginal-product buffer and then in the table
+    dist = random_dirichlet(2, 20, 5, alpha=30.0)
+    code = sample_code(20, 2, 2, 3)
+    assert code.coset_labels[1] == 2
+    tracemalloc.start()
+    try:
+        mutual_information(dist, code, (3, 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * dist.probs.nbytes, peak / dist.probs.nbytes
+
+
 def test_entropy_gap_memory_is_a_few_tables():
     # each marginal and slice power sum is an axis sum over the (2,)*20
     # table: no q^n subset index and no gathered copy of the masses
@@ -743,6 +767,82 @@ def test_dense_kernels_match_per_event_oracle(data):
     assert [key for key, _ in report.conditional_vps] == [key for key, _ in oracle_vps]
     for (_, vp), (_, oracle_vp) in zip(report.conditional_vps, oracle_vps):
         assert abs(vp - oracle_vp) <= 1e-12
+
+
+@pytest.mark.parametrize("batch_keys", [1, infometrics._BATCH_KEYS],
+                         ids=["a batch per subset", "all subsets a batch"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_tables_match_per_subset_key_loop_and_event_oracles(batch_keys, data):
+    # every audit path reads _joint_tables: the leakages of a whole batch
+    # equal the one-subset answers bit for bit, on both sides of the batch
+    # bound and with the subset keys memoised or not
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(2, {2: 5, 3: 4, 5: 3}[q]))
+    m = data.draw(st.integers(1, n))
+    r = data.draw(st.integers(1, n - 1))
+    dist = _laws_with_empty_slices(data.draw, q, n)
+    gen = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=m, max_size=m)))
+    deficiency = data.draw(st.sampled_from(["none", "zero row", "repeated row"]))
+    if deficiency == "zero row":
+        gen[data.draw(st.integers(0, m - 1))] = 0
+    elif deficiency == "repeated row" and m > 1:
+        gen[-1] = gen[0] * data.draw(st.integers(1, q - 1)) % q
+    code = LinearCode(gen, q)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(infometrics, "_BATCH_KEYS", batch_keys)
+        if data.draw(st.booleans()):
+            infometrics._subset_keys.cache_clear()
+        leakages = subset_leakages(dist, code, r)
+        assert list(leakages) == all_subsets(n, r)
+        for sel, mi in leakages.items():
+            assert mi == mutual_information(dist, code, sel)
+            assert mi == dense_mutual_information(dist, code, sel)
+            joint = _key_loop_joint(dist, code, sel)
+            outer = joint.sum(axis=1)[:, None] * joint.sum(axis=0)[None, :]
+            support = joint > 0
+            oracle_mi = float(np.sum(joint[support] * np.log(joint[support] / outer[support])))
+            assert abs(mi - oracle_mi / math.log(q)) <= 1e-12
+        encoded = pushforward_encode(dist, code)
+        report = smoothing_report(dist, code, 2, 0.5, subset_size=r)
+    oracle_vps = [
+        ((sel, z), v_p_distance(conditional_encoded(dist, code, sel, z), encoded, 2))
+        for sel, z in conditioning_events(dist, r)
+    ]
+    assert [key for key, _ in report.conditional_vps] == [key for key, _ in oracle_vps]
+    for (_, vp), (_, oracle_vp) in zip(report.conditional_vps, oracle_vps):
+        assert abs(vp - oracle_vp) <= 1e-12
+
+
+def test_a_batch_holds_at_most_cap_cells():
+    # five 2-subsets of 2^(6-2+2) = 64 cells each under a cap of 160:
+    # batches of two subsets, and the same leakages as one subset at a time
+    dist = random_dirichlet(2, 6, 4, cap=160)
+    code = sample_code(6, 2, 2, 9)
+    assert code.coset_labels[1] == 2
+    subsets = all_subsets(6, 2)[:5]
+    batches = list(infometrics._joint_tables(dist, code, subsets))
+    assert [batch for batch, _ in batches] == [subsets[0:2], subsets[2:4], subsets[4:5]]
+    assert [tables.shape for _, tables in batches] == [(2, 16, 4), (2, 16, 4), (1, 16, 4)]
+    leakages = subset_leakages(dist, code, 2)
+    assert all(leakages[sel] == mutual_information(dist, code, sel) for sel in leakages)
+
+
+def test_subset_keys_are_memoised_read_only_within_the_batch_bound():
+    infometrics._subset_keys.cache_clear()
+    dist = random_dirichlet(2, 10, 1)
+    subset_leakages(dist, sample_code(10, 7, 2, 2), 1)
+    subset_leakages(dist, sample_code(10, 7, 2, 3), 1)
+    info = infometrics._subset_keys.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    rows, keys = infometrics._subset_keys(2, 10, 1)
+    assert keys.shape == (10, 2**10) and not keys.flags.writeable
+    assert rows[(3,)] == 3 and keys[3].tolist() == [(x >> 6) & 1 for x in range(2**10)]
+    # C(10, 5) * 2^10 keys are past the bound: each subset is its own
+    # batch, and nothing more is memoised
+    subset_leakages(dist, sample_code(10, 7, 2, 2), 5)
+    assert infometrics._subset_keys.cache_info().currsize == 1
 
 
 @settings(max_examples=60, deadline=None)
