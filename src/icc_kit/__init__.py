@@ -28,7 +28,6 @@ from .infometrics import (
     leakage_bound,
     mutual_information,
     pinsker_check,
-    pushforward_encode,
     renyi_divergence,
     renyi_entropy,
     smoothing_report,

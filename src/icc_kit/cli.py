@@ -89,12 +89,18 @@ def _dist_from_config(spec: dict, q: int, n: int, seed: int, cap=None) -> im.Dis
     if family == "uniform":
         return im.uniform(q, n, cap)
     if family == "dirichlet":
-        return im.random_dirichlet(q, n, seed, alpha=_float(spec.get("alpha", 1.0), "alpha"), cap=cap)
+        alpha = _float(spec.get("alpha", 1.0), "alpha")
+        if not alpha > 0:
+            raise UsageError(f"config key 'alpha' must be positive, got {spec['alpha']!r}")
+        return im.random_dirichlet(q, n, seed, alpha=alpha, cap=cap)
     if family == "bernoulli":
         if q != 2:
             raise UsageError("bernoulli family requires q = 2")
         _require(spec, ["alpha"], "config key 'dist'")
-        return im.bernoulli_iid(n, _float(spec["alpha"], "alpha"), cap)
+        alpha = _float(spec["alpha"], "alpha")
+        if not 0 <= alpha <= 1:
+            raise UsageError(f"config key 'alpha' must lie in [0, 1], got {spec['alpha']!r}")
+        return im.bernoulli_iid(n, alpha, cap)
     if family == "point_mass":
         _require(spec, ["at"], "config key 'dist'")
         at = _integers(spec["at"], "at")
@@ -105,7 +111,10 @@ def _dist_from_config(spec: dict, q: int, n: int, seed: int, cap=None) -> im.Dis
         _require(spec, ["probs"], "config key 'dist'")
         if not isinstance(spec["probs"], list):
             raise UsageError(f"config key 'probs' must be a list of numbers, got {spec['probs']!r}")
-        return im.Distribution(q, n, [_float(v, "probs") for v in spec["probs"]], cap)
+        probs = [_float(v, "probs") for v in spec["probs"]]
+        if min(probs, default=0.0) < 0:
+            raise UsageError(f"config key 'probs' must be non-negative, got {spec['probs']!r}")
+        return im.Distribution(q, n, probs, cap)
     raise UsageError(f"unknown distribution family {family!r}")
 
 
@@ -158,15 +167,35 @@ def _write_lines(path, lines) -> None:
 
 def cmd_simulate(config: dict) -> tuple:
     _require(config, ["n", "q", "r", "d", "S", "m", "seed"])
-    params = SchemeParams(
-        n=_int(config["n"], "n"),
-        q=_int(config["q"], "q"),
-        protected_size=_int(config["r"], "r"),
-        degree_bound=_int(config["d"], "d"),
-        straggler_budget=_int(config["S"], "S"),
-    )
+    # every key is checked before any work; SchemeParams and the protocol
+    # keep their own checks as a second line
+    n = _int(config["n"], "n", 2)
+    q = _prime(config["q"], "q")
+    r = _int(config["r"], "r")
+    if not 1 <= r < n:
+        raise UsageError(f"config key 'r' must lie in [1, n) = [1, {n}), got {config['r']!r}")
     m = _int(config["m"], "m")
+    if not r <= m <= n:
+        raise UsageError(f"config key 'm' must lie in [r, n] = [{r}, {n}], got {config['m']!r}")
+    d = _int(config["d"], "d", 0)
+    if d >= m * (q - 1):
+        raise UsageError(f"config key 'd' must be below m(q-1) = {m * (q - 1)}, "
+                         f"got {config['d']!r}")
+    params = SchemeParams(n=n, q=q, protected_size=r, degree_bound=d,
+                          straggler_budget=_int(config["S"], "S", 0))
     seed = _int(config["seed"], "seed", 0)
+    num_workers = protocol.plan(params, m).num_workers
+    stragglers = config.get("stragglers", [])
+    if not isinstance(stragglers, list):
+        raise UsageError(f"config key 'stragglers' must be a list of worker indices, "
+                         f"got {stragglers!r}")
+    stragglers = [_int(s, "stragglers") for s in stragglers]
+    if not all(0 <= s < num_workers for s in stragglers):
+        raise UsageError(f"config key 'stragglers' must hold worker indices in [0, N) = "
+                         f"[0, {num_workers}), got {config['stragglers']!r}")
+    if len(set(stragglers)) > params.straggler_budget:
+        raise UsageError(f"config key 'stragglers' must name at most S = {params.straggler_budget} "
+                         f"distinct workers, got {config['stragglers']!r}")
     code_seed, key_seed, x_seed, f_seed = _child_seeds(seed, 4)
     code = sample_code(params.n, m, params.q, code_seed)
     if "x" in config:
@@ -181,11 +210,6 @@ def cmd_simulate(config: dict) -> tuple:
     session = storage_phase(data, params, code, key_seed)
     if f is None:
         f = random_poly(params.n, params.degree_bound, params.q, f_seed)
-    stragglers = config.get("stragglers", [])
-    if not isinstance(stragglers, list):
-        raise UsageError(f"config key 'stragglers' must be a list of worker indices, "
-                         f"got {stragglers!r}")
-    stragglers = [_int(s, "stragglers") for s in stragglers]
     decoded = computation_phase(session, f, stragglers)
     direct = evaluate(f, data)
     result = {
@@ -283,9 +307,15 @@ def cmd_keysize_curves(config: dict) -> tuple:
     if not 0 <= entropy_a <= n:
         raise UsageError(f"config key 'entropy_a' must lie in [0, n] = [0, {n}], "
                          f"got {config['entropy_a']!r}")
+    # every epsilon, q^j on curve a and epsilon_b on curve b, lies in (0, 1]
     eps_exponents = [_int(j, "epsilon_log_q_exponents")
                      for j in config.get("epsilon_log_q_exponents", range(-60, 0))]
+    if not all(j <= 0 and float(q) ** j > 0 for j in eps_exponents):
+        raise UsageError(f"config key 'epsilon_log_q_exponents' must give q^j in (0, 1], "
+                         f"got {config['epsilon_log_q_exponents']!r}")
     epsilon_b = _float(config.get("epsilon_b", float(q) ** (-2 * math.log(n, q))), "epsilon_b")
+    if not 0 < epsilon_b <= 1:
+        raise UsageError(f"config key 'epsilon_b' must lie in (0, 1], got {epsilon_b!r}")
     entropy_offsets = [_int(k, "entropy_offsets")
                        for k in config.get("entropy_offsets", range(min(64, n), -1, -1))]
     if not all(0 <= k <= n for k in entropy_offsets):

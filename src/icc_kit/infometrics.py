@@ -1,14 +1,14 @@
 """Exact probability machinery for leakage audits over F_q^n.
 
-Everything here is enumeration based: distributions are full tables over
-q^n outcomes. With a uniform key, data + key.G is uniform on the coset of
-the data modulo the code's row space, so encoders are pushed forward and
-audited exactly through the code's one coset labelling of F_q^n
-(LinearCode.coset_labels). The enumeration cap bounds the entries of each
-table, checked just before it is allocated: a law is admitted under a cap
-it keeps (Distribution.cap), and every table built from it is checked
-against that cap. A request beyond it is rejected rather than sampled,
-since the point of this module is exact verification, not estimation.
+Everything here is enumeration based: data laws are full tables over q^n
+outcomes. With a uniform key, data + key.G is uniform on the coset of the
+data modulo the code's row space, so an encoded law is held and audited
+exactly as its coset law, q^(n - rank) entries read through the code's one
+coset labelling (LinearCode.coset_labels). The enumeration cap bounds the
+entries of each table, checked just before it is allocated: a law is
+admitted under a cap it keeps (Distribution.cap), and every table built
+from it is checked against that cap. A request beyond it is rejected
+rather than sampled: this module verifies exactly, it does not estimate.
 
 Conventions
 -----------
@@ -220,7 +220,7 @@ def renyi_divergence(dist_a: Distribution, dist_b: Distribution, p: int) -> floa
 
 
 def _renyi_divergence_rows(rows: np.ndarray, ref: np.ndarray, p: int, q: int) -> list:
-    """renyi_divergence of each row of a (count, q^n) table from ref, as floats."""
+    """renyi_divergence of each row of a (count, size) table from ref, as floats."""
     live = rows > 0
     violated = np.any(live & (ref == 0), axis=1)
     power_sums = np.sum(rows ** p * np.where(live & (ref > 0), ref, 1.0) ** (1.0 - p), axis=1)
@@ -231,7 +231,7 @@ def _renyi_divergence_rows(rows: np.ndarray, ref: np.ndarray, p: int, q: int) ->
 
 
 # ---------------------------------------------------------------------------
-# encoder pushforwards
+# encoded laws, on the coset space
 
 def _check_code_matches(dist: Distribution, code: LinearCode) -> None:
     if code.q != dist.q:
@@ -240,17 +240,15 @@ def _check_code_matches(dist: Distribution, code: LinearCode) -> None:
         raise ValueError(f"code length {code.n} does not match n = {dist.n}")
 
 
-def pushforward_encode(dist: Distribution, code: LinearCode) -> Distribution:
-    """Exact law of data + key.G under a uniform key.
-
-    The encoded vector is uniform on the coset data + C, so
-    out(y) = (mass of y's coset) / q^rank(G). The law has as many entries
-    as dist and keeps its cap.
-    """
+def _coset_law(dist: Distribution, code: LinearCode) -> np.ndarray:
+    """Law of data + key.G under a uniform key as its coset law: entry c is
+    the mass A(c) of coset c, spread evenly over the coset's q^rank points.
+    Two laws spread so (a conditional one, the uniform) compare exactly on
+    their coset laws: over F_q^n, q^n (mean |a - b|^p)^(1/p) equals
+    q^(n-rank) (mean_c |A - B|^p)^(1/p) and sum a^p b^(1-p) equals
+    sum_c A^p B^(1-p), so v_p and D_p are the same formulas on them."""
     _check_code_matches(dist, code)
-    labels, rank = code.coset_labels
-    mass = np.bincount(labels, weights=dist.probs)
-    return Distribution(dist.q, dist.n, mass[labels] / dist.q ** rank, dist.cap)
+    return np.bincount(code.coset_labels[0], weights=dist.probs)
 
 
 def mutual_information(dist: Distribution, code: LinearCode, indices) -> float:
@@ -355,18 +353,15 @@ def _joint_tables(dist: Distribution, code: LinearCode, subsets: list):
 def _conditional_encoded_laws(dist: Distribution, code: LinearCode, r: int):
     """Exact law of data + key.G given X_R = z for every size-r subset R and
     every z of positive probability, a subset at a time: yields (R, its
-    values z, one row per z over F_q^n), both in lexicographic order.
-    Row z is J[label, z] / P(z) / q^rank off the subset's (coset, X_R) table
-    (_joint_tables); no Distribution is built (tests/oracles.py holds the
-    per-event reference). The rows of a subset are checked against dist's
-    cap before they are built."""
-    labels, rank = code.coset_labels
+    values z, one coset-law row per z (_coset_law)), both in lexicographic
+    order. Row z is J[:, z] / P(z) off the subset's (coset, X_R) table
+    (_joint_tables), which the cap admitted; no Distribution is built
+    (tests/oracles.py holds the per-event reference over F_q^n)."""
     for batch, tables in _joint_tables(dist, code, all_subsets(dist.n, r)):
         for indices, joint in zip(batch, tables):
             mass = joint.sum(axis=0)
             live = np.nonzero(mass > 0)[0]
-            check_cap(len(live) * labels.size, dist.cap)
-            rows = (joint[:, live] / mass[live]).T[:, labels] / dist.q ** rank
+            rows = (joint[:, live] / mass[live]).T
             if rows.min() < 0 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
                 raise ValueError("a conditional encoded law is not a probability table")
             values = [tuple(int(v) for v in np.unravel_index(z, (dist.q,) * r)) for z in live]
@@ -560,20 +555,21 @@ def smoothing_report(
     subset_size: int = None,
 ) -> SmoothingReport:
     """Measure v_p(encoded law, uniform) and, when subset_size is given,
-    v_p of each conditional encoded law against the unconditioned one."""
-    encoded = pushforward_encode(dist, code)
+    v_p of each conditional encoded law against the unconditioned one,
+    each exactly, on the coset laws (_coset_law)."""
+    encoded = _coset_law(dist, code)
     conditionals = ()
     if subset_size is not None:
         conditionals = tuple(
             ((indices, z), float(vp))
             for indices, values, rows in _conditional_encoded_laws(dist, code, subset_size)
-            for z, vp in zip(values, _vp_rows(rows, encoded.probs, p))
+            for z, vp in zip(values, _vp_rows(rows, encoded, p))
         )
     relaxed = 2 ** ((2 * p - 1) / p) * epsilon ** (1.0 / p) if epsilon < 1 else math.inf
     return SmoothingReport(
         p=p,
         epsilon=epsilon,
-        vp_uniform=float(_vp_rows(encoded.probs, 1.0 / encoded.probs.size, p)),
+        vp_uniform=float(_vp_rows(encoded, 1.0 / encoded.size, p)),
         conditional_vps=conditionals,
         threshold=smoothing_threshold(p, epsilon),
         threshold_relaxed=relaxed,
@@ -651,12 +647,12 @@ def relation_in_context(dist: Distribution, p: int, a: float, rng):
     if m < 1 or m > dist.n:
         return None
     code = sample_code(dist.n, m, dist.q, int(rng.integers(0, 2 ** 63)))
-    encoded = pushforward_encode(dist, code)
+    encoded = _coset_law(dist, code)
     reports = [
         _relation_report(float(vp), dp, p, dist.q)
         for _, _, rows in _conditional_encoded_laws(dist, code, 1)
-        for vp, dp in zip(_vp_rows(rows, encoded.probs, p),
-                          _renyi_divergence_rows(rows, encoded.probs, p, dist.q))
+        for vp, dp in zip(_vp_rows(rows, encoded, p),
+                          _renyi_divergence_rows(rows, encoded, p, dist.q))
     ]
     if max(report["vp"] for report in reports) > _vp_envelope(bp, "proof"):
         return None

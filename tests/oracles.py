@@ -1,12 +1,14 @@
 """Slow references the package is tested against, one event at a time.
 
 The package computes every leakage and conditional law in bulk, from
-dense (coset, X_R) tables built for many subsets at once, takes each
-marginal as a plain sum, and enumerates no straggler patterns. These
-functions build the same objects the plain way: one (coset, X_R) table
-and one marginal Distribution per subset, one conditional Distribution
-per event (R, z), one straggler set per pattern. Nothing in icc_kit
-imports this module.
+dense (coset, X_R) tables built for many subsets at once, holds each
+encoded law as its coset law (q^(n - rank) entries), takes each marginal
+as a plain sum, and enumerates no straggler patterns. These functions
+build the same objects the plain way: one (coset, X_R) table and one
+marginal Distribution per subset, each encoded law as a Distribution over
+all q^n points (pushforward_encode), one conditional Distribution per
+event (R, z), one straggler set per pattern. Nothing in icc_kit imports
+this module.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import numpy as np
 
 from icc_kit.codes import LinearCode
 from icc_kit.gf import integer_array, point_digit, subset_indices
-from icc_kit.infometrics import Distribution, _outcome_index, all_subsets, pushforward_encode
+from icc_kit.infometrics import Distribution, _check_code_matches, _outcome_index, all_subsets
 
 
 def _subset_index(q: int, n: int, indices) -> np.ndarray:
@@ -59,6 +61,19 @@ def conditional_given(dist: Distribution, indices, z) -> Distribution:
     if total <= 0:
         raise ValueError(f"conditioning on a zero-probability event: {tuple(z_arr.tolist())}")
     return Distribution(dist.q, dist.n, np.where(mask, dist.probs, 0.0) / total, dist.cap)
+
+
+def pushforward_encode(dist: Distribution, code: LinearCode) -> Distribution:
+    """Exact law of data + key.G under a uniform key, point by point.
+
+    The encoded vector is uniform on the coset data + C, so
+    out(y) = (mass of y's coset) / q^rank(G). The law has as many entries
+    as dist and keeps its cap.
+    """
+    _check_code_matches(dist, code)
+    labels, rank = code.coset_labels
+    mass = np.bincount(labels, weights=dist.probs)
+    return Distribution(dist.q, dist.n, mass[labels] / dist.q ** rank, dist.cap)
 
 
 def conditional_encoded(

@@ -25,6 +25,7 @@ from oracles import (
     conditional_encoded,
     conditioning_events,
     count_straggler_patterns,
+    pushforward_encode,
     straggler_patterns,
 )
 
@@ -327,7 +328,7 @@ def test_metric_axioms_hold_on_randomized_cases():
         m = int(rng.integers(1, n + 1))
         dist = im.random_dirichlet(q, n, rng.integers(0, 2**63))
         code = sample_code(n, m, q, int(rng.integers(0, 2**63)))
-        encoded = im.pushforward_encode(dist, code)
+        encoded = pushforward_encode(dist, code)
         unif = im.uniform(q, n)
         enc_to_unif = im.v_distance(encoded, unif)
         for sel, z in conditioning_events(dist, 1):

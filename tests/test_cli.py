@@ -386,6 +386,9 @@ def test_main_rejects_non_integer_config_values(tmp_path, capsys, command, confi
     ("metrics-check", {"num_dists": -1, "num_pairs": -5}, "num_dists"),
     ("metrics-check", {"num_dists": 4, "num_pairs": -5}, "num_pairs"),
     ("keysize-curves", {"n": 0}, "n"),
+    ("simulate", dict(BASE_SIM, n=0), "n"),
+    ("simulate", dict(BASE_SIM, d=-1), "d"),
+    ("simulate", dict(BASE_SIM, S=-1), "S"),
 ])
 def test_main_refuses_an_integer_below_its_range_by_key(tmp_path, capsys, command, config, key):
     # a negative seed used to leak numpy's "expected non-negative integer",
@@ -410,17 +413,34 @@ def test_main_refuses_an_integer_below_its_range_by_key(tmp_path, capsys, comman
     ("keysize-curves", {"n": 3, "entropy_offsets": [-1]}, "entropy_offsets"),
     ("keysize-curves", {"n": 3, "entropy_a": 4}, "entropy_a"),
     ("keysize-curves", {"entropy_a": -1}, "entropy_a"),
+    ("keysize-curves", {"epsilon_b": 2.0}, "epsilon_b"),
+    ("keysize-curves", {"epsilon_b": 0.0}, "epsilon_b"),
+    ("keysize-curves", {"epsilon_log_q_exponents": [-1, 1]}, "epsilon_log_q_exponents"),
+    ("keysize-curves", {"epsilon_log_q_exponents": [-2000]}, "epsilon_log_q_exponents"),
+    ("simulate", dict(BASE_SIM, r=5), "r"),
+    ("simulate", dict(BASE_SIM, r=0), "r"),
+    ("simulate", dict(BASE_SIM, m=0), "m"),
+    ("simulate", dict(BASE_SIM, m=6), "m"),
+    ("simulate", dict(BASE_SIM, r=3, m=2), "m"),
+    ("simulate", dict(BASE_SIM, q=4), "q"),
+    ("simulate", dict(BASE_SIM, d=4), "d"),
+    ("simulate", dict(BASE_SIM, stragglers=[12]), "stragglers"),
+    ("simulate", dict(BASE_SIM, stragglers=[-1]), "stragglers"),
+    ("simulate", dict(BASE_SIM, stragglers=[0, 1]), "stragglers"),
 ])
 def test_main_refuses_a_value_outside_its_range_by_key(tmp_path, capsys, monkeypatch,
                                                        command, config, key):
     # these used to reach the catch-all as "need 1 <= subset size < n",
-    # "order p must be ...", "ZeroDivisionError", a MemoryError from 10^9
-    # code seeds, or (keysize-curves) to write rows from a negative entropy;
-    # an audit refuses them before its q^n law is built
+    # "need 1 <= protected_size < n", "order p must be ...",
+    # "ZeroDivisionError", "epsilon must lie in (0, 1]", a MemoryError from
+    # 10^9 code seeds, or (keysize-curves) to write rows from a negative
+    # entropy; an audit refuses them before its q^n law is built, a
+    # simulation before its code is drawn
     def build_table(*args):
         raise AssertionError("the probability table was built")
 
     monkeypatch.setattr(cli, "_dist_from_config", build_table)
+    monkeypatch.setattr(cli, "sample_code", lambda *args: pytest.fail("a code was drawn"))
     argv = [command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o.csv")]
     assert main(argv) == 2
     error = json.loads(capsys.readouterr().out)["error"]
@@ -453,6 +473,11 @@ def test_keysize_curves_defaults_stay_within_n():
     ({"family": "explicit"}, "probs"),
     ({"family": "explicit", "probs": "abc"}, "probs"),
     ({"family": "explicit", "probs": [math.nan] + [1 / 63] * 63}, "probs"),
+    ({"family": "explicit", "probs": [-0.5, 1.5] + [0.0] * 62}, "probs"),
+    ({"family": "dirichlet", "alpha": 0}, "alpha"),
+    ({"family": "dirichlet", "alpha": -1.5}, "alpha"),
+    ({"family": "bernoulli", "alpha": 1.5}, "alpha"),
+    ({"family": "bernoulli", "alpha": -0.1}, "alpha"),
 ])
 def test_main_audit_names_the_key_of_a_malformed_dist_spec(tmp_path, capsys, dist, key):
     # these used to surface as raw AttributeError, KeyError, TypeError and

@@ -20,7 +20,7 @@ from icc_kit.gf import (
     rank,
     row_reduce,
 )
-from icc_kit.infometrics import pushforward_encode, uniform
+from icc_kit.infometrics import smoothing_report, uniform
 from icc_kit.poly import monomial_values
 from oracles import gauss_jordan
 
@@ -153,7 +153,7 @@ def test_element_pow_matches_repeated_product():
 
 def test_modulus_mismatch_is_an_error():
     with pytest.raises(ValueError, match="modulus mismatch"):
-        pushforward_encode(uniform(3, 2), LinearCode(((1, 0),), 2))
+        smoothing_report(uniform(3, 2), LinearCode(((1, 0),), 2), 2, 0.5)
 
 
 IDENTITY = {q: LinearCode(np.eye(n, dtype=np.int64), q) for q, n in ((2, 3), (5, 2))}

@@ -35,7 +35,6 @@ from icc_kit.infometrics import (
     mutual_information,
     pinsker_check,
     point_mass,
-    pushforward_encode,
     random_dirichlet,
     relation_in_context,
     renyi_divergence,
@@ -54,6 +53,7 @@ from oracles import (
     conditioning_events,
     dense_mutual_information,
     marginal,
+    pushforward_encode,
 )
 
 TOL = 1e-9
@@ -500,11 +500,12 @@ def test_cap_guards_joint_enumeration():
         mutual_information(uniform(2, 8, cap=2**10), code, tuple(range(6)))
     with pytest.raises(ValueError, match="8192 outcomes exceeds cap 1024"):
         leakage_audit(uniform(2, 8, cap=2**10), code, 6, p=2, epsilon=0.25, a=2.0)
-    # the 32-cell table of a 2-subset fits the cap; its 4 rows of 16 do not
+    # the 32-cell table of a 2-subset fits the cap, and so do its
+    # conditional coset-law rows, 4 of 8 entries; a cap of 16 does not
     code = LinearCode([[1, 1, 0, 1]], 2)
-    with pytest.raises(ValueError, match="exceeds cap"):
-        smoothing_report(uniform(2, 4, cap=32), code, 2, 0.5, subset_size=2)
-    assert len(smoothing_report(uniform(2, 4, cap=64), code, 2, 0.5, 2).conditional_vps) == 24
+    assert len(smoothing_report(uniform(2, 4, cap=32), code, 2, 0.5, 2).conditional_vps) == 24
+    with pytest.raises(ValueError, match="32 outcomes exceeds cap 16"):
+        smoothing_report(uniform(2, 4, cap=16), code, 2, 0.5, subset_size=2)
 
 
 def test_audit_paths_answer_at_the_table_cap():
@@ -544,9 +545,9 @@ def test_pushforward_keeps_the_cap_its_table_was_admitted_under(monkeypatch):
 
 
 def test_a_law_audits_under_the_cap_it_was_admitted_under(monkeypatch):
-    # no audit call repeats the cap: each (coset, X_R) table and
-    # conditional row set of a law is checked against the law's own cap:
-    # the largest here, two conditional laws of 2^8 entries, fits 2^9
+    # no audit call repeats the cap: each (coset, X_R) table of a law is
+    # checked against the law's own cap; every table here, 2^6 cells or
+    # fewer, is above the default of 2^4 and within the law's 2^9
     monkeypatch.setattr(gf, "DEFAULT_CAP", 2**4)
     dist = random_dirichlet(2, 8, 3, cap=2**9)
     code = sample_code(8, 3, 2, 4)
@@ -870,6 +871,44 @@ def test_relation_reports_match_per_event_oracle(data):
             assert abs(report[key] - expected[key]) <= 1e-12, key
 
 
+def test_smoothing_answers_a_high_rank_code_at_n_17():
+    # lifted to 2^17 entries, a conditional row summed to 1 only within
+    # about 1.5e-12 and this call was refused; its coset-law rows have
+    # 2^(17 - rank) entries
+    dist = random_dirichlet(2, 17, 7, alpha=30.0)
+    code = sample_code(17, 14, 2, 114)
+    report = smoothing_report(dist, code, 2, 0.25, subset_size=1)
+    encoded = pushforward_encode(dist, code)
+    oracle_vps = [
+        ((sel, z), v_p_distance(conditional_encoded(dist, code, sel, z), encoded, 2))
+        for sel, z in conditioning_events(dist, 1)
+    ]
+    assert [key for key, _ in report.conditional_vps] == [key for key, _ in oracle_vps]
+    for (_, vp), (_, oracle_vp) in zip(report.conditional_vps, oracle_vps):
+        assert abs(vp - oracle_vp) <= 1e-12
+    assert abs(report.vp_uniform - v_p_distance(encoded, uniform(2, 17), 2)) <= 1e-12
+
+
+def test_relation_reports_of_a_high_rank_code_at_n_17():
+    # the screen keys this law at m = n = 17; lifted to 2^17 entries its
+    # conditional rows were refused as not summing to 1 within 1e-12
+    dist = random_dirichlet(2, 17, 2, alpha=30.0)
+    code_seed = int(np.random.default_rng(2).integers(0, 2**63))
+    reports, bp = relation_in_context(dist, 2, 2.0, np.random.default_rng(2))
+    code = sample_code(17, math.ceil(keysize_lower_bound(bp)), 2, code_seed)
+    assert code.m == 17 and code.coset_labels[1] >= 15
+    encoded = pushforward_encode(dist, code)
+    oracle = [
+        check_divergence_distance_relation(conditional_encoded(dist, code, sel, z), encoded, 2)
+        for sel, z in conditioning_events(dist, 1)
+    ]
+    assert len(reports) == len(oracle) == 34
+    for report, expected in zip(reports, oracle):
+        assert report["holds"] == expected["holds"]
+        for key in ("vp", "dp", "bound"):
+            assert abs(report[key] - expected[key]) <= 1e-12, key
+
+
 def test_entropy_gap_normalises_a_slice_of_tiny_mass():
     # the slice X_0 = 1 holds 1e-200: its raw masses squared underflow to 0,
     # yet its conditional law (0.7, 0.1, 0.1, 0.1) is the least entropic one
@@ -883,7 +922,8 @@ def test_entropy_gap_normalises_a_slice_of_tiny_mass():
 
 def test_conditioning_paths_build_no_per_event_distribution(monkeypatch):
     # a per-event path builds at least one Distribution per (R, z) event;
-    # the dense kernels build a fixed few per subset or per call
+    # the dense kernels build fewer, and the smoothing and relation paths,
+    # which hold every encoded law as a coset-law array, build none
     dist = random_dirichlet(2, 5, 3, alpha=100.0)
     events = {r: len(list(conditioning_events(dist, r))) for r in (1, 2)}
     built = []
@@ -891,15 +931,15 @@ def test_conditioning_paths_build_no_per_event_distribution(monkeypatch):
     monkeypatch.setattr(Distribution, "__post_init__",
                         lambda self: built.append(1) or real(self))
     calls = [
-        (2, lambda: check_entropy_gap(dist, 2, 2)["holds"]),
+        (events[2], lambda: check_entropy_gap(dist, 2, 2)["holds"]),
         (1, lambda: relation_in_context(dist, 2, 2.0, np.random.default_rng(11)) is not None),
         (1, lambda: len(smoothing_report(dist, sample_code(5, 3, 2, 4), 2, 0.5, 1)
                         .conditional_vps) == events[1]),
     ]
-    for r, call in calls:
+    for most, call in calls:
         built.clear()
         assert call()
-        assert len(built) < events[r], (len(built), events[r])
+        assert len(built) < most, (len(built), most)
 
 
 def test_divergence_distance_relation_identity_case():
