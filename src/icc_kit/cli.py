@@ -112,8 +112,12 @@ def _dist_from_config(spec: dict, q: int, n: int, seed: int, cap=None) -> im.Dis
         if not isinstance(spec["probs"], list):
             raise UsageError(f"config key 'probs' must be a list of numbers, got {spec['probs']!r}")
         probs = [_float(v, "probs") for v in spec["probs"]]
-        if min(probs, default=0.0) < 0:
+        if len(probs) != q ** n:
+            raise UsageError(f"config key 'probs' must have length q^n = {q ** n}, got {len(probs)}")
+        if min(probs) < 0:
             raise UsageError(f"config key 'probs' must be non-negative, got {spec['probs']!r}")
+        if abs(float(np.sum(probs)) - 1.0) > 1e-12:  # Distribution's own test
+            raise UsageError(f"config key 'probs' must sum to 1 within 1e-12, got {spec['probs']!r}")
         return im.Distribution(q, n, probs, cap)
     raise UsageError(f"unknown distribution family {family!r}")
 
@@ -360,6 +364,7 @@ def cmd_metrics_check(config: dict) -> tuple:
     seed = _int(config.get("seed", 0), "seed", 0)
     rng = np.random.default_rng(seed)
     spaces = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]
+    uniforms = {space: im.uniform(*space) for space in spaces}
     violations = []
 
     gap_count = 0
@@ -375,7 +380,7 @@ def cmd_metrics_check(config: dict) -> tuple:
 
     uniform_count = 0
     for q, n in spaces:
-        report = im.check_entropy_gap(im.uniform(q, n), 2, 1)
+        report = im.check_entropy_gap(uniforms[q, n], 2, 1)
         uniform_count += 1
         if abs(report["slack"]) > im.VERDICT_TOL:
             violations.append({"check": "entropy_gap_uniform", "space": [q, n], "report": report})
@@ -387,13 +392,14 @@ def cmd_metrics_check(config: dict) -> tuple:
         da = im.random_dirichlet(q, n, rng.integers(0, 2 ** 63))
         db = im.random_dirichlet(q, n, rng.integers(0, 2 ** 63))
         pair_count += 1
-        if im.v_distance(da, db) > im.v_p_distance(da, db, p) + im.VERDICT_TOL:
+        pinsker = im.pinsker_check(da, db)  # v_sum is v_distance, d_base_q kl_divergence
+        if pinsker["v_sum"] > im.v_p_distance(da, db, p) + im.VERDICT_TOL:
             violations.append({"check": "v_le_vp", "case": i})
-        if im.kl_divergence(da, db) > im.renyi_divergence(da, db, p) + im.VERDICT_TOL:
+        if pinsker["d_base_q"] > im.renyi_divergence(da, db, p) + im.VERDICT_TOL:
             violations.append({"check": "d_le_dp", "case": i})
-        if not im.pinsker_check(da, db)["classical_form_holds"]:
+        if not pinsker["classical_form_holds"]:
             violations.append({"check": "pinsker_classical", "case": i})
-        if abs(im.renyi_entropy(im.uniform(q, n), p) - n) > im.VERDICT_TOL:
+        if abs(im.renyi_entropy(uniforms[q, n], p) - n) > im.VERDICT_TOL:
             violations.append({"check": "uniform_entropy", "case": i})
 
     relation_count = 0

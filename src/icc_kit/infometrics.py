@@ -35,8 +35,8 @@ from .gf import DEFAULT_CAP, _check_prime, cap_limit, check_cap, point_digit, su
 # double-precision error at cap-sized sums, far below any real effect
 VERDICT_TOL = 1e-9
 
-# _joint_tables batches every size-r subset into one bincount, from memoised
-# subset keys, while those keys number at most this many: C(n, r) * q^n
+# _joint_tables and check_entropy_gap batch all size-r subsets in one bincount
+# while their memoised subset keys number at most this many: C(n, r) * q^n
 _BATCH_KEYS = 2 ** 16
 
 
@@ -352,20 +352,21 @@ def _joint_tables(dist: Distribution, code: LinearCode, subsets: list):
 
 def _conditional_encoded_laws(dist: Distribution, code: LinearCode, r: int):
     """Exact law of data + key.G given X_R = z for every size-r subset R and
-    every z of positive probability, a subset at a time: yields (R, its
-    values z, one coset-law row per z (_coset_law)), both in lexicographic
-    order. Row z is J[:, z] / P(z) off the subset's (coset, X_R) table
-    (_joint_tables), which the cap admitted; no Distribution is built
+    every z of positive probability, a _joint_tables batch at a time: yields
+    (the batch's (R, z) events, one coset-law row per event (_coset_law)),
+    in lexicographic order of R, then z. The row of (R, z) is J[:, z] / P(z)
+    off R's (coset, X_R) table, which the cap admitted. A batch's rows are
+    one gather into a C-ordered (events, cosets) array, so numpy sums each
+    row as it sums one subset's rows alone. No Distribution is built
     (tests/oracles.py holds the per-event reference over F_q^n)."""
+    values = list(itertools.product(range(dist.q), repeat=r))
     for batch, tables in _joint_tables(dist, code, all_subsets(dist.n, r)):
-        for indices, joint in zip(batch, tables):
-            mass = joint.sum(axis=0)
-            live = np.nonzero(mass > 0)[0]
-            rows = (joint[:, live] / mass[live]).T
-            if rows.min() < 0 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
-                raise ValueError("a conditional encoded law is not a probability table")
-            values = [tuple(int(v) for v in np.unravel_index(z, (dist.q,) * r)) for z in live]
-            yield indices, values, rows
+        mass = tables.sum(axis=1)
+        which, live = np.nonzero(mass > 0)
+        rows = tables[which, :, live] / mass[which, live][:, None]
+        if rows.min() < 0 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
+            raise ValueError("a conditional encoded law is not a probability table")
+        yield [(batch[s], values[z]) for s, z in zip(which, live)], rows
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +562,9 @@ def smoothing_report(
     conditionals = ()
     if subset_size is not None:
         conditionals = tuple(
-            ((indices, z), float(vp))
-            for indices, values, rows in _conditional_encoded_laws(dist, code, subset_size)
-            for z, vp in zip(values, _vp_rows(rows, encoded, p))
+            (event, float(vp))
+            for events, rows in _conditional_encoded_laws(dist, code, subset_size)
+            for event, vp in zip(events, _vp_rows(rows, encoded, p))
         )
     relaxed = 2 ** ((2 * p - 1) / p) * epsilon ** (1.0 / p) if epsilon < 1 else math.inf
     return SmoothingReport(
@@ -590,18 +591,29 @@ def check_entropy_gap(dist: Distribution, p: int, r: int) -> dict:
     H_p(X | X_R = z) falls as the power sum of the conditional law rises,
     so rhs is taken from the largest power sum over all (R, z). Each slice
     is normalised before its power is taken: raising the raw masses of a
-    slice of mass 1e-200 would underflow to 0. Each X_R marginal, and each
-    slice's power sum, is a sum over the axes R drops.
+    slice of mass 1e-200 would underflow to 0. While C(n, r) * q^n <=
+    _BATCH_KEYS (the bound _joint_tables batches under), every (R, z) mass
+    and every slice power sum is one bincount over the memoised subset keys;
+    above it each X_R marginal, and each slice's power sum, is a sum over
+    the axes R drops, so no key array is built.
     """
     _check_order(p)
     full_entropy, max_subset = subset_entropies(dist, p, r)
-    shaped = dist.probs.reshape((dist.q,) * dist.n)
-    worst = 0.0
-    for drop in _dropped_axes(dist.n, r):
-        mass = shaped.sum(axis=drop, keepdims=True)
-        scaled = shaped / np.where(mass > 0, mass, 1.0)
-        worst = max(worst, float((scaled ** p).sum(axis=drop).max()))
-    rhs = _log_q(worst, dist.q) / (1 - p)
+    q, n, count = dist.q, dist.n, math.comb(dist.n, r)
+    if count * q ** n <= _BATCH_KEYS:
+        keys = (_subset_keys(q, n, r)[1] + np.arange(0, count * q ** r, q ** r)[:, None]).ravel()
+        weights = np.tile(dist.probs, count)
+        mass = np.bincount(keys, weights=weights)
+        scaled = weights / np.where(mass > 0, mass, 1.0)[keys]
+        worst = float(np.bincount(keys, weights=scaled ** p).max())
+    else:
+        shaped = dist.probs.reshape((q,) * n)
+        worst = 0.0
+        for drop in _dropped_axes(n, r):
+            mass = shaped.sum(axis=drop, keepdims=True)
+            scaled = shaped / np.where(mass > 0, mass, 1.0)
+            worst = max(worst, float((scaled ** p).sum(axis=drop).max()))
+    rhs = _log_q(worst, q) / (1 - p)
     lhs = full_entropy - max_subset
     return {
         "lhs": lhs,
@@ -650,7 +662,7 @@ def relation_in_context(dist: Distribution, p: int, a: float, rng):
     encoded = _coset_law(dist, code)
     reports = [
         _relation_report(float(vp), dp, p, dist.q)
-        for _, _, rows in _conditional_encoded_laws(dist, code, 1)
+        for _, rows in _conditional_encoded_laws(dist, code, 1)
         for vp, dp in zip(_vp_rows(rows, encoded, p),
                           _renyi_divergence_rows(rows, encoded, p, dist.q))
     ]

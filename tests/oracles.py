@@ -4,11 +4,11 @@ The package computes every leakage and conditional law in bulk, from
 dense (coset, X_R) tables built for many subsets at once, holds each
 encoded law as its coset law (q^(n - rank) entries), takes each marginal
 as a plain sum, and enumerates no straggler patterns. These functions
-build the same objects the plain way: one (coset, X_R) table and one
-marginal Distribution per subset, each encoded law as a Distribution over
-all q^n points (pushforward_encode), one conditional Distribution per
-event (R, z), one straggler set per pattern. Nothing in icc_kit imports
-this module.
+build the same objects the plain way: one (coset, X_R) table, one
+marginal Distribution and one set of slice power sums per subset, each
+encoded law as a Distribution over all q^n points (pushforward_encode),
+one conditional Distribution per event (R, z), one straggler set per
+pattern. Nothing in icc_kit imports this module.
 """
 
 import itertools
@@ -35,19 +35,38 @@ def marginal(dist: Distribution, indices) -> Distribution:
     return Distribution(dist.q, len(indices), shaped.sum(axis=drop).ravel(), dist.cap)
 
 
-def dense_mutual_information(dist: Distribution, code: LinearCode, indices) -> float:
-    """I(encoded; X_R) from R's own (coset, X_R) table, one bincount per
-    subset, and J log_q(J / (coset marginal * X_R marginal)) summed over the
-    nonzero cells J in C order: the batched kernel must match it bit for bit."""
+def dense_joint(dist: Distribution, code: LinearCode, indices) -> np.ndarray:
+    """R's own (coset, X_R) table J[c, z], one bincount over every point."""
     labels, rank = code.coset_labels
     cols = dist.q ** len(indices)
     joint = np.bincount(labels * cols + _subset_index(dist.q, dist.n, indices),
                         weights=dist.probs, minlength=dist.q ** (dist.n - rank) * cols)
-    joint = joint.reshape(-1, cols)
+    return joint.reshape(-1, cols)
+
+
+def dense_mutual_information(dist: Distribution, code: LinearCode, indices) -> float:
+    """I(encoded; X_R) from R's own (coset, X_R) table (dense_joint) and
+    J log_q(J / (coset marginal * X_R marginal)) summed over the nonzero
+    cells J in C order: the batched kernel must match it bit for bit."""
+    joint = dense_joint(dist, code, indices)
     marginals = joint.sum(axis=1)[:, None] * joint.sum(axis=0)
     support = joint > 0
     ratio = joint[support] / marginals[support]
     return float(np.sum(joint[support] * np.log(ratio))) / log(dist.q)
+
+
+def worst_conditional_power_sum(dist: Distribution, p: int, r: int) -> float:
+    """Largest sum of P(x | X_R = z)^p over every size-r subset R and every
+    value z, a subset at a time: each X_R marginal, and each normalised
+    slice's power sum, is a sum over the axes R drops."""
+    shaped = dist.probs.reshape((dist.q,) * dist.n)
+    worst = 0.0
+    for indices in all_subsets(dist.n, r):
+        drop = tuple(i for i in range(dist.n) if i not in indices)
+        mass = shaped.sum(axis=drop, keepdims=True)
+        scaled = shaped / np.where(mass > 0, mass, 1.0)
+        worst = max(worst, float((scaled ** p).sum(axis=drop).max()))
+    return worst
 
 
 def conditional_given(dist: Distribution, indices, z) -> Distribution:

@@ -478,10 +478,14 @@ def test_keysize_curves_defaults_stay_within_n():
     ({"family": "dirichlet", "alpha": -1.5}, "alpha"),
     ({"family": "bernoulli", "alpha": 1.5}, "alpha"),
     ({"family": "bernoulli", "alpha": -0.1}, "alpha"),
+    ({"family": "explicit", "probs": [0.5, 0.5]}, "probs"),
+    ({"family": "explicit", "probs": [0.5] * 64}, "probs"),
 ])
 def test_main_audit_names_the_key_of_a_malformed_dist_spec(tmp_path, capsys, dist, key):
     # these used to surface as raw AttributeError, KeyError, TypeError and
-    # ValueError messages (a NaN entry as "cannot convert float NaN to integer")
+    # ValueError messages (a NaN entry as "cannot convert float NaN to
+    # integer", a probs list of the wrong length or sum as the Distribution's
+    # own "must have length q^n" or "must sum to 1", which name no key)
     path = write_config(tmp_path, dict(AUDIT_UNIFORM, dist=dist))
     assert main(["audit", "--config", path]) == 2
     error = json.loads(capsys.readouterr().out)["error"]

@@ -51,9 +51,11 @@ from oracles import (
     conditional_encoded,
     conditional_given,
     conditioning_events,
+    dense_joint,
     dense_mutual_information,
     marginal,
     pushforward_encode,
+    worst_conditional_power_sum,
 )
 
 TOL = 1e-9
@@ -844,6 +846,70 @@ def test_subset_keys_are_memoised_read_only_within_the_batch_bound():
     # batch, and nothing more is memoised
     subset_leakages(dist, sample_code(10, 7, 2, 2), 5)
     assert infometrics._subset_keys.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("batch_keys", [1, 2**40],
+                         ids=["axis sums per subset", "one bincount for all subsets"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_entropy_gap_matches_the_per_subset_axis_sums(batch_keys, data):
+    # both sides of the batch bound against the per-subset reference, on
+    # laws with zero-probability outcomes, empty slices and point masses
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    r = data.draw(st.sampled_from([1, 2]))
+    n = data.draw(st.integers(r + 1, {2: 6, 3: 4, 5: 3}[q]))
+    p = data.draw(st.sampled_from([2, 3, 4]))
+    dist = _laws_with_empty_slices(data.draw, q, n)
+    lhs = renyi_entropy(dist, p) - max(renyi_entropy(marginal(dist, sel), p)
+                                       for sel in all_subsets(n, r))
+    rhs = math.log(worst_conditional_power_sum(dist, p, r)) / math.log(q) / (1 - p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(infometrics, "_BATCH_KEYS", batch_keys)
+        report = check_entropy_gap(dist, p, r)
+    assert report["holds"] == (lhs >= rhs - infometrics.VERDICT_TOL)
+    for key, expected in (("lhs", lhs), ("rhs", rhs), ("slack", lhs - rhs)):
+        assert abs(report[key] - expected) <= 1e-12, key
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_conditional_laws_are_the_same_batched_or_a_subset_at_a_time(data):
+    # the conditional rows of every batch equal each subset's own slices
+    # J[:, z] / P(z), and every report read off them is the same whether
+    # all subsets share a batch or each is its own; each v_p is the float
+    # the subset's own rows give, also past 8 cosets, where numpy sums a row
+    # of another memory layout in another order
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(2, {2: 5, 3: 4, 5: 3}[q]))
+    r = data.draw(st.integers(1, n - 1))
+    p = data.draw(st.sampled_from([2, 3]))
+    dist = _laws_with_empty_slices(data.draw, q, n)
+    m = data.draw(st.integers(1, n))
+    code = LinearCode(data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                                         min_size=m, max_size=m)), q)
+    expected = []
+    for sel in all_subsets(n, r):
+        joint = dense_joint(dist, code, sel)
+        mass = joint.sum(axis=0)
+        expected.append((joint[:, mass > 0] / mass[mass > 0]).T)
+    dense = random_dirichlet(q, p + (3 if q == 2 else 2), data.draw(st.integers(0, 2**31)),
+                             alpha=100.0)
+    seed = data.draw(st.integers(0, 2**31))
+    encoded = infometrics._coset_law(dist, code)
+    vps = [float(vp) for rows in expected for vp in infometrics._vp_rows(rows, encoded, p)]
+    answers = []
+    for batch_keys in (1, 2**40):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infometrics, "_BATCH_KEYS", batch_keys)
+            batches = list(infometrics._conditional_encoded_laws(dist, code, r))
+            assert [event for events, _ in batches for event in events] == list(
+                conditioning_events(dist, r))
+            assert np.array_equal(np.concatenate([rows for _, rows in batches]),
+                                  np.concatenate(expected))
+            answers.append((smoothing_report(dist, code, p, 0.5, subset_size=r).conditional_vps,
+                            relation_in_context(dense, p, 2.0, np.random.default_rng(seed))))
+    assert answers[0] == answers[1]
+    assert [vp for _, vp in answers[0][0]] == vps
 
 
 @settings(max_examples=60, deadline=None)
