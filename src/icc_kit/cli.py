@@ -4,7 +4,8 @@ Every CSV output (audit, keysize-curves) starts with a '#'-prefixed JSON
 header holding the resolved config and seed, so a run can be reproduced
 byte for byte; simulate and metrics-check write one JSON object, which
 holds the seed.
-Exit codes: 0 success, 1 property failure, 2 usage or config error.
+Exit codes: 0 success, 1 property failure, 2 usage or config error (or a
+crash, labelled "internal error").
 """
 
 from __future__ import annotations
@@ -42,15 +43,42 @@ def _integers(value, key: str) -> np.ndarray:
         raise UsageError(str(exc)) from None
 
 
-def _int(value, key: str, least: int = None) -> int:
-    """One integer config value as a Python int (see _integers), refused
-    below least when least is given."""
+_BOUNDS = (("at least", lambda x, b: x >= b), ("above", lambda x, b: x > b),
+           ("at most", lambda x, b: x <= b), ("below", lambda x, b: x < b))
+
+
+def _ranged(number, key: str, value, least=None, above=None, most=None, below=None):
+    """number if it lies within its bounds (least, most inclusive; above, below
+    exclusive), else a usage error naming key and value. A bound is a number,
+    or a (number, reason) pair when other keys or the cap set it."""
+    for (words, inside), bound in zip(_BOUNDS, (least, above, most, below)):
+        if bound is not None:
+            limit, reason = bound if isinstance(bound, tuple) else (bound, None)
+            if not inside(number, limit):
+                why = f": {reason}" if reason else ""
+                raise UsageError(f"config key {key!r} must be {words} {limit}{why}, got {value!r}")
+    return number
+
+
+def _int(value, key: str, **bounds) -> int:
+    """One integer config value as a Python int (see _integers), within
+    bounds (see _ranged)."""
     arr = _integers(value, key)
     if arr.ndim:
         raise UsageError(f"config key {key!r} must be one integer, got {value!r}")
-    if least is not None and arr.item() < least:
-        raise UsageError(f"config key {key!r} must be at least {least}, got {value!r}")
-    return arr.item()
+    return _ranged(arr.item(), key, value, **bounds)
+
+
+def _ints(value, key: str, **bounds) -> list:
+    """A list config value of integers (see _integers) as Python ints, each
+    within bounds (see _ranged)."""
+    arr = _integers(value, key) if isinstance(value, list) else None
+    if arr is None or arr.ndim != 1:
+        raise UsageError(f"config key {key!r} must be a list of integers, got {value!r}")
+    numbers = arr.tolist()
+    for extreme in (min, max) if numbers else ():
+        _ranged(extreme(numbers), key, value, **bounds)
+    return numbers
 
 
 def _prime(value, key: str) -> int:
@@ -63,16 +91,17 @@ def _prime(value, key: str) -> int:
     return number
 
 
-def _float(value, key: str) -> float:
-    """A real config value as a float: a JSON int or finite float. A bool,
-    string or non-finite number is a usage error, not coerced."""
+def _float(value, key: str, **bounds) -> float:
+    """A real config value as a float: a JSON int or finite float within
+    bounds (see _ranged). A bool, string or non-finite number is a usage
+    error, not coerced."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:  # an int beyond the float range
             number = math.inf
         if math.isfinite(number):
-            return number
+            return _ranged(number, key, value, **bounds)
     raise UsageError(f"config key {key!r} must be a finite number, got {value!r}")
 
 
@@ -89,37 +118,32 @@ def _dist_from_config(spec: dict, q: int, n: int, seed: int, cap=None) -> im.Dis
     if family == "uniform":
         return im.uniform(q, n, cap)
     if family == "dirichlet":
-        alpha = _float(spec.get("alpha", 1.0), "alpha")
-        if not alpha > 0:
-            raise UsageError(f"config key 'alpha' must be positive, got {spec['alpha']!r}")
+        half_range = sys.float_info.max / 2 / q ** n  # q^n gamma draws near alpha are summed
+        alpha = _float(spec.get("alpha", 1.0), "alpha", above=0,
+                       most=(half_range, "half the float range over q^n for keys 'q' and 'n'"))
         return im.random_dirichlet(q, n, seed, alpha=alpha, cap=cap)
     if family == "bernoulli":
-        if q != 2:
-            raise UsageError("bernoulli family requires q = 2")
-        _require(spec, ["alpha"], "config key 'dist'")
-        alpha = _float(spec["alpha"], "alpha")
-        if not 0 <= alpha <= 1:
-            raise UsageError(f"config key 'alpha' must lie in [0, 1], got {spec['alpha']!r}")
+        _ranged(q, "q", q, most=(2, "key 'family' is bernoulli, which is binary"))
+        alpha = _float(spec.get("alpha"), "alpha", least=0, most=1)
         return im.bernoulli_iid(n, alpha, cap)
     if family == "point_mass":
-        _require(spec, ["at"], "config key 'dist'")
-        at = _integers(spec["at"], "at")
-        if at.shape != (n,) or not np.all((at >= 0) & (at < q)):
+        at = _ints(spec.get("at"), "at", least=0, below=(q, f"else it is not a point of F_{q}^{n}"))
+        if len(at) != n:
             raise UsageError(f"config key 'at' is not a point of F_{q}^{n}: {spec['at']!r}")
-        return im.point_mass(q, n, tuple(at.tolist()), cap)
+        return im.point_mass(q, n, tuple(at), cap)
     if family == "explicit":
-        _require(spec, ["probs"], "config key 'dist'")
-        if not isinstance(spec["probs"], list):
-            raise UsageError(f"config key 'probs' must be a list of numbers, got {spec['probs']!r}")
-        probs = [_float(v, "probs") for v in spec["probs"]]
+        given = spec.get("probs")
+        if not isinstance(given, list):
+            raise UsageError(f"config key 'probs' must be a list of numbers, got {given!r}")
+        probs = [_float(v, "probs") for v in given]
         if len(probs) != q ** n:
             raise UsageError(f"config key 'probs' must have length q^n = {q ** n}, got {len(probs)}")
-        if min(probs) < 0:
-            raise UsageError(f"config key 'probs' must be non-negative, got {spec['probs']!r}")
-        if abs(float(np.sum(probs)) - 1.0) > 1e-12:  # Distribution's own test
-            raise UsageError(f"config key 'probs' must sum to 1 within 1e-12, got {spec['probs']!r}")
+        _ranged(min(probs), "probs", given, least=0)
+        _ranged(abs(float(np.sum(probs)) - 1.0), "probs", given,  # Distribution's own test
+                most=(1e-12, "the distance of its sum from 1"))
         return im.Distribution(q, n, probs, cap)
-    raise UsageError(f"unknown distribution family {family!r}")
+    families = ["uniform", "dirichlet", "bernoulli", "point_mass", "explicit"]
+    raise UsageError(f"config key 'family' must be one of {families}, got {family!r}")
 
 
 def _poly_from_config(spec, params: SchemeParams) -> MultiPoly:
@@ -134,13 +158,14 @@ def _poly_from_config(spec, params: SchemeParams) -> MultiPoly:
         if not isinstance(term, dict):
             raise UsageError(f"config key 'terms' must hold objects, got {term!r}")
         _require(term, ["exp", "coef"], "a term of config key 'f'")
-    try:
-        f = MultiPoly.from_json(spec)
+    try:  # its own degree bound 'd': -1 (the default) takes the degree of its terms
+        f = MultiPoly.from_json(dict(spec, d=_int(spec.get("d", -1), "d", least=-1)))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config key 'f' is not a polynomial: {exc}") from None
     for key, have, want in (("n", f.num_vars, params.n), ("q", f.q, params.q)):
         if have != want:
             raise UsageError(f"config key 'f' has {key} = {have}, but the scheme has {key} = {want}")
+    _ranged(f.degree, "f", spec, most=(params.degree_bound, "key 'd' bounds its degree"))
     return f
 
 
@@ -152,7 +177,7 @@ def _header(command: str, config: dict, seed) -> str:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
+    if isinstance(value, float) and abs(value) < 1e15 and value == int(value):
         return str(int(value))
     return repr(value)
 
@@ -173,40 +198,26 @@ def cmd_simulate(config: dict) -> tuple:
     _require(config, ["n", "q", "r", "d", "S", "m", "seed"])
     # every key is checked before any work; SchemeParams and the protocol
     # keep their own checks as a second line
-    n = _int(config["n"], "n", 2)
+    cap = (cap_limit(), "the share table of a larger one exceeds cap")
+    n = _int(config["n"], "n", least=2, most=cap)
     q = _prime(config["q"], "q")
-    r = _int(config["r"], "r")
-    if not 1 <= r < n:
-        raise UsageError(f"config key 'r' must lie in [1, n) = [1, {n}), got {config['r']!r}")
-    m = _int(config["m"], "m")
-    if not r <= m <= n:
-        raise UsageError(f"config key 'm' must lie in [r, n] = [{r}, {n}], got {config['m']!r}")
-    d = _int(config["d"], "d", 0)
-    if d >= m * (q - 1):
-        raise UsageError(f"config key 'd' must be below m(q-1) = {m * (q - 1)}, "
-                         f"got {config['d']!r}")
+    r = _int(config["r"], "r", least=1, below=(n, "the value of key 'n'"))
+    m = _int(config["m"], "m", least=(r, "the value of key 'r'"), most=(n, "the value of key 'n'"))
+    d = _int(config["d"], "d", least=0, below=(m * (q - 1), "m(q-1) for keys 'm' and 'q'"))
     params = SchemeParams(n=n, q=q, protected_size=r, degree_bound=d,
-                          straggler_budget=_int(config["S"], "S", 0))
-    seed = _int(config["seed"], "seed", 0)
+                          straggler_budget=_int(config["S"], "S", least=0, most=cap))
+    seed = _int(config["seed"], "seed", least=0)
     num_workers = protocol.plan(params, m).num_workers
-    stragglers = config.get("stragglers", [])
-    if not isinstance(stragglers, list):
-        raise UsageError(f"config key 'stragglers' must be a list of worker indices, "
-                         f"got {stragglers!r}")
-    stragglers = [_int(s, "stragglers") for s in stragglers]
-    if not all(0 <= s < num_workers for s in stragglers):
-        raise UsageError(f"config key 'stragglers' must hold worker indices in [0, N) = "
-                         f"[0, {num_workers}), got {config['stragglers']!r}")
-    if len(set(stragglers)) > params.straggler_budget:
-        raise UsageError(f"config key 'stragglers' must name at most S = {params.straggler_budget} "
-                         f"distinct workers, got {config['stragglers']!r}")
+    stragglers = _ints(config.get("stragglers", []), "stragglers", least=0,
+                       below=(num_workers, "the worker count N planned from the other keys"))
+    _ranged(len(set(stragglers)), "stragglers", config.get("stragglers"),
+            most=(params.straggler_budget, "key 'S' bounds the distinct workers that straggle"))
     code_seed, key_seed, x_seed, f_seed = _child_seeds(seed, 4)
     code = sample_code(params.n, m, params.q, code_seed)
     if "x" in config:
-        data = _integers(config["x"], "x")
-        if data.shape != (params.n,):
-            raise UsageError(f"config key 'x' must be a list of n = {params.n} integers, "
-                             f"got {config['x']!r}")
+        data = _ints(config["x"], "x")
+        if len(data) != params.n:
+            raise UsageError(f"config key 'x' must be a list of n = {params.n} integers, got {data}")
     else:
         data = np.random.default_rng(x_seed).integers(0, params.q, params.n)
     f = _poly_from_config(config["f"], params) if "f" in config else None
@@ -236,36 +247,27 @@ def cmd_simulate(config: dict) -> tuple:
 
 def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
     _require(config, ["n", "q", "r", "p", "epsilon", "a", "seed"])
-    n = _int(config["n"], "n")
-    q = _prime(config["q"], "q")
-    r = _int(config["r"], "r")
-    if not 1 <= r < n:
-        raise UsageError(f"config key 'r' must lie in [1, n) = [1, {n}), got {config['r']!r}")
-    p = _int(config["p"], "p", 2)
-    epsilon = _float(config["epsilon"], "epsilon")
-    if not 0 < epsilon <= 1:
-        raise UsageError(f"config key 'epsilon' must lie in (0, 1], got {config['epsilon']!r}")
-    a = _float(config["a"], "a")
-    if not a > 1:
-        raise UsageError(f"config key 'a' must exceed 1, got {config['a']!r}")
-    num_codes = _int(config.get("num_codes", 100), "num_codes")
-    if num_codes < 1:
-        raise UsageError("num_codes must be at least 1")
-    seed = _int(config["seed"], "seed", 0)
     # refuse the q^n probability table, and more audited subsets than the
-    # cap, before anything is built for them
+    # cap, before anything is built for them: n first, so that q ** n is
+    # formed only for an n whose 2^n fits the cap
+    limit = cap_limit(cap)
+    top = limit.bit_length() - 1
+    n = _int(config["n"], "n", least=2, most=(top, f"2^{top + 1} exceeds cap {limit}"))
+    q = _prime(config["q"], "q")
     check_cap(q ** n, cap)
-    subsets, limit = math.comb(n, r), cap_limit(cap)
-    if num_codes * subsets > limit:
-        raise UsageError(f"config key 'num_codes' must be at most {limit // subsets}: it times "
-                         f"the {subsets} subsets audited per code may not exceed cap {limit}, "
-                         f"got {config['num_codes']!r}")
+    r = _int(config["r"], "r", least=1, below=(n, "the value of key 'n'"))
+    p = _int(config["p"], "p", least=2,
+             most=(n, "the key length from the bound, at least p, may not exceed key 'n'"))
+    epsilon = _float(config["epsilon"], "epsilon", above=0, most=1)
+    a = _float(config["a"], "a", above=1)
+    subsets = math.comb(n, r)
+    num_codes = _int(config.get("num_codes", 100), "num_codes", least=1, most=(limit // subsets,
+                     f"it times the {subsets} subsets audited per code may not exceed cap {limit}"))
+    seed = _int(config["seed"], "seed", least=0)
     dist_seed, *code_seeds = _child_seeds(seed, num_codes + 1)
     dist = _dist_from_config(config.get("dist", {}), q, n, dist_seed, cap)
 
     m = math.ceil(im.keysize_lower_bound(im.measured_bounds(dist, p, r, epsilon, a)))
-    if m < max(1, r):
-        raise UsageError(f"key length from the bound is {m}; decrease epsilon")
     if m > n:
         raise UsageError(
             f"key length from the bound is {m} > n = {n}; increase epsilon or entropy"
@@ -303,28 +305,20 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
 # keysize curves
 
 def cmd_keysize_curves(config: dict) -> tuple:
-    n = _int(config.get("n", 2 ** 18), "n", 1)
-    p = _int(config.get("p", 2), "p", 2)
+    n = _int(config.get("n", 2 ** 18), "n", least=1)
+    p = _int(config.get("p", 2), "p", least=2)
     q = _prime(config.get("q", 2), "q")
-    # a data entropy lies in [0, n]: entropy_a, and n minus each offset
-    entropy_a = _float(config.get("entropy_a", max(n - 4, 0)), "entropy_a")
-    if not 0 <= entropy_a <= n:
-        raise UsageError(f"config key 'entropy_a' must lie in [0, n] = [0, {n}], "
-                         f"got {config['entropy_a']!r}")
-    # every epsilon, q^j on curve a and epsilon_b on curve b, lies in (0, 1]
-    eps_exponents = [_int(j, "epsilon_log_q_exponents")
-                     for j in config.get("epsilon_log_q_exponents", range(-60, 0))]
-    if not all(j <= 0 and float(q) ** j > 0 for j in eps_exponents):
-        raise UsageError(f"config key 'epsilon_log_q_exponents' must give q^j in (0, 1], "
-                         f"got {config['epsilon_log_q_exponents']!r}")
-    epsilon_b = _float(config.get("epsilon_b", float(q) ** (-2 * math.log(n, q))), "epsilon_b")
-    if not 0 < epsilon_b <= 1:
-        raise UsageError(f"config key 'epsilon_b' must lie in (0, 1], got {epsilon_b!r}")
-    entropy_offsets = [_int(k, "entropy_offsets")
-                       for k in config.get("entropy_offsets", range(min(64, n), -1, -1))]
-    if not all(0 <= k <= n for k in entropy_offsets):
-        raise UsageError(f"config key 'entropy_offsets' must lie in [0, n] = [0, {n}], "
-                         f"got {config['entropy_offsets']!r}")
+    # entropy_a and n minus each offset are data entropies; q^j for each
+    # exponent j, and epsilon_b, are epsilons
+    entropy = (n, "a data entropy lies in [0, n] for key 'n'")
+    entropy_a = _float(config.get("entropy_a", max(n - 4, 0)), "entropy_a", least=0, most=entropy)
+    underflow = (math.ceil(-1074 / math.log2(q)), "q^j for key 'q' may not fall below 2^-1074")
+    eps_exponents = _ints(config.get("epsilon_log_q_exponents", list(range(-60, 0))),
+                          "epsilon_log_q_exponents", least=underflow, most=0)
+    epsilon_b = _float(config.get("epsilon_b", float(q) ** (-2 * math.log(n, q))), "epsilon_b",
+                       above=0, most=1)
+    entropy_offsets = _ints(config.get("entropy_offsets", list(range(min(64, n), -1, -1))),
+                            "entropy_offsets", least=0, most=entropy)
 
     def bound(epsilon: float, entropy: float) -> float:
         bp = im.BoundParams(
@@ -359,9 +353,10 @@ def cmd_keysize_curves(config: dict) -> tuple:
 # metrics check
 
 def cmd_metrics_check(config: dict) -> tuple:
-    num_dists = _int(config.get("num_dists", 200), "num_dists", 0)
-    num_pairs = _int(config.get("num_pairs", 1000), "num_pairs", 0)
-    seed = _int(config.get("seed", 0), "seed", 0)
+    cap = (cap_limit(), "the enumeration cap")
+    num_dists = _int(config.get("num_dists", 200), "num_dists", least=0, most=cap)
+    num_pairs = _int(config.get("num_pairs", 1000), "num_pairs", least=0, most=cap)
+    seed = _int(config.get("seed", 0), "seed", least=0)
     rng = np.random.default_rng(seed)
     spaces = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]
     uniforms = {space: im.uniform(*space) for space in spaces}
@@ -440,9 +435,12 @@ def _load_config(path) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path} must hold a JSON object of keys, got {config!r}")
+    return config
 
 
 def _split_out(path: str, tag: str) -> str:
@@ -514,9 +512,10 @@ def _run(args) -> int:
         print(json.dumps({"error": str(exc)}))
         return 2
     except Exception as exc:
-        # anything else is a crash, not a failed property: report it as a
-        # usage/config error so exit code 1 keeps its meaning
-        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
+        # a library check (ValueError) behind the readers, or a crash: not a
+        # failed property, so exit 2 keeps exit code 1's meaning
+        label = "" if isinstance(exc, ValueError) else "internal error: "
+        print(json.dumps({"error": f"{label}{type(exc).__name__}: {exc}"}))
         return 2
 
 

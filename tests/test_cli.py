@@ -234,7 +234,7 @@ def test_main_crash_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, BASE_SIM)
     assert main(["simulate", "--config", path]) == 2
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["error"].startswith("RuntimeError: ")
+    assert json.loads(captured.out)["error"].startswith("internal error: RuntimeError: ")
     assert "Traceback" not in captured.err
 
 
@@ -314,17 +314,17 @@ def test_main_audit_refuses_a_subset_size_above_n(tmp_path, capsys):
     path = write_config(tmp_path, dict(AUDIT_UNIFORM, r=AUDIT_UNIFORM["n"] + 1))
     assert main(["audit", "--config", path]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error == "config key 'r' must lie in [1, n) = [1, 6), got 7", error
+    assert error == "config key 'r' must be below 6: the value of key 'n', got 7", error
 
 
 def test_audit_checks_the_cap_before_building_the_table(monkeypatch):
-    # q^n = 2^28 probabilities exceed the default cap: refused before the
-    # table (2 GiB) is built
+    # q^n = 2^28 probabilities exceed the default cap: n is refused by key
+    # before the table (2 GiB) is built, or q^n formed
     def build_table(*args):
         raise AssertionError("the probability table was built")
 
     monkeypatch.setattr(cli, "_dist_from_config", build_table)
-    with pytest.raises(ValueError, match="268435456 outcomes exceeds cap"):
+    with pytest.raises(UsageError, match="'n' must be at most 24: 2\\^25 exceeds cap 16777216, got 28"):
         cmd_audit(dict(AUDIT_UNIFORM, n=28))
 
 
@@ -344,10 +344,11 @@ def test_main_refuses_options_a_subcommand_does_not_take(argv, capsys):
 @pytest.mark.parametrize("num_codes", [0, -1])
 def test_audit_needs_at_least_one_code(tmp_path, capsys, num_codes):
     config = dict(AUDIT_UNIFORM, num_codes=num_codes)
-    with pytest.raises(UsageError, match="num_codes must be at least 1"):
+    with pytest.raises(UsageError, match="'num_codes' must be at least 1"):
         cmd_audit(config)
     assert main(["audit", "--config", write_config(tmp_path, config)]) == 2
-    assert json.loads(capsys.readouterr().out)["error"] == "num_codes must be at least 1"
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == f"config key 'num_codes' must be at least 1, got {num_codes}", error
 
 
 @pytest.mark.parametrize("command,config", [
@@ -557,3 +558,65 @@ def test_audit_measures_subset_entropies_once_per_distribution(monkeypatch):
     code, rows = cmd_audit(dict(AUDIT_UNIFORM, num_codes=3))
     assert len(rows) == 3 + 2
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# exit-code probe: each key of an accepted config of every subcommand, and
+# each key of the objects 'dist' and 'f', set in turn to each value below
+
+PROBE_VALUES = [None, True, 0.5, -1, 0, 10**12, "x", [], {}, 2**63, 1e308]
+PROBE_BASES = {
+    "simulate": (dict(BASE_SIM, x=[0, 1, 2, 0, 1], stragglers=[0], f={
+        "n": 5, "q": 3, "d": 1, "terms": [{"exp": [1, 0, 0, 0, 0], "coef": 2}]}), []),
+    # the golden audit_three_codes config at two codes
+    "audit": ({"n": 8, "q": 2, "r": 2, "p": 2, "epsilon": 0.25, "a": 2.0, "seed": 5,
+               "num_codes": 2, "dist": {"family": "dirichlet", "alpha": 30.0}}, ["--cap", "4096"]),
+    "keysize-curves": ({"n": 64, "p": 2, "q": 2, "entropy_a": 60.0, "epsilon_b": 0.25,
+                        "epsilon_log_q_exponents": [-8, -4, -1], "entropy_offsets": [0, 2, 4]}, []),
+    "metrics-check": ({"num_dists": 4, "num_pairs": 4, "seed": 3}, []),
+}
+# refusals of what two or more keys give together, which name no one key
+JOINT_REFUSALS = ("exceeds cap", "key length from the bound")
+
+
+def _probe_cases():
+    for command, (base, _) in PROBE_BASES.items():
+        paths = [(key,) for key in base]
+        paths += [(key, inner) for key, value in base.items() if isinstance(value, dict)
+                  for inner in value]
+        for path in paths:
+            for value in PROBE_VALUES:
+                yield pytest.param(command, path, value,
+                                   id=f"{command}-{'.'.join(path)}-{value!r}")
+
+
+def _failed_verdict(command: str, out: str) -> bool:
+    if command == "audit":
+        footer = json.loads(out.splitlines()[-1][2:])
+        return footer["pass_fraction"] < footer["threshold"]
+    result = json.loads(out)
+    return result["match"] is False if command == "simulate" else result["all_pass"] is False
+
+
+@pytest.mark.parametrize("command,path,value", list(_probe_cases()))
+def test_main_exit_code_contract_holds_for_every_key_and_value(tmp_path, capsys,
+                                                               command, path, value):
+    # exit 0, 1 (a failed verdict) or 2 (a message naming the key, the object
+    # that holds it, or a joint refusal); never a crash labelled internal
+    base, options = PROBE_BASES[command]
+    config = json.loads(json.dumps(base))
+    holder = config if len(path) == 1 else config[path[0]]
+    holder[path[-1]] = value
+    argv = [command, "--config", write_config(tmp_path, config), *options]
+    if command == "keysize-curves":
+        argv += ["--out", str(tmp_path / "curves.csv")]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert _failed_verdict(command, out), out
+    if code == 2:
+        error = json.loads(out)["error"]
+        assert not error.startswith("internal error"), error
+        assert (any(f"'{key}'" in error for key in path)
+                or any(words in error for words in JOINT_REFUSALS)), error
