@@ -259,7 +259,8 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
     p = _int(config["p"], "p", least=2,
              most=(n, "the key length from the bound, at least p, may not exceed key 'n'"))
     epsilon = _float(config["epsilon"], "epsilon", above=0, most=1)
-    a = _float(config["a"], "a", above=1)
+    a = _float(config["a"], "a", above=1,
+               most=(sys.float_info.max / 8, "the leakage envelope, below 8a, must stay finite"))
     subsets = math.comb(n, r)
     num_codes = _int(config.get("num_codes", 100), "num_codes", least=1, most=(limit // subsets,
                      f"it times the {subsets} subsets audited per code may not exceed cap {limit}"))
@@ -305,7 +306,8 @@ def cmd_audit(config: dict, cap=None, variant: str = "theorem") -> tuple:
 # keysize curves
 
 def cmd_keysize_curves(config: dict) -> tuple:
-    n = _int(config.get("n", 2 ** 18), "n", least=1)
+    n = _int(config.get("n", 2 ** 18), "n", least=1,
+             most=(2 ** 53, "above it a float no longer holds every integer, so the bound is inexact"))
     p = _int(config.get("p", 2), "p", least=2)
     q = _prime(config.get("q", 2), "q")
     # entropy_a and n minus each offset are data entropies; q^j for each
@@ -357,74 +359,8 @@ def cmd_metrics_check(config: dict) -> tuple:
     num_dists = _int(config.get("num_dists", 200), "num_dists", least=0, most=cap)
     num_pairs = _int(config.get("num_pairs", 1000), "num_pairs", least=0, most=cap)
     seed = _int(config.get("seed", 0), "seed", least=0)
-    rng = np.random.default_rng(seed)
-    spaces = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]
-    uniforms = {space: im.uniform(*space) for space in spaces}
-    violations = []
-
-    gap_count = 0
-    for i in range(num_dists):
-        q, n = spaces[i % len(spaces)]
-        r = 1 + i % 2
-        p = 2 + (i // 2) % 2
-        dist = im.random_dirichlet(q, n, rng.integers(0, 2 ** 63))
-        report = im.check_entropy_gap(dist, p, r)
-        gap_count += 1
-        if not report["holds"]:
-            violations.append({"check": "entropy_gap", "case": i, "report": report})
-
-    uniform_count = 0
-    for q, n in spaces:
-        report = im.check_entropy_gap(uniforms[q, n], 2, 1)
-        uniform_count += 1
-        if abs(report["slack"]) > im.VERDICT_TOL:
-            violations.append({"check": "entropy_gap_uniform", "space": [q, n], "report": report})
-
-    pair_count = 0
-    for i in range(num_pairs):
-        q, n = spaces[i % len(spaces)]
-        p = 2 + i % 2
-        da = im.random_dirichlet(q, n, rng.integers(0, 2 ** 63))
-        db = im.random_dirichlet(q, n, rng.integers(0, 2 ** 63))
-        pair_count += 1
-        pinsker = im.pinsker_check(da, db)  # v_sum is v_distance, d_base_q kl_divergence
-        if pinsker["v_sum"] > im.v_p_distance(da, db, p) + im.VERDICT_TOL:
-            violations.append({"check": "v_le_vp", "case": i})
-        if pinsker["d_base_q"] > im.renyi_divergence(da, db, p) + im.VERDICT_TOL:
-            violations.append({"check": "d_le_dp", "case": i})
-        if not pinsker["classical_form_holds"]:
-            violations.append({"check": "pinsker_classical", "case": i})
-        if abs(im.renyi_entropy(uniforms[q, n], p) - n) > im.VERDICT_TOL:
-            violations.append({"check": "uniform_entropy", "case": i})
-
-    relation_count = 0
-    relation_skipped = 0
-    for i in range(max(1, num_dists // 4)):
-        q, n = [(2, 5), (2, 6), (3, 4)][i % 3]
-        alpha = [20.0, 50.0, 100.0][i % 3]
-        dist = im.random_dirichlet(q, n, rng.integers(0, 2 ** 63), alpha=alpha)
-        screened = im.relation_in_context(dist, 2, 2.0, rng)
-        if screened is None:
-            relation_skipped += 1
-            continue
-        for report in screened[0]:
-            relation_count += 1
-            if not report["holds"]:
-                violations.append({"check": "divergence_distance", "case": i, "report": report})
-
-    result = {
-        "counts": {
-            "entropy_gap": gap_count,
-            "entropy_gap_uniform": uniform_count,
-            "metric_pairs": pair_count,
-            "divergence_distance": relation_count,
-            "divergence_distance_skipped": relation_skipped,
-        },
-        "violations": violations,
-        "all_pass": not violations,
-        "seed": seed,
-    }
-    return (0 if not violations else 1), result
+    result = im.property_sweep(seed, num_dists, num_pairs)
+    return (0 if result["all_pass"] else 1), result
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +384,17 @@ def _split_out(path: str, tag: str) -> str:
     return f"{root}_{tag}{ext or '.csv'}"
 
 
+def _cap(text: str) -> int:
+    """audit --cap: a positive integer, since a cap below 1 admits no table."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return cap
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="icc-kit",
@@ -460,7 +407,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", default=None, help="JSON config file")
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
         cmd.add_argument("--seed", type=int, default=None, help="overrides config seed")
-    commands["audit"].add_argument("--cap", type=int, default=im.DEFAULT_CAP,
+    commands["audit"].add_argument("--cap", type=_cap, default=im.DEFAULT_CAP,
                                    help="most entries any one table may have")
     commands["audit"].add_argument("--variant", choices=("theorem", "proof"), default="theorem",
                                    help="leakage bound constant-factor variant")

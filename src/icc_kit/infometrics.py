@@ -80,12 +80,7 @@ class Distribution:
             raise ValueError(
                 f"probability table must have length q^n = {self.q ** self.n}"
             )
-        if not np.all(np.isfinite(table)):
-            raise ValueError("probabilities must be finite")
-        if table.min() < 0:
-            raise ValueError("probabilities must be non-negative")
-        if abs(float(table.sum()) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1 within 1e-12")
+        _check_laws(table)
         table = table.copy()
         table.setflags(write=False)
         object.__setattr__(self, "probs", table)
@@ -104,6 +99,23 @@ class Distribution:
         return float(self.probs[_outcome_index(outcome, self.q, self.n)])
 
 
+def _check_laws(laws: np.ndarray) -> None:
+    """Distribution's checks on one probability table, or on each row of a
+    (laws, q^n) stack at once: finite, non-negative, and every law's sum
+    within 1e-12 of 1. A table that passes the two reductions up front
+    (a NaN or an infinity fails them) is valid; otherwise the checks
+    are made one by one, to name the first that fails."""
+    sums = np.add.reduce(laws, axis=-1)
+    if (np.minimum.reduce(laws, axis=None) >= 0
+            and np.maximum.reduce(np.abs(sums - 1.0), axis=None) <= 1e-12):
+        return
+    if not np.all(np.isfinite(laws)):
+        raise ValueError("probabilities must be finite")
+    if laws.min() < 0:
+        raise ValueError("probabilities must be non-negative")
+    raise ValueError("probabilities must sum to 1 within 1e-12")
+
+
 def all_subsets(n: int, r: int) -> list:
     """Every size-r coordinate subset of n, as sorted index tuples in
     lexicographic order."""
@@ -114,9 +126,23 @@ def all_subsets(n: int, r: int) -> list:
 
 @lru_cache(maxsize=None)
 def _dropped_axes(n: int, r: int) -> tuple:
-    """For each size-r subset R in all_subsets order, the axes of a (q,)*n
-    table that R drops: the X_R marginal is the table's sum over them."""
-    return tuple(tuple(i for i in range(n) if i not in indices) for indices in all_subsets(n, r))
+    """For each size-r subset R in all_subsets order, the axes of a
+    (laws,) + (q,)*n stack that R drops: each law's X_R marginal is the
+    stack's sum over them."""
+    return tuple(tuple(i + 1 for i in range(n) if i not in indices)
+                 for indices in all_subsets(n, r))
+
+
+def _row_powers(x: np.ndarray, orders) -> np.ndarray:
+    """x ** orders[i] for each law i along x's leading axis, each taken with
+    a scalar exponent, as a one-law call takes it."""
+    if len(set(orders)) == 1:
+        return x ** orders[0]
+    powers = np.empty_like(x)
+    for p in set(orders):
+        rows = [i for i, order in enumerate(orders) if order == p]
+        powers[rows] = x[rows] ** p
+    return powers
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +176,18 @@ def random_dirichlet(q: int, n: int, rng_seed, alpha: float = 1.0, cap=None) -> 
     """Strictly positive random table from a symmetric Dirichlet draw."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    rng = np.random.default_rng(rng_seed)
     check_cap(q ** n, cap)
-    table = rng.dirichlet(np.full(q ** n, alpha))
-    table = table / table.sum()
-    return Distribution(q, n, table, cap)
+    return Distribution(q, n, _dirichlet_rows(q ** n, [rng_seed], alpha)[0], cap)
+
+
+def _dirichlet_rows(size: int, seeds, alpha: float) -> np.ndarray:
+    """(len(seeds), size) stack of random_dirichlet tables, unchecked: row i
+    is np.random.default_rng(seeds[i])'s symmetric Dirichlet draw divided by
+    its own sum (a row sum adds as the one-law sum does)."""
+    alphas = np.full(size, alpha)
+    rows = np.array([np.random.default_rng(seed).dirichlet(alphas) for seed in seeds])
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +200,14 @@ def renyi_entropy(dist: Distribution, p: int) -> float:
     and a point mass scores 0.
     """
     _check_order(p)
-    return _log_q(float(np.sum(dist.probs ** p)), dist.q) / (1 - p)
+    return _renyi_entropy_rows(dist.probs[None], dist.q, [p])[0]
+
+
+def _renyi_entropy_rows(laws: np.ndarray, q: int, orders) -> list:
+    """renyi_entropy of each law of a (laws, q^n) stack, law i of order
+    orders[i], as floats."""
+    power_sums = _row_powers(laws, orders).sum(axis=1)
+    return [_log_q(float(s), q) / (1 - p) for s, p in zip(power_sums, orders)]
 
 
 def _check_order(p) -> None:
@@ -185,7 +225,12 @@ def _check_same_shape(a: Distribution, b: Distribution) -> None:
 def v_distance(dist_a: Distribution, dist_b: Distribution) -> float:
     """Sum of absolute differences (twice the total variation)."""
     _check_same_shape(dist_a, dist_b)
-    return float(np.sum(np.abs(dist_a.probs - dist_b.probs)))
+    return float(_v_rows(dist_a.probs, dist_b.probs))
+
+
+def _v_rows(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """v_distance of each row of a table (its last axis) from ref."""
+    return np.abs(rows - ref).sum(axis=-1)
 
 
 def v_p_distance(dist_a: Distribution, dist_b: Distribution, p: int) -> float:
@@ -196,19 +241,28 @@ def v_p_distance(dist_a: Distribution, dist_b: Distribution, p: int) -> float:
 
 
 def _vp_rows(rows: np.ndarray, ref: np.ndarray, p: int) -> np.ndarray:
-    """v_p_distance of each row of a table (its last axis) from ref."""
+    """v_p_distance of each row of a table (its last axis) from ref. On a
+    table of several rows numpy takes the 1/p-th power as an array power,
+    which may differ from one row's scalar power in the last bit."""
     return rows.shape[-1] * np.mean(np.abs(rows - ref) ** p, axis=-1) ** (1.0 / p)
 
 
 def kl_divergence(dist_a: Distribution, dist_b: Distribution) -> float:
     """KL divergence in base-q units; +inf on a support violation."""
     _check_same_shape(dist_a, dist_b)
-    pa = dist_a.probs
-    pb = dist_b.probs
-    mask = pa > 0
-    if np.any(pb[mask] == 0):
-        return math.inf
-    return float(np.sum(pa[mask] * np.log(pa[mask] / pb[mask]))) / math.log(dist_a.q)
+    return _kl_rows(dist_a.probs[None], dist_b.probs[None], dist_a.q)[0]
+
+
+def _kl_rows(rows: np.ndarray, refs: np.ndarray, q: int) -> list:
+    """kl_divergence of each row of a (count, size) table from the same row
+    of refs, as floats. Each row's terms are summed over the cells where it
+    is positive, in order (_row_sums), as one law's sum adds them."""
+    live = rows > 0
+    violated = np.any(live & (refs == 0), axis=1)
+    live[violated] = False
+    pa, pb = rows[live], refs[live]
+    sums = _row_sums(pa * np.log(pa / pb), live.sum(axis=1))
+    return [math.inf if bad else float(s) / math.log(q) for s, bad in zip(sums, violated)]
 
 
 def renyi_divergence(dist_a: Distribution, dist_b: Distribution, p: int) -> float:
@@ -220,7 +274,8 @@ def renyi_divergence(dist_a: Distribution, dist_b: Distribution, p: int) -> floa
 
 
 def _renyi_divergence_rows(rows: np.ndarray, ref: np.ndarray, p: int, q: int) -> list:
-    """renyi_divergence of each row of a (count, size) table from ref, as floats."""
+    """renyi_divergence of each row of a (count, size) table from ref (one
+    row, or one per row), as floats."""
     live = rows > 0
     violated = np.any(live & (ref == 0), axis=1)
     power_sums = np.sum(rows ** p * np.where(live & (ref > 0), ref, 1.0) ** (1.0 - p), axis=1)
@@ -279,13 +334,16 @@ def _informations(joint: np.ndarray, q: int) -> list:
     np.log(terms, out=terms, where=support)
     np.multiply(joint, terms, out=joint, where=support)
     del terms  # freed before the nonzero terms are gathered: at most two tables live
-    counts = support.sum(axis=(1, 2))
-    kept = joint[support]
-    if counts.min() == counts.max():  # each row sum adds its table's terms as np.sum would
-        sums = kept.reshape(len(counts), -1).sum(axis=1)
-    else:
-        sums = [part.sum() for part in np.split(kept, np.cumsum(counts[:-1]))]
+    sums = _row_sums(joint[support], support.sum(axis=(1, 2)))
     return [float(total) / math.log(q) for total in sums]
+
+
+def _row_sums(kept: np.ndarray, counts: np.ndarray):
+    """Sums of consecutive runs of kept, counts[i] values in run i: each run
+    adds as np.sum adds it alone (one row sum when every run is as long)."""
+    if counts.min() == counts.max():
+        return kept.reshape(len(counts), -1).sum(axis=1)
+    return [part.sum() for part in np.split(kept, np.cumsum(counts[:-1]))]
 
 
 @lru_cache(maxsize=None)
@@ -467,12 +525,21 @@ def subset_entropies(dist: Distribution, p: int, r: int) -> tuple:
     from one stacked array; no Distribution is built for a marginal."""
     if (p, r) not in dist._entropies:
         full = renyi_entropy(dist, p)
-        shaped = dist.probs.reshape((dist.q,) * dist.n)
-        marginals = np.stack([shaped.sum(axis=drop) for drop in _dropped_axes(dist.n, r)])
-        power_sums = (marginals.reshape(len(marginals), -1) ** p).sum(axis=1)
-        max_subset = max(_log_q(float(s), dist.q) / (1 - p) for s in power_sums)
+        (max_subset,) = _max_subset_entropies(dist.probs[None], dist.q, dist.n, r, [p])
         dist._entropies[p, r] = full, max_subset
     return dist._entropies[p, r]
+
+
+def _max_subset_entropies(laws: np.ndarray, q: int, n: int, r: int, orders) -> list:
+    """Largest order-p entropy among the size-r marginals of each law of a
+    (laws, q^n) stack, law i at order p = orders[i]. A marginal is the law's
+    sum over the axes its subset drops, one sum per subset for the stack."""
+    shaped = laws.reshape((len(laws),) + (q,) * n)
+    marginals = np.array([shaped.sum(axis=drop) for drop in _dropped_axes(n, r)])
+    # (subsets, laws, q^r) with the laws leading, for their orders
+    flat = marginals.reshape(len(marginals), len(laws), -1).swapaxes(0, 1)
+    power_sums = _row_powers(flat, orders).sum(axis=2)
+    return [max(_log_q(float(s), q) / (1 - p) for s in sums) for sums, p in zip(power_sums, orders)]
 
 
 def measured_bounds(dist: Distribution, p: int, r: int, epsilon: float, a: float) -> BoundParams:
@@ -598,21 +665,66 @@ def check_entropy_gap(dist: Distribution, p: int, r: int) -> dict:
     the axes R drops, so no key array is built.
     """
     _check_order(p)
-    full_entropy, max_subset = subset_entropies(dist, p, r)
-    q, n, count = dist.q, dist.n, math.comb(dist.n, r)
-    if count * q ** n <= _BATCH_KEYS:
-        keys = (_subset_keys(q, n, r)[1] + np.arange(0, count * q ** r, q ** r)[:, None]).ravel()
-        weights = np.tile(dist.probs, count)
-        mass = np.bincount(keys, weights=weights)
-        scaled = weights / np.where(mass > 0, mass, 1.0)[keys]
-        worst = float(np.bincount(keys, weights=scaled ** p).max())
-    else:
-        shaped = dist.probs.reshape((q,) * n)
-        worst = 0.0
-        for drop in _dropped_axes(n, r):
-            mass = shaped.sum(axis=drop, keepdims=True)
-            scaled = shaped / np.where(mass > 0, mass, 1.0)
-            worst = max(worst, float((scaled ** p).sum(axis=drop).max()))
+    entropies = subset_entropies(dist, p, r)
+    (worst,) = _worst_conditional_sums(dist.probs[None], dist.q, dist.n, r, [p])
+    return _gap_report(entropies, worst, dist.q, p)
+
+
+def _entropy_gap_rows(laws: np.ndarray, q: int, n: int, r: int, orders) -> list:
+    """check_entropy_gap of each law of a (laws, q^n) stack, law i at order
+    orders[i]."""
+    return [
+        _gap_report(entropies, worst, q, p)
+        for entropies, worst, p in zip(zip(_renyi_entropy_rows(laws, q, orders),
+                                           _max_subset_entropies(laws, q, n, r, orders)),
+                                       _worst_conditional_sums(laws, q, n, r, orders), orders)
+    ]
+
+
+def _worst_conditional_sums(laws: np.ndarray, q: int, n: int, r: int, orders) -> list:
+    """Largest power sum of a normalised slice, over every (R, z), of each law
+    of a (laws, q^n) stack, law i at order orders[i]. While one law's tiled
+    subset keys, C(n, r) q^n,
+    are within _BATCH_KEYS, a batch of at most _BATCH_KEYS such keys is one
+    bincount: subset keys + the subset's offset + the law's offset, each law
+    weighted by its own table tiled once per subset, so each (law, R, z) bin
+    adds its points in point order, as a one-law batch does."""
+    count = math.comb(n, r)
+    cells = count * q ** n
+    if cells > _BATCH_KEYS:
+        return [_worst_conditional_sum(law.reshape((1,) + (q,) * n), p, r)
+                for law, p in zip(laws, orders)]
+    keys = (_subset_keys(q, n, r)[1] + np.arange(0, count * q ** r, q ** r)[:, None]).ravel()
+    per_batch = _BATCH_KEYS // cells
+    worst = []
+    bins = count * q ** r
+    for start in range(0, len(laws), per_batch):
+        batch = laws[start:start + per_batch]
+        stacked = (keys + np.arange(0, len(batch) * bins, bins)[:, None]).ravel()
+        weights = np.tile(batch, count)
+        mass = np.bincount(stacked, weights=weights.ravel())
+        scaled = weights / np.where(mass > 0, mass, 1.0)[stacked].reshape(weights.shape)
+        powers = _row_powers(scaled, orders[start:start + per_batch]).ravel()
+        sums = np.bincount(stacked, weights=powers, minlength=len(batch) * bins)
+        worst.extend(sums.reshape(len(batch), bins).max(axis=1).tolist())
+    return worst
+
+
+def _worst_conditional_sum(shaped: np.ndarray, p: int, r: int) -> float:
+    """_worst_conditional_sums of one (1,) + (q,)*n law above the batch bound:
+    each X_R marginal, and each slice's power sum, is a sum over the axes R
+    drops, so no key array is built."""
+    worst = 0.0
+    for drop in _dropped_axes(shaped.ndim - 1, r):
+        mass = shaped.sum(axis=drop, keepdims=True)
+        scaled = shaped / np.where(mass > 0, mass, 1.0)
+        worst = max(worst, float((scaled ** p).sum(axis=drop).max()))
+    return worst
+
+
+def _gap_report(entropies: tuple, worst: float, q: int, p: int) -> dict:
+    """check_entropy_gap's report from subset_entropies and the worst power sum."""
+    full_entropy, max_subset = entropies
     rhs = _log_q(worst, q) / (1 - p)
     lhs = full_entropy - max_subset
     return {
@@ -679,10 +791,12 @@ def pinsker_check(dist_a: Distribution, dist_b: Distribution) -> dict:
     reported, not asserted. The classical form, total variation against
     sqrt(D_nats / 2), must always hold.
     """
-    v = v_distance(dist_a, dist_b)
-    d_base_q = kl_divergence(dist_a, dist_b)
+    return _pinsker_report(v_distance(dist_a, dist_b), kl_divergence(dist_a, dist_b), dist_a.q)
+
+
+def _pinsker_report(v: float, d_base_q: float, q: int) -> dict:
     tv = v / 2.0
-    d_nats = d_base_q * math.log(dist_a.q)
+    d_nats = d_base_q * math.log(q)
     return {
         "v_sum": v,
         "d_base_q": d_base_q,
@@ -690,4 +804,112 @@ def pinsker_check(dist_a: Distribution, dist_b: Distribution) -> dict:
         "tv": tv,
         "d_nats": d_nats,
         "classical_form_holds": bool(tv <= math.sqrt(d_nats / 2.0) + VERDICT_TOL),
+    }
+
+
+# ---------------------------------------------------------------------------
+# the property sweep: metrics-check runs it
+
+def property_sweep(seed: int, num_dists: int, num_pairs: int) -> dict:
+    """Check the entropy gap, Pinsker and the distance/divergence relations
+    on random Dirichlet laws over five small sample spaces; returns counts,
+    violations (in case order), all_pass and seed.
+
+    One rng, seeded by seed, gives every law's seed in this order: a seed per
+    entropy-gap case, then (a, b) per pair, then the relation loop's laws,
+    whose code seeds (relation_in_context) come between them. Cases are
+    handled a chunk at a time, the laws of a chunk drawn per sample space
+    into one (laws, q^n) stack and checked by the row-wise kernels: a chunk's
+    stacks hold at most _BATCH_KEYS cells in all, so memory does not grow
+    with the counts."""
+    rng = np.random.default_rng(seed)
+    spaces = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]
+    uniforms = {space: uniform(*space) for space in spaces}
+    chunk = len(spaces) * max(1, _BATCH_KEYS // (2 * sum(q ** n for q, n in spaces)))
+    found = {}  # case -> its violations, a chunk at a time
+    violations = []
+
+    def stacks(cases, draws: int):
+        """(space, its cases, one checked stack per draw of a case) for each
+        space with cases among them, after the draws' seeds in case order."""
+        seeds = [[rng.integers(0, 2 ** 63) for _ in range(draws)] for _ in cases]
+        for index, (q, n) in enumerate(spaces):
+            mine = [k for k, case in enumerate(cases) if case % len(spaces) == index]
+            if not mine:
+                continue
+            laws = [_dirichlet_rows(q ** n, [seeds[k][d] for k in mine], 1.0) for d in range(draws)]
+            for stack in laws:
+                _check_laws(stack)
+            yield (q, n), [cases[k] for k in mine], laws
+
+    def flush(cases):
+        violations.extend(v for case in cases for v in found.pop(case, []))
+
+    for start in range(0, num_dists, chunk):
+        cases = range(start, min(start + chunk, num_dists))
+        for (q, n), mine, (laws,) in stacks(cases, 1):
+            for r in (1, 2):  # r = 1 + case % 2, p = 2 + (case // 2) % 2
+                rows = [row for row, case in enumerate(mine) if 1 + case % 2 == r]
+                if not rows:
+                    continue
+                orders = [2 + (mine[row] // 2) % 2 for row in rows]
+                for row, report in zip(rows, _entropy_gap_rows(laws[rows], q, n, r, orders)):
+                    if not report["holds"]:
+                        found[mine[row]] = [{"check": "entropy_gap", "case": mine[row],
+                                             "report": report}]
+        flush(cases)
+
+    for q, n in spaces:
+        report = check_entropy_gap(uniforms[q, n], 2, 1)
+        if abs(report["slack"]) > VERDICT_TOL:
+            violations.append({"check": "entropy_gap_uniform", "space": [q, n], "report": report})
+
+    for start in range(0, num_pairs, chunk):
+        cases = range(start, min(start + chunk, num_pairs))
+        for (q, n), mine, (first, second) in stacks(cases, 2):
+            pinsker = [_pinsker_report(v, d, q) for v, d in
+                       zip(_v_rows(first, second).tolist(), _kl_rows(first, second, q))]
+            for p in (2, 3):
+                rows = [row for row, case in enumerate(mine) if 2 + case % 2 == p]
+                if not rows:
+                    continue
+                anchor = abs(renyi_entropy(uniforms[q, n], p) - n) > VERDICT_TOL
+                a, b = first[rows], second[rows]
+                for row, vp, dp in zip(rows, _vp_rows(a, b, p), _renyi_divergence_rows(a, b, p, q)):
+                    case, report = mine[row], pinsker[row]
+                    checks = [
+                        ("v_le_vp", report["v_sum"] > vp + VERDICT_TOL),
+                        ("d_le_dp", report["d_base_q"] > dp + VERDICT_TOL),
+                        ("pinsker_classical", not report["classical_form_holds"]),
+                        ("uniform_entropy", anchor),
+                    ]
+                    found[case] = [{"check": check, "case": case} for check, bad in checks if bad]
+        flush(cases)
+
+    relation_count = 0
+    relation_skipped = 0
+    for i in range(max(1, num_dists // 4)):
+        q, n = [(2, 5), (2, 6), (3, 4)][i % 3]
+        alpha = [20.0, 50.0, 100.0][i % 3]
+        dist = random_dirichlet(q, n, rng.integers(0, 2 ** 63), alpha=alpha)
+        screened = relation_in_context(dist, 2, 2.0, rng)
+        if screened is None:
+            relation_skipped += 1
+            continue
+        for report in screened[0]:
+            relation_count += 1
+            if not report["holds"]:
+                violations.append({"check": "divergence_distance", "case": i, "report": report})
+
+    return {
+        "counts": {
+            "entropy_gap": num_dists,
+            "entropy_gap_uniform": len(spaces),
+            "metric_pairs": num_pairs,
+            "divergence_distance": relation_count,
+            "divergence_distance_skipped": relation_skipped,
+        },
+        "violations": violations,
+        "all_pass": not violations,
+        "seed": seed,
     }

@@ -428,6 +428,9 @@ def test_main_refuses_an_integer_below_its_range_by_key(tmp_path, capsys, comman
     ("simulate", dict(BASE_SIM, stragglers=[12]), "stragglers"),
     ("simulate", dict(BASE_SIM, stragglers=[-1]), "stragglers"),
     ("simulate", dict(BASE_SIM, stragglers=[0, 1]), "stragglers"),
+    ("audit", dict(AUDIT_UNIFORM, a=1e308), "a"),
+    ("keysize-curves", {"n": 2 ** 63}, "n"),
+    ("keysize-curves", {"n": 2 ** 53 + 1}, "n"),
 ])
 def test_main_refuses_a_value_outside_its_range_by_key(tmp_path, capsys, monkeypatch,
                                                        command, config, key):
@@ -446,6 +449,41 @@ def test_main_refuses_a_value_outside_its_range_by_key(tmp_path, capsys, monkeyp
     assert main(argv) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error.startswith(f"config key '{key}' must"), error
+
+
+def test_audit_largest_a_keeps_every_bound_finite():
+    # the envelope is below 8a, so at a = max / 8 every bound is finite and
+    # the footer is strict JSON (a = 1e308 used to print inf and Infinity)
+    def refuse(constant):
+        raise ValueError(f"non-finite {constant} in the footer")
+
+    config = {"n": 8, "q": 2, "r": 2, "p": 2, "epsilon": 0.25, "a": sys.float_info.max / 8,
+              "seed": 5, "num_codes": 2, "dist": {"family": "dirichlet", "alpha": 30.0}}
+    for variant in ("theorem", "proof"):
+        code, rows = cmd_audit(config, variant=variant)
+        footer = json.loads(rows[-1][2:], parse_constant=refuse)
+        assert all(math.isfinite(bound) for bound in footer["epsilon_c"].values())
+        assert all(math.isfinite(float(field)) for row in rows[1:-1] for field in row.split(","))
+
+
+@pytest.mark.parametrize("cap", ["0", "-1", "x"])
+def test_main_refuses_a_cap_below_one_by_option(tmp_path, capsys, cap):
+    # --cap 0 used to be blamed on config key 'n' ("must be at most -1")
+    path = write_config(tmp_path, AUDIT_UNIFORM)
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--config", path, "--cap", cap])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --cap: must be a positive integer, got {cap!r}" in err, err
+
+
+def test_keysize_curves_is_exact_at_the_largest_n():
+    # at n = 2^53 the key length n + p - log_q(eps) - (n - 4) is still
+    # exactly 14; at n = 2^63 it read 0 and is now refused by key
+    config = {"n": 2 ** 53, "q": 2, "epsilon_log_q_exponents": [-8], "entropy_offsets": [0]}
+    assert cmd_keysize_curves(config)[1]["curve_a"][1] == "0.00390625,14,14"
+    with pytest.raises(UsageError, match="config key 'n' must be at most 9007199254740992"):
+        cmd_keysize_curves(dict(config, n=2 ** 63))
 
 
 def test_audit_num_codes_is_capped_by_the_subsets_it_audits():

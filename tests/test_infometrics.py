@@ -1088,3 +1088,75 @@ def test_smoothing_report_fields_and_bounds():
     assert all(v >= 0 for _, v in rep.conditional_vps)
     assert abs(rep.threshold - smoothing_threshold(2, 0.1)) < 1e-12
     assert rep.threshold <= rep.threshold_relaxed
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels: the one-law metrics are their one-row calls
+
+@pytest.mark.parametrize("batch_keys", [1, 200, infometrics._BATCH_KEYS],
+                         ids=["no law batched", "a few laws a batch", "default bound"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_kernels_match_one_law_calls(batch_keys, data):
+    # property_sweep checks whole (laws, q^n) stacks: every row's verdicts,
+    # and its floats (v_p up to numpy's array power), are the one-law call's
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(2, {2: 5, 3: 3, 5: 2}[q]))
+    count = data.draw(st.integers(1, 5))
+    laws = [_laws_with_empty_slices(data.draw, q, n) for _ in range(count)]
+    refs = [_laws_with_empty_slices(data.draw, q, n) for _ in range(count)]
+    orders = data.draw(st.lists(st.sampled_from([2, 3]), min_size=count, max_size=count))
+    rows = np.array([law.probs for law in laws])
+    stack_refs = np.array([ref.probs for ref in refs])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(infometrics, "_BATCH_KEYS", batch_keys)
+        for r in range(1, min(n, 3)):
+            reports = infometrics._entropy_gap_rows(rows, q, n, r, orders)
+            for law, p, report in zip(laws, orders, reports):
+                assert repr(report) == repr(check_entropy_gap(Distribution(q, n, law.probs), p, r))
+    entropies = infometrics._renyi_entropy_rows(rows, q, orders)
+    assert entropies == [renyi_entropy(law, p) for law, p in zip(laws, orders)]
+    vs = infometrics._v_rows(rows, stack_refs).tolist()
+    kls = infometrics._kl_rows(rows, stack_refs, q)
+    assert vs == [v_distance(a, b) for a, b in zip(laws, refs)]
+    assert kls == [kl_divergence(a, b) for a, b in zip(laws, refs)]
+    assert [infometrics._pinsker_report(v, d, q) for v, d in zip(vs, kls)] == [
+        pinsker_check(a, b) for a, b in zip(laws, refs)]
+    for p in (2, 3):
+        dps = infometrics._renyi_divergence_rows(rows, stack_refs, p, q)
+        assert dps == [renyi_divergence(a, b, p) for a, b in zip(laws, refs)]
+        vps = infometrics._vp_rows(rows, stack_refs, p)
+        for vp, a, b in zip(vps, laws, refs):
+            assert abs(vp - v_p_distance(a, b, p)) <= 1e-15 * v_p_distance(a, b, p)
+    assert any(math.isinf(d) for d in kls) == any(
+        (law.probs > 0).any() and (ref.probs[law.probs > 0] == 0).any() for law, ref in zip(laws, refs))
+    seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=count, max_size=count))
+    alpha = data.draw(st.sampled_from([0.05, 1.0, 30.0]))
+    draws = infometrics._dirichlet_rows(q ** n, [np.int64(seed) for seed in seeds], alpha)
+    for row, seed in zip(draws, seeds):
+        assert row.tolist() == random_dirichlet(q, n, seed, alpha=alpha).probs.tolist()
+
+
+def test_a_stack_is_checked_as_each_law_is():
+    good = random_dirichlet(2, 3, 1).probs
+    infometrics._check_laws(np.array([good, good[::-1]]))
+    for bad, message in (([np.nan] + [0.0] * 7, "finite"), ([np.inf] + [0.0] * 7, "finite"),
+                         ([-0.5, 1.5] + [0.0] * 6, "non-negative"), ([0.5] * 8, "sum to 1")):
+        with pytest.raises(ValueError, match=message):
+            Distribution(2, 3, bad)
+        with pytest.raises(ValueError, match=message):
+            infometrics._check_laws(np.array([good, bad]))
+
+
+def test_property_sweep_memory_stays_flat():
+    # the laws of a chunk of cases hold at most _BATCH_KEYS cells in all,
+    # however many pairs are asked for
+    tracemalloc.start()
+    try:
+        result = infometrics.property_sweep(5, 4, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["all_pass"]
+    assert result["counts"]["metric_pairs"] == 20_000
+    assert peak < 2 * 2**20, peak
