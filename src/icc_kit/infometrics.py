@@ -665,45 +665,45 @@ def check_entropy_gap(dist: Distribution, p: int, r: int) -> dict:
     the axes R drops, so no key array is built.
     """
     _check_order(p)
-    entropies = subset_entropies(dist, p, r)
+    full_entropy, max_subset = subset_entropies(dist, p, r)
     (worst,) = _worst_conditional_sums(dist.probs[None], dist.q, dist.n, r, [p])
-    return _gap_report(entropies, worst, dist.q, p)
+    return _gap_report(full_entropy, max_subset, worst, dist.q, p)
 
 
 def _entropy_gap_rows(laws: np.ndarray, q: int, n: int, r: int, orders) -> list:
     """check_entropy_gap of each law of a (laws, q^n) stack, law i at order
     orders[i]."""
     return [
-        _gap_report(entropies, worst, q, p)
-        for entropies, worst, p in zip(zip(_renyi_entropy_rows(laws, q, orders),
-                                           _max_subset_entropies(laws, q, n, r, orders)),
-                                       _worst_conditional_sums(laws, q, n, r, orders), orders)
+        _gap_report(full_entropy, max_subset, worst, q, p)
+        for full_entropy, max_subset, worst, p in zip(
+            _renyi_entropy_rows(laws, q, orders), _max_subset_entropies(laws, q, n, r, orders),
+            _worst_conditional_sums(laws, q, n, r, orders), orders)
     ]
 
 
 def _worst_conditional_sums(laws: np.ndarray, q: int, n: int, r: int, orders) -> list:
     """Largest power sum of a normalised slice, over every (R, z), of each law
     of a (laws, q^n) stack, law i at order orders[i]. While one law's tiled
-    subset keys, C(n, r) q^n,
-    are within _BATCH_KEYS, a batch of at most _BATCH_KEYS such keys is one
-    bincount: subset keys + the subset's offset + the law's offset, each law
-    weighted by its own table tiled once per subset, so each (law, R, z) bin
-    adds its points in point order, as a one-law batch does."""
+    subset keys, C(n, r) q^n, are within _BATCH_KEYS, a batch of at most
+    _BATCH_KEYS such keys is one bincount: subset keys + the subset's offset
+    + the law's offset, each law weighted by its own table tiled once per
+    subset, so each (law, R, z) bin adds its points in point order, as a
+    one-law batch does."""
     count = math.comb(n, r)
     cells = count * q ** n
     if cells > _BATCH_KEYS:
         return [_worst_conditional_sum(law.reshape((1,) + (q,) * n), p, r)
                 for law, p in zip(laws, orders)]
-    keys = (_subset_keys(q, n, r)[1] + np.arange(0, count * q ** r, q ** r)[:, None]).ravel()
+    bins = count * q ** r
+    keys = (_subset_keys(q, n, r)[1] + np.arange(0, bins, q ** r)[:, None]).ravel()
     per_batch = _BATCH_KEYS // cells
     worst = []
-    bins = count * q ** r
     for start in range(0, len(laws), per_batch):
         batch = laws[start:start + per_batch]
         stacked = (keys + np.arange(0, len(batch) * bins, bins)[:, None]).ravel()
-        weights = np.tile(batch, count)
-        mass = np.bincount(stacked, weights=weights.ravel())
-        scaled = weights / np.where(mass > 0, mass, 1.0)[stacked].reshape(weights.shape)
+        scaled = np.tile(batch, count)  # each law's table, once per subset
+        mass = np.bincount(stacked, weights=scaled.ravel())
+        scaled /= np.where(mass > 0, mass, 1.0)[stacked].reshape(scaled.shape)
         powers = _row_powers(scaled, orders[start:start + per_batch]).ravel()
         sums = np.bincount(stacked, weights=powers, minlength=len(batch) * bins)
         worst.extend(sums.reshape(len(batch), bins).max(axis=1).tolist())
@@ -722,9 +722,8 @@ def _worst_conditional_sum(shaped: np.ndarray, p: int, r: int) -> float:
     return worst
 
 
-def _gap_report(entropies: tuple, worst: float, q: int, p: int) -> dict:
+def _gap_report(full_entropy: float, max_subset: float, worst: float, q: int, p: int) -> dict:
     """check_entropy_gap's report from subset_entropies and the worst power sum."""
-    full_entropy, max_subset = entropies
     rhs = _log_q(worst, q) / (1 - p)
     lhs = full_entropy - max_subset
     return {
