@@ -4,7 +4,9 @@ A change to how the sweep draws and checks its laws must leave every value
 here unchanged, down to the last bit of each float: the pins are sha256
 digests of `json.dumps(result, sort_keys=True)` for metrics-check, and of
 the `repr` lines of each one-law function on a fixed list of laws (point
-masses, zero entries, the uniform law and Dirichlet draws).
+masses, zero entries, the uniform law and Dirichlet draws), and of
+relation_in_context's screen outcomes, reports and BoundParams on fixed
+laws and rng seeds.
 
 Print the current digests (only on a commit whose outputs are known to be
 right) with:
@@ -15,11 +17,14 @@ right) with:
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
+import pytest
 
 from icc_kit import cli
 from icc_kit import infometrics as im
+from icc_kit.codes import sample_code
 
 SEEDS = range(10)
 
@@ -59,6 +64,30 @@ FLOATS_SHA256 = {
     "renyi_divergence": "95a85fa2846976e519cf3947cae228b631028df45b62350c962e0b645f4a99bf",
     "renyi_entropy": "e4029bbc71c447c5d1c085a906ab073b3bc9b8b6ae45dd4318bfc659804f0e05",
     "pinsker_check": "2a2d2f051a6da311fa27548794415973a6f973480bbc9811f7e60ca703176a6f"
+}
+
+# per envelope stand-in: the digest of relation_in_context's repr lines,
+# and each case's outcome in order ("full" and "deficient" name the rank of
+# the code drawn, "screen" and "envelope" the check that refused the case)
+RELATION_SHA256 = {
+    "envelope=None": {
+        "sha256": "b29dfa5d3cbfe968a4e77f33c29d89f82837e294bfc00653b4506a8b2f8e89cd",
+        "outcomes": [
+            "full", "full", "screen", "full", "screen",
+            "full", "full", "deficient", "deficient", "screen",
+            "full", "deficient", "deficient", "deficient", "full",
+            "deficient", "deficient", "screen", "screen", "screen"
+        ],
+    },
+    "envelope=1.0": {
+        "sha256": "f432d0d4c08cb0fbf015ee1aed6f2352ee0c05d6b4961b3133f1c406ae24a196",
+        "outcomes": [
+            "full", "full", "screen", "full", "screen",
+            "full", "full", "deficient", "envelope", "screen",
+            "full", "deficient", "envelope", "deficient", "full",
+            "deficient", "envelope", "screen", "screen", "screen"
+        ],
+    },
 }
 
 
@@ -143,6 +172,53 @@ def _float_lines() -> dict:
     return lines
 
 
+def _relation_cases():
+    """(label, law, p, rng seed) over the sweep's three relation spaces at its
+    alphas, and laws that the budget screen refuses."""
+    for (q, n), alpha in zip(((2, 5), (2, 6), (3, 4)), (20.0, 50.0, 100.0)):
+        for law_seed, rng_seed in ((0, 0), (0, 1), (1, 2), (3, 1), (7, 0)):
+            law = im.random_dirichlet(q, n, law_seed, alpha=alpha)
+            yield f"{q},{n},{alpha},{law_seed},{rng_seed}", law, 2, rng_seed
+        yield f"{q},{n},uniform,p3", im.uniform(q, n), 3, 5
+    yield "2,5,0.2,0", im.random_dirichlet(2, 5, 0, alpha=0.2), 2, 0
+    yield "2,3,uniform", im.uniform(2, 3), 2, 0
+
+
+def _relation_lines(envelope=None) -> tuple:
+    """(repr lines of relation_in_context on _relation_cases, with the rng's
+    next draw after each call, and each case's outcome). envelope, if given,
+    stands in for the ensemble envelope the screen compares v_p against."""
+    lines, outcomes = [], []
+    for label, law, p, rng_seed in _relation_cases():
+        rng = np.random.default_rng(rng_seed)
+        before = rng.bit_generator.state
+        if envelope is None:
+            screened = im.relation_in_context(law, p, 2.0, rng)
+        else:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(im, "_vp_envelope", lambda bp, variant: envelope)
+                screened = im.relation_in_context(law, p, 2.0, rng)
+        drew = rng.bit_generator.state != before
+        lines.append(f"{label}: {screened!r} next={rng.integers(0, 2 ** 63)}")
+        if screened is None:
+            outcomes.append("envelope" if drew else "screen")
+            continue
+        reports, bp = screened
+        code_seed = np.random.default_rng(rng_seed).integers(0, 2 ** 63)
+        m = math.ceil(im.keysize_lower_bound(bp))
+        rank = sample_code(law.n, m, law.q, code_seed).coset_labels[1]
+        outcomes.append("full" if rank == m else "deficient")
+    return lines, outcomes
+
+
+def _relation_digests() -> dict:
+    digests = {}
+    for envelope in (None, 1.0):
+        lines, outcomes = _relation_lines(envelope)
+        digests[f"envelope={envelope}"] = {"sha256": _sha("\n".join(lines)), "outcomes": outcomes}
+    return digests
+
+
 def _floats_digests() -> dict:
     return {name: _sha("\n".join(text)) for name, text in _float_lines().items()}
 
@@ -153,6 +229,14 @@ def test_metrics_check_outputs_are_pinned():
 
 def test_one_law_metric_floats_are_pinned():
     assert _floats_digests() == FLOATS_SHA256
+
+
+def test_relation_screen_outcomes_and_reports_are_pinned():
+    # full-rank and rank-deficient codes, and each screen that refuses a
+    # case: budget or key length before the code seed is drawn, the envelope
+    # (here a stand-in of 1.0, which no Dirichlet law of the sweep reaches
+    # at a = 2) after it
+    assert _relation_digests() == RELATION_SHA256
 
 
 def test_point_mass_metrics_are_pinned():
@@ -178,3 +262,4 @@ def test_point_mass_metrics_are_pinned():
 if __name__ == "__main__":
     print("METRICS_CHECK_SHA256 =", json.dumps(_metrics_check_digests(), indent=4))
     print("FLOATS_SHA256 =", json.dumps(_floats_digests(), indent=4))
+    print("RELATION_SHA256 =", json.dumps(_relation_digests(), indent=4))
