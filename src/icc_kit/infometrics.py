@@ -318,7 +318,7 @@ def mutual_information(dist: Distribution, code: LinearCode, indices) -> float:
     indices = subset_indices(indices, dist.n)
     if len(indices) >= dist.n:
         raise ValueError("need 1 <= subset size < n")
-    (_, joint), = _joint_tables(dist, code, [indices])
+    (_, _, joint), = _joint_tables([dist], [code], [indices])
     return _informations(joint, dist.q)[0]
 
 
@@ -371,60 +371,76 @@ def _point_keys(labels: np.ndarray, q: int, n: int, indices) -> np.ndarray:
     return keys
 
 
-def _joint_tables(dist: Distribution, code: LinearCode, subsets: list):
-    """Dense (coset, X_R) tables J[c, z] = P(data in coset c, X_R = z) of the
-    given size-r subsets (sorted index tuples, 1 <= r < n), for a code that
-    matches dist, in batches: yields (the batch's subsets, their (k,
-    q^(n - rank), q^r) tables) in the given order. Every path that
-    conditions on a subset reads them.
+def _joint_tables(dists: list, codes: list, subsets: list):
+    """Dense (coset, X_R) tables J[c, z] = P(data in coset c, X_R = z) of
+    each case, law dists[i] under codes[i] (all of one q and n, each code
+    matching its law), for the given size-r subsets (sorted index tuples,
+    1 <= r < n), in batches: yields (the batch's cases, its subsets, their
+    (cases * subsets, q^(n - rank), q^r) tables, case-major). A batch's
+    cases share one coset count; the counts come fewest cosets first, each
+    one's cases in the given order and each case's subsets in the given
+    order. Every path that conditions on a subset reads them.
 
-    Each subset's table is checked against dist's cap, and a batch holds at
-    most cap cells. While C(n, r) * q^n <= _BATCH_KEYS a batch is one
-    bincount over stacked keys (memoised subset keys + label * q^r + the
-    subset's offset); above it each subset is its own batch, its keys built
-    in place on the labels. bincount adds each cell's outcomes in point
-    order, so a table holds the same floats in either form."""
-    labels, rank = code.coset_labels
-    q, n, r = dist.q, dist.n, len(subsets[0])
+    Each table is checked against its law's cap, and a batch holds at most
+    cap cells. While C(n, r) * q^n <= _BATCH_KEYS a batch is one bincount
+    over at most _BATCH_KEYS stacked keys (memoised subset keys + label *
+    q^r + the subset's offset + the case's offset), all subsets of several
+    cases or some subsets of one; above it each (case, subset) is its own
+    batch, its keys built in place on the labels. bincount adds each cell's
+    outcomes in point order, so a table holds the same floats in any batch."""
+    q, n, r = dists[0].q, dists[0].n, len(subsets[0])
     cols = q ** r
-    cells = q ** (n - rank) * cols
-    check_cap(cells, dist.cap)
-    if math.comb(n, r) * labels.size > _BATCH_KEYS:
-        for indices in subsets:
-            flat = np.bincount(_point_keys(labels, q, n, indices), weights=dist.probs,
-                               minlength=cells)
-            yield [indices], flat.reshape(1, -1, cols)
-        return
-    rows, subset_keys = _subset_keys(q, n, r)
-    coset_keys = labels * cols
-    per_batch = max(1, cap_limit(dist.cap) // cells)
-    for start in range(0, len(subsets), per_batch):
-        batch = subsets[start:start + per_batch]
-        keys = subset_keys[[rows[indices] for indices in batch]]
-        keys += coset_keys
-        keys += np.arange(0, len(batch) * cells, cells)[:, None]
-        flat = np.bincount(keys.ravel(), weights=np.tile(dist.probs, len(batch)),
-                           minlength=len(batch) * cells)
-        yield batch, flat.reshape(len(batch), -1, cols)
+    by_rank = {}
+    for case, (dist, code) in enumerate(zip(dists, codes)):
+        rank = code.coset_labels[1]
+        check_cap(q ** (n - rank) * cols, dist.cap)
+        by_rank.setdefault(rank, []).append(case)
+    for rank in sorted(by_rank, reverse=True):
+        cells = q ** (n - rank) * cols
+        if math.comb(n, r) * q ** n > _BATCH_KEYS:
+            for case in by_rank[rank]:
+                labels, probs = codes[case].coset_labels[0], dists[case].probs
+                for indices in subsets:
+                    flat = np.bincount(_point_keys(labels, q, n, indices), weights=probs,
+                                       minlength=cells)
+                    yield [case], [indices], flat.reshape(1, -1, cols)
+            continue
+        rows, subset_keys = _subset_keys(q, n, r)
+        per_batch = min(cap_limit(dists[case].cap) for case in by_rank[rank]) // cells
+        per_case = max(1, min(per_batch // len(subsets), _BATCH_KEYS // (len(subsets) * q ** n)))
+        for first in range(0, len(by_rank[rank]), per_case):
+            cases = by_rank[rank][first:first + per_case]
+            labels = np.array([codes[case].coset_labels[0] for case in cases])[:, None, :] * cols
+            probs = np.array([dists[case].probs for case in cases])[:, None, :]
+            for start in range(0, len(subsets), per_batch):
+                batch = subsets[start:start + per_batch]
+                keys = labels + subset_keys[[rows[indices] for indices in batch]]
+                count = len(cases) * len(batch)
+                keys += np.arange(0, count * cells, cells).reshape(len(cases), len(batch), 1)
+                flat = np.bincount(keys.ravel(), weights=np.broadcast_to(probs, keys.shape).ravel(),
+                                   minlength=count * cells)
+                yield cases, batch, flat.reshape(count, -1, cols)
 
 
-def _conditional_encoded_laws(dist: Distribution, code: LinearCode, r: int):
-    """Exact law of data + key.G given X_R = z for every size-r subset R and
-    every z of positive probability, a _joint_tables batch at a time: yields
-    (the batch's (R, z) events, one coset-law row per event (_coset_law)),
-    in lexicographic order of R, then z. The row of (R, z) is J[:, z] / P(z)
-    off R's (coset, X_R) table, which the cap admitted. A batch's rows are
-    one gather into a C-ordered (events, cosets) array, so numpy sums each
-    row as it sums one subset's rows alone. No Distribution is built
-    (tests/oracles.py holds the per-event reference over F_q^n)."""
-    values = list(itertools.product(range(dist.q), repeat=r))
-    for batch, tables in _joint_tables(dist, code, all_subsets(dist.n, r)):
+def _conditional_encoded_laws(dists: list, codes: list, r: int):
+    """Exact law of data + key.G given X_R = z, for each case (law dists[i]
+    under codes[i]), every size-r subset R and every z of positive
+    probability, a _joint_tables batch at a time: yields (the batch's
+    (case, R, z) events, one coset-law row per event (_coset_law)), each
+    case's events in lexicographic order of R, then z. The row of (R, z) is
+    J[:, z] / P(z) off R's (coset, X_R) table, which the cap admitted. A
+    batch's rows are one gather into a C-ordered (events, cosets) array, so
+    numpy sums each row as it sums one subset's rows alone. No Distribution
+    is built (tests/oracles.py holds the per-event reference over F_q^n)."""
+    values = list(itertools.product(range(dists[0].q), repeat=r))
+    for cases, batch, tables in _joint_tables(dists, codes, all_subsets(dists[0].n, r)):
         mass = tables.sum(axis=1)
         which, live = np.nonzero(mass > 0)
         rows = tables[which, :, live] / mass[which, live][:, None]
         if rows.min() < 0 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("a conditional encoded law is not a probability table")
-        yield [(batch[s], values[z]) for s, z in zip(which, live)], rows
+        k = len(batch)
+        yield [(cases[s // k], batch[s % k], values[z]) for s, z in zip(which.tolist(), live.tolist())], rows
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +554,9 @@ def _max_subset_entropies(laws: np.ndarray, q: int, n: int, r: int, orders) -> l
     marginals = np.array([shaped.sum(axis=drop) for drop in _dropped_axes(n, r)])
     # (subsets, laws, q^r) with the laws leading, for their orders
     flat = marginals.reshape(len(marginals), len(laws), -1).swapaxes(0, 1)
-    power_sums = _row_powers(flat, orders).sum(axis=2)
-    return [max(_log_q(float(s), q) / (1 - p) for s in sums) for sums, p in zip(power_sums, orders)]
+    # the entropy falls as the power sum rises: the largest is the smallest sum's
+    smallest = _row_powers(flat, orders).sum(axis=2).min(axis=1)
+    return [_log_q(float(s), q) / (1 - p) for s, p in zip(smallest, orders)]
 
 
 def measured_bounds(dist: Distribution, p: int, r: int, epsilon: float, a: float) -> BoundParams:
@@ -556,7 +573,7 @@ def subset_leakages(dist: Distribution, code: LinearCode, r: int) -> dict:
     subsets = all_subsets(dist.n, r)
     _check_code_matches(dist, code)
     leakages = {}
-    for batch, tables in _joint_tables(dist, code, subsets):
+    for _, batch, tables in _joint_tables([dist], [code], subsets):
         leakages.update(zip(batch, _informations(tables, dist.q)))
     return leakages
 
@@ -629,9 +646,9 @@ def smoothing_report(
     conditionals = ()
     if subset_size is not None:
         conditionals = tuple(
-            (event, float(vp))
-            for events, rows in _conditional_encoded_laws(dist, code, subset_size)
-            for event, vp in zip(events, _vp_rows(rows, encoded, p))
+            ((indices, z), float(vp))
+            for events, rows in _conditional_encoded_laws([dist], [code], subset_size)
+            for (_, indices, z), vp in zip(events, _vp_rows(rows, encoded, p))
         )
     relaxed = 2 ** ((2 * p - 1) / p) * epsilon ** (1.0 / p) if epsilon < 1 else math.inf
     return SmoothingReport(
@@ -744,42 +761,78 @@ def check_divergence_distance_relation(
     second argument is a strictly positive (smoothed) law. Raw values are
     reported so a violation is inspectable rather than silently asserted.
     """
-    return _relation_report(
-        v_p_distance(dist_a, dist_b, p), renyi_divergence(dist_a, dist_b, p), p, dist_a.q
-    )
+    vp, dp = v_p_distance(dist_a, dist_b, p), renyi_divergence(dist_a, dist_b, p)
+    return _relation_report(*_relation_verdicts(np.array([vp]), np.array([dp]), p, dist_a.q), 0)
 
 
-def _relation_report(vp: float, dp: float, p: int, q: int) -> dict:
-    bound = p / (p - 1) * _log_q(1 + vp, q)
-    return {"vp": vp, "dp": dp, "bound": bound, "holds": dp <= bound + VERDICT_TOL}
+def _relation_verdicts(vps: np.ndarray, dps: np.ndarray, p: int, q: int) -> tuple:
+    """(vps, dps, bounds, holds) arrays of check_divergence_distance_relation
+    over rows with these v_p and D_p values; each bound is a float's log."""
+    bounds = np.array([p / (p - 1) * _log_q(1 + vp, q) for vp in vps.tolist()])
+    return vps, dps, bounds, dps <= bounds + VERDICT_TOL
+
+
+def _relation_report(vps, dps, bounds, holds, row: int) -> dict:
+    return {"vp": float(vps[row]), "dp": float(dps[row]), "bound": float(bounds[row]),
+            "holds": bool(holds[row])}
+
+
+def _relation_screen(dist: Distribution, p: int, a: float):
+    """(bp, key length m) where the divergence-distance relation is claimed:
+    budget H_p(X) - max_i H_p(X_i) - p > 0.05, epsilon = min(q^-budget,
+    1/2) and 1 <= m = ceil(keysize_lower_bound(bp)) <= n; None outside."""
+    data_entropy, max_subset_entropy = subset_entropies(dist, p, 1)
+    budget = data_entropy - max_subset_entropy - p
+    if budget <= 0.05:
+        return None
+    bp = BoundParams(n=dist.n, q=dist.q, p=p, epsilon=min(float(dist.q) ** (-budget), 0.5), a=a,
+                     data_entropy=data_entropy, max_subset_entropy=max_subset_entropy)
+    m = math.ceil(keysize_lower_bound(bp))
+    return (bp, m) if 1 <= m <= dist.n else None
+
+
+def _relation_checks(dists: list, codes: list, bps: list, p: int) -> list:
+    """For each case, law dists[i] under codes[i] at bps[i] (one q and n):
+    _relation_verdicts of its single-coordinate conditional encoded laws
+    against its encoded law, over its (i, z) events in order, or None when
+    a v_p exceeds the ensemble envelope. Each coset count's rows take one
+    _vp_rows and one _renyi_divergence_rows call."""
+    q = dists[0].q
+    encoded = [_coset_law(dist, code) for dist, code in zip(dists, codes)]
+    owners, vps, dps = [], [], []
+    for events, rows in _conditional_encoded_laws(dists, codes, 1):
+        owner = [case for case, _, _ in events]
+        refs = np.array([encoded[case] for case in owner])
+        owners += owner
+        vps.append(_vp_rows(rows, refs, p))
+        dps += _renyi_divergence_rows(rows, refs, p, q)
+    owners = np.array(owners)
+    order = np.argsort(owners, kind="stable")
+    ends = np.cumsum(np.bincount(owners, minlength=len(dists)))
+    vps, dps = np.concatenate(vps)[order], np.array(dps)[order]
+    return [
+        None if vps[start:end].max() > _vp_envelope(bp, "proof")
+        else _relation_verdicts(vps[start:end], dps[start:end], p, q)
+        for start, end, bp in zip(np.concatenate([[0], ends[:-1]]).tolist(), ends.tolist(), bps)
+    ]
 
 
 def relation_in_context(dist: Distribution, p: int, a: float, rng):
     """check_divergence_distance_relation of each single-coordinate
     conditional encoded law against the encoded law, where the relation is
-    claimed: budget H_p(X) - max_i H_p(X_i) - p > 0.05, epsilon =
-    min(q^-budget, 1/2), 1 <= m <= n at the bound, every v_p within the
-    ensemble envelope. Returns (reports, bp), or None outside that context;
-    the code seed is drawn from rng only once budget and m pass."""
-    bp = measured_bounds(dist, p, 1, 1.0, a)
-    budget = bp.data_entropy - bp.max_subset_entropy - p
-    if budget <= 0.05:
+    claimed (_relation_screen) and every v_p is within the ensemble
+    envelope: the one-case call of the sweep's _relation_checks. Returns
+    (reports, bp), or None outside that context; the code seed is drawn
+    from rng only once the screen passes."""
+    screened = _relation_screen(dist, p, a)
+    if screened is None:
         return None
-    bp = replace(bp, epsilon=min(float(dist.q) ** (-budget), 0.5))
-    m = math.ceil(keysize_lower_bound(bp))
-    if m < 1 or m > dist.n:
-        return None
+    bp, m = screened
     code = sample_code(dist.n, m, dist.q, int(rng.integers(0, 2 ** 63)))
-    encoded = _coset_law(dist, code)
-    reports = [
-        _relation_report(float(vp), dp, p, dist.q)
-        for _, rows in _conditional_encoded_laws(dist, code, 1)
-        for vp, dp in zip(_vp_rows(rows, encoded, p),
-                          _renyi_divergence_rows(rows, encoded, p, dist.q))
-    ]
-    if max(report["vp"] for report in reports) > _vp_envelope(bp, "proof"):
+    (checked,) = _relation_checks([dist], [code], [bp], p)
+    if checked is None:
         return None
-    return reports, bp
+    return [_relation_report(*checked, row) for row in range(len(checked[0]))], bp
 
 
 def pinsker_check(dist_a: Distribution, dist_b: Distribution) -> dict:
@@ -809,21 +862,34 @@ def _pinsker_report(v: float, d_base_q: float, q: int) -> dict:
 # ---------------------------------------------------------------------------
 # the property sweep: metrics-check runs it
 
+@lru_cache(maxsize=None)
+def _uniform_entropy_gap(q: int, n: int, p: int) -> dict:
+    """check_entropy_gap of uniform(q, n) at subset size 1; callers copy it."""
+    return check_entropy_gap(uniform(q, n), p, 1)
+
+
+@lru_cache(maxsize=None)
+def _uniform_entropy(q: int, n: int, p: int) -> float:
+    """renyi_entropy of uniform(q, n): n, within rounding."""
+    return renyi_entropy(uniform(q, n), p)
+
+
 def property_sweep(seed: int, num_dists: int, num_pairs: int) -> dict:
     """Check the entropy gap, Pinsker and the distance/divergence relations
     on random Dirichlet laws over five small sample spaces; returns counts,
     violations (in case order), all_pass and seed.
 
     One rng, seeded by seed, gives every law's seed in this order: a seed per
-    entropy-gap case, then (a, b) per pair, then the relation loop's laws,
-    whose code seeds (relation_in_context) come between them. Cases are
-    handled a chunk at a time, the laws of a chunk drawn per sample space
-    into one (laws, q^n) stack and checked by the row-wise kernels: a chunk's
-    stacks hold at most _BATCH_KEYS cells in all, so memory does not grow
-    with the counts."""
+    entropy-gap case, then (a, b) per pair, then the relation cases' laws,
+    each followed by its code seed once its screen passes (_relation_screen).
+    Cases are handled a chunk at a time. A gap or pair chunk's seeds are one
+    draw, its laws drawn per sample space into one (laws, q^n) stack and
+    checked by the row-wise kernels, a chunk's stacks at most _BATCH_KEYS
+    cells in all. A relation chunk is screened law by law and then checked
+    a sample space at a time (_relation_checks), at most _BATCH_KEYS subset
+    keys in all. So memory does not grow with the counts."""
     rng = np.random.default_rng(seed)
     spaces = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]
-    uniforms = {space: uniform(*space) for space in spaces}
     chunk = len(spaces) * max(1, _BATCH_KEYS // (2 * sum(q ** n for q, n in spaces)))
     found = {}  # case -> its violations, a chunk at a time
     violations = []
@@ -831,12 +897,12 @@ def property_sweep(seed: int, num_dists: int, num_pairs: int) -> dict:
     def stacks(cases, draws: int):
         """(space, its cases, one checked stack per draw of a case) for each
         space with cases among them, after the draws' seeds in case order."""
-        seeds = [[rng.integers(0, 2 ** 63) for _ in range(draws)] for _ in cases]
+        seeds = rng.integers(0, 2 ** 63, size=(len(cases), draws))
         for index, (q, n) in enumerate(spaces):
             mine = [k for k, case in enumerate(cases) if case % len(spaces) == index]
             if not mine:
                 continue
-            laws = [_dirichlet_rows(q ** n, [seeds[k][d] for k in mine], 1.0) for d in range(draws)]
+            laws = [_dirichlet_rows(q ** n, seeds[mine, d], 1.0) for d in range(draws)]
             for stack in laws:
                 _check_laws(stack)
             yield (q, n), [cases[k] for k in mine], laws
@@ -859,9 +925,10 @@ def property_sweep(seed: int, num_dists: int, num_pairs: int) -> dict:
         flush(cases)
 
     for q, n in spaces:
-        report = check_entropy_gap(uniforms[q, n], 2, 1)
+        report = _uniform_entropy_gap(q, n, 2)
         if abs(report["slack"]) > VERDICT_TOL:
-            violations.append({"check": "entropy_gap_uniform", "space": [q, n], "report": report})
+            violations.append({"check": "entropy_gap_uniform", "space": [q, n],
+                               "report": dict(report)})
 
     for start in range(0, num_pairs, chunk):
         cases = range(start, min(start + chunk, num_pairs))
@@ -872,7 +939,7 @@ def property_sweep(seed: int, num_dists: int, num_pairs: int) -> dict:
                 rows = [row for row, case in enumerate(mine) if 2 + case % 2 == p]
                 if not rows:
                     continue
-                anchor = abs(renyi_entropy(uniforms[q, n], p) - n) > VERDICT_TOL
+                anchor = abs(_uniform_entropy(q, n, p) - n) > VERDICT_TOL
                 a, b = first[rows], second[rows]
                 for row, vp, dp in zip(rows, _vp_rows(a, b, p), _renyi_divergence_rows(a, b, p, q)):
                     case, report = mine[row], pinsker[row]
@@ -885,20 +952,37 @@ def property_sweep(seed: int, num_dists: int, num_pairs: int) -> dict:
                     found[case] = [{"check": check, "case": case} for check, bad in checks if bad]
         flush(cases)
 
+    relation_spaces = [(2, 5), (2, 6), (3, 4)]
+    relation_cases = max(1, num_dists // 4)
+    relation_chunk = len(relation_spaces) * max(
+        1, _BATCH_KEYS // sum(n * q ** n for q, n in relation_spaces))
     relation_count = 0
     relation_skipped = 0
-    for i in range(max(1, num_dists // 4)):
-        q, n = [(2, 5), (2, 6), (3, 4)][i % 3]
-        alpha = [20.0, 50.0, 100.0][i % 3]
-        dist = random_dirichlet(q, n, rng.integers(0, 2 ** 63), alpha=alpha)
-        screened = relation_in_context(dist, 2, 2.0, rng)
-        if screened is None:
-            relation_skipped += 1
-            continue
-        for report in screened[0]:
-            relation_count += 1
-            if not report["holds"]:
-                violations.append({"check": "divergence_distance", "case": i, "report": report})
+    for start in range(0, relation_cases, relation_chunk):
+        cases = range(start, min(start + relation_chunk, relation_cases))
+        screened = {space: [] for space in relation_spaces}
+        for i in cases:
+            q, n = relation_spaces[i % 3]
+            dist = random_dirichlet(q, n, rng.integers(0, 2 ** 63), alpha=[20.0, 50.0, 100.0][i % 3])
+            context = _relation_screen(dist, 2, 2.0)
+            if context is None:
+                relation_skipped += 1
+                continue
+            bp, m = context
+            screened[q, n].append((i, dist, sample_code(n, m, q, int(rng.integers(0, 2 ** 63))), bp))
+        for mine in screened.values():
+            if not mine:
+                continue
+            which, dists, codes, bps = zip(*mine)
+            for i, checked in zip(which, _relation_checks(dists, codes, bps, 2)):
+                if checked is None:
+                    relation_skipped += 1
+                    continue
+                relation_count += len(checked[3])
+                found[i] = [{"check": "divergence_distance", "case": i,
+                             "report": _relation_report(*checked, row)}
+                            for row in np.flatnonzero(~checked[3]).tolist()]
+        flush(cases)
 
     return {
         "counts": {

@@ -825,9 +825,9 @@ def test_a_batch_holds_at_most_cap_cells():
     code = sample_code(6, 2, 2, 9)
     assert code.coset_labels[1] == 2
     subsets = all_subsets(6, 2)[:5]
-    batches = list(infometrics._joint_tables(dist, code, subsets))
-    assert [batch for batch, _ in batches] == [subsets[0:2], subsets[2:4], subsets[4:5]]
-    assert [tables.shape for _, tables in batches] == [(2, 16, 4), (2, 16, 4), (1, 16, 4)]
+    batches = list(infometrics._joint_tables([dist], [code], subsets))
+    assert [batch for _, batch, _ in batches] == [subsets[0:2], subsets[2:4], subsets[4:5]]
+    assert [tables.shape for _, _, tables in batches] == [(2, 16, 4), (2, 16, 4), (1, 16, 4)]
     leakages = subset_leakages(dist, code, 2)
     assert all(leakages[sel] == mutual_information(dist, code, sel) for sel in leakages)
 
@@ -901,8 +901,8 @@ def test_conditional_laws_are_the_same_batched_or_a_subset_at_a_time(data):
     for batch_keys in (1, 2**40):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(infometrics, "_BATCH_KEYS", batch_keys)
-            batches = list(infometrics._conditional_encoded_laws(dist, code, r))
-            assert [event for events, _ in batches for event in events] == list(
+            batches = list(infometrics._conditional_encoded_laws([dist], [code], r))
+            assert [event[1:] for events, _ in batches for event in events] == list(
                 conditioning_events(dist, r))
             assert np.array_equal(np.concatenate([rows for _, rows in batches]),
                                   np.concatenate(expected))
