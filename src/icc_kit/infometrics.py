@@ -411,13 +411,13 @@ def _joint_tables(dists: list, codes: list, subsets: list):
         for first in range(0, len(by_rank[rank]), per_case):
             cases = by_rank[rank][first:first + per_case]
             labels = np.array([codes[case].coset_labels[0] for case in cases])[:, None, :] * cols
-            probs = np.array([dists[case].probs for case in cases])[:, None, :]
+            probs = np.array([dists[case].probs for case in cases])
             for start in range(0, len(subsets), per_batch):
                 batch = subsets[start:start + per_batch]
                 keys = labels + subset_keys[[rows[indices] for indices in batch]]
                 count = len(cases) * len(batch)
                 keys += np.arange(0, count * cells, cells).reshape(len(cases), len(batch), 1)
-                flat = np.bincount(keys.ravel(), weights=np.broadcast_to(probs, keys.shape).ravel(),
+                flat = np.bincount(keys.ravel(), weights=np.repeat(probs, len(batch), axis=0).ravel(),
                                    minlength=count * cells)
                 yield cases, batch, flat.reshape(count, -1, cols)
 
@@ -761,15 +761,16 @@ def check_divergence_distance_relation(
     second argument is a strictly positive (smoothed) law. Raw values are
     reported so a violation is inspectable rather than silently asserted.
     """
-    vp, dp = v_p_distance(dist_a, dist_b, p), renyi_divergence(dist_a, dist_b, p)
-    return _relation_report(*_relation_verdicts(np.array([vp]), np.array([dp]), p, dist_a.q), 0)
+    vps = np.array([v_p_distance(dist_a, dist_b, p)])
+    dps = np.array([renyi_divergence(dist_a, dist_b, p)])
+    return _relation_report(vps, dps, *_relation_verdicts(vps, dps, p, dist_a.q), 0)
 
 
 def _relation_verdicts(vps: np.ndarray, dps: np.ndarray, p: int, q: int) -> tuple:
-    """(vps, dps, bounds, holds) arrays of check_divergence_distance_relation
-    over rows with these v_p and D_p values; each bound is a float's log."""
+    """(bounds, holds) arrays of check_divergence_distance_relation over rows
+    with these v_p and D_p values; each bound is taken from its own float."""
     bounds = np.array([p / (p - 1) * _log_q(1 + vp, q) for vp in vps.tolist()])
-    return vps, dps, bounds, dps <= bounds + VERDICT_TOL
+    return bounds, dps <= bounds + VERDICT_TOL
 
 
 def _relation_report(vps, dps, bounds, holds, row: int) -> dict:
@@ -791,12 +792,14 @@ def _relation_screen(dist: Distribution, p: int, a: float):
     return (bp, m) if 1 <= m <= dist.n else None
 
 
-def _relation_checks(dists: list, codes: list, bps: list, p: int) -> list:
-    """For each case, law dists[i] under codes[i] at bps[i] (one q and n):
-    _relation_verdicts of its single-coordinate conditional encoded laws
-    against its encoded law, over its (i, z) events in order, or None when
-    a v_p exceeds the ensemble envelope. Each coset count's rows take one
-    _vp_rows and one _renyi_divergence_rows call."""
+def _relation_checks(dists: list, codes: list, bps: list, p: int) -> tuple:
+    """The divergence-distance relation of each single-coordinate
+    conditional encoded law against the encoded law, for each case: law
+    dists[i] under codes[i] at bps[i], all of one q and n. Returns (each
+    case's event count, whether each case's v_p are all within its ensemble
+    envelope, then vps, dps, bounds, holds over every (i, z) event, case by
+    case in order). Each coset count's rows take one _vp_rows and one
+    _renyi_divergence_rows call."""
     q = dists[0].q
     encoded = [_coset_law(dist, code) for dist, code in zip(dists, codes)]
     owners, vps, dps = [], [], []
@@ -806,15 +809,12 @@ def _relation_checks(dists: list, codes: list, bps: list, p: int) -> list:
         owners += owner
         vps.append(_vp_rows(rows, refs, p))
         dps += _renyi_divergence_rows(rows, refs, p, q)
-    owners = np.array(owners)
     order = np.argsort(owners, kind="stable")
-    ends = np.cumsum(np.bincount(owners, minlength=len(dists)))
     vps, dps = np.concatenate(vps)[order], np.array(dps)[order]
-    return [
-        None if vps[start:end].max() > _vp_envelope(bp, "proof")
-        else _relation_verdicts(vps[start:end], dps[start:end], p, q)
-        for start, end, bp in zip(np.concatenate([[0], ends[:-1]]).tolist(), ends.tolist(), bps)
-    ]
+    counts = np.bincount(owners, minlength=len(dists))
+    envelopes = [_vp_envelope(bp, "proof") for bp in bps]
+    in_context = np.maximum.reduceat(vps, np.cumsum(counts) - counts) <= envelopes
+    return (counts, in_context, vps, dps) + _relation_verdicts(vps, dps, p, q)
 
 
 def relation_in_context(dist: Distribution, p: int, a: float, rng):
@@ -829,10 +829,10 @@ def relation_in_context(dist: Distribution, p: int, a: float, rng):
         return None
     bp, m = screened
     code = sample_code(dist.n, m, dist.q, int(rng.integers(0, 2 ** 63)))
-    (checked,) = _relation_checks([dist], [code], [bp], p)
-    if checked is None:
+    (count,), (in_context,), *checked = _relation_checks([dist], [code], [bp], p)
+    if not in_context:
         return None
-    return [_relation_report(*checked, row) for row in range(len(checked[0]))], bp
+    return [_relation_report(*checked, row) for row in range(count)], bp
 
 
 def pinsker_check(dist_a: Distribution, dist_b: Distribution) -> dict:
@@ -974,14 +974,14 @@ def property_sweep(seed: int, num_dists: int, num_pairs: int) -> dict:
             if not mine:
                 continue
             which, dists, codes, bps = zip(*mine)
-            for i, checked in zip(which, _relation_checks(dists, codes, bps, 2)):
-                if checked is None:
-                    relation_skipped += 1
-                    continue
-                relation_count += len(checked[3])
-                found[i] = [{"check": "divergence_distance", "case": i,
-                             "report": _relation_report(*checked, row)}
-                            for row in np.flatnonzero(~checked[3]).tolist()]
+            counts, in_context, *checked = _relation_checks(dists, codes, bps, 2)
+            relation_skipped += len(which) - int(in_context.sum())
+            relation_count += int(counts[in_context].sum())
+            owners = np.repeat(which, counts)
+            for row in np.flatnonzero(~checked[-1] & np.repeat(in_context, counts)).tolist():
+                found.setdefault(int(owners[row]), []).append(
+                    {"check": "divergence_distance", "case": int(owners[row]),
+                     "report": _relation_report(*checked, row)})
         flush(cases)
 
     return {
