@@ -133,12 +133,16 @@ def _dropped_axes(n: int, r: int) -> tuple:
                  for indices in all_subsets(n, r))
 
 
-def _row_powers(x: np.ndarray, orders) -> np.ndarray:
+def _row_powers(x: np.ndarray, orders, in_place: bool = False) -> np.ndarray:
     """x ** orders[i] for each law i along x's leading axis, each taken with
-    a scalar exponent, as a one-law call takes it."""
+    a scalar exponent, as a one-law call takes it. in_place raises x itself,
+    so no second array of x's size is held."""
     if len(set(orders)) == 1:
-        return x ** orders[0]
-    powers = np.empty_like(x)
+        if not in_place:
+            return x ** orders[0]
+        x **= orders[0]
+        return x
+    powers = x if in_place else np.empty_like(x)
     for p in set(orders):
         rows = [i for i, order in enumerate(orders) if order == p]
         powers[rows] = x[rows] ** p
@@ -417,8 +421,8 @@ def _joint_tables(dists: list, codes: list, subsets: list):
                 keys = labels + subset_keys[[rows[indices] for indices in batch]]
                 count = len(cases) * len(batch)
                 keys += np.arange(0, count * cells, cells).reshape(len(cases), len(batch), 1)
-                flat = np.bincount(keys.ravel(), weights=np.repeat(probs, len(batch), axis=0).ravel(),
-                                   minlength=count * cells)
+                weights = np.repeat(probs, len(batch), axis=0)  # case-major, as the keys
+                flat = np.bincount(keys.ravel(), weights=weights.ravel(), minlength=count * cells)
                 yield cases, batch, flat.reshape(count, -1, cols)
 
 
@@ -440,7 +444,9 @@ def _conditional_encoded_laws(dists: list, codes: list, r: int):
         if rows.min() < 0 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("a conditional encoded law is not a probability table")
         k = len(batch)
-        yield [(cases[s // k], batch[s % k], values[z]) for s, z in zip(which.tolist(), live.tolist())], rows
+        events = [(cases[s // k], batch[s % k], values[z])
+                  for s, z in zip(which.tolist(), live.tolist())]
+        yield events, rows
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +727,8 @@ def _worst_conditional_sums(laws: np.ndarray, q: int, n: int, r: int, orders) ->
         scaled = np.tile(batch, count)  # each law's table, once per subset
         mass = np.bincount(stacked, weights=scaled.ravel())
         scaled /= np.where(mass > 0, mass, 1.0)[stacked].reshape(scaled.shape)
-        powers = _row_powers(scaled, orders[start:start + per_batch]).ravel()
-        sums = np.bincount(stacked, weights=powers, minlength=len(batch) * bins)
+        _row_powers(scaled, orders[start:start + per_batch], in_place=True)
+        sums = np.bincount(stacked, weights=scaled.ravel(), minlength=len(batch) * bins)
         worst.extend(sums.reshape(len(batch), bins).max(axis=1).tolist())
     return worst
 
@@ -782,12 +788,11 @@ def _relation_screen(dist: Distribution, p: int, a: float):
     """(bp, key length m) where the divergence-distance relation is claimed:
     budget H_p(X) - max_i H_p(X_i) - p > 0.05, epsilon = min(q^-budget,
     1/2) and 1 <= m = ceil(keysize_lower_bound(bp)) <= n; None outside."""
-    data_entropy, max_subset_entropy = subset_entropies(dist, p, 1)
-    budget = data_entropy - max_subset_entropy - p
+    bp = measured_bounds(dist, p, 1, 1.0, a)
+    budget = bp.data_entropy - bp.max_subset_entropy - p
     if budget <= 0.05:
         return None
-    bp = BoundParams(n=dist.n, q=dist.q, p=p, epsilon=min(float(dist.q) ** (-budget), 0.5), a=a,
-                     data_entropy=data_entropy, max_subset_entropy=max_subset_entropy)
+    bp = replace(bp, epsilon=min(float(dist.q) ** (-budget), 0.5))
     m = math.ceil(keysize_lower_bound(bp))
     return (bp, m) if 1 <= m <= dist.n else None
 
@@ -963,13 +968,15 @@ def property_sweep(seed: int, num_dists: int, num_pairs: int) -> dict:
         screened = {space: [] for space in relation_spaces}
         for i in cases:
             q, n = relation_spaces[i % 3]
-            dist = random_dirichlet(q, n, rng.integers(0, 2 ** 63), alpha=[20.0, 50.0, 100.0][i % 3])
+            alpha = [20.0, 50.0, 100.0][i % 3]
+            dist = random_dirichlet(q, n, rng.integers(0, 2 ** 63), alpha=alpha)
             context = _relation_screen(dist, 2, 2.0)
             if context is None:
                 relation_skipped += 1
                 continue
             bp, m = context
-            screened[q, n].append((i, dist, sample_code(n, m, q, int(rng.integers(0, 2 ** 63))), bp))
+            code = sample_code(n, m, q, int(rng.integers(0, 2 ** 63)))
+            screened[q, n].append((i, dist, code, bp))
         for mine in screened.values():
             if not mine:
                 continue

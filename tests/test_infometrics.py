@@ -1148,15 +1148,70 @@ def test_a_stack_is_checked_as_each_law_is():
             infometrics._check_laws(np.array([good, bad]))
 
 
-def test_property_sweep_memory_stays_flat():
+@pytest.mark.parametrize("num_dists, num_pairs", [(4, 20_000), (8_000, 0)],
+                         ids=["20,000 pairs", "2,000 relation cases"])
+def test_property_sweep_memory_stays_flat(num_dists, num_pairs):
     # the laws of a chunk of cases hold at most _BATCH_KEYS cells in all,
-    # however many pairs are asked for
+    # and a chunk of relation cases at most _BATCH_KEYS subset keys (several
+    # chunks a sample space here), however many cases are asked for
     tracemalloc.start()
     try:
-        result = infometrics.property_sweep(5, 4, 20_000)
+        result = infometrics.property_sweep(5, num_dists, num_pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result["all_pass"]
-    assert result["counts"]["metric_pairs"] == 20_000
+    counts = result["counts"]
+    assert (counts["entropy_gap"], counts["metric_pairs"]) == (num_dists, num_pairs)
     assert peak < 2 * 2**20, peak
+
+
+def test_one_seed_draw_of_a_chunk_equals_its_scalar_draws():
+    # property_sweep draws a chunk's law seeds in one call: the same seeds in
+    # the same order, and the generator left where scalar draws leave it
+    for seed in range(20):
+        chunk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (1, 2, 7, (150, 2), 300):
+            drawn = chunk.integers(0, 2**63, size=size).ravel().tolist()
+            assert drawn == [int(scalar.integers(0, 2**63)) for _ in drawn]
+            assert chunk.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("batch_keys", [1, 1000, infometrics._BATCH_KEYS],
+                         ids=["a subset a batch", "a case a batch", "default bound"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), num_dists=st.integers(0, 80),
+       tol=st.sampled_from([infometrics.VERDICT_TOL, -1.0]), envelope=st.sampled_from([None, 1.0]))
+def test_relation_sweep_matches_one_case_calls(batch_keys, seed, num_dists, tol, envelope):
+    # the sweep screens its relation cases law by law and checks each sample
+    # space's codes together; the reference is its relation loop one case
+    # at a time through relation_in_context. Skip decisions and report counts
+    # agree, and at a tolerance of -1 (nearly every report a violation) and
+    # an envelope stand-in of 1 (some cases past it) so do the verdicts and
+    # the bits of every float: at p = 2, v_p and D_p take square, sqrt and
+    # reciprocal, which give each row's bits in a stack of any height
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(infometrics, "VERDICT_TOL", tol)
+        if envelope is not None:
+            patch.setattr(infometrics, "_vp_envelope", lambda bp, variant: envelope)
+        rng = np.random.default_rng(seed)
+        for _ in range(num_dists):  # the entropy-gap seeds come first
+            rng.integers(0, 2**63)
+        count = skipped = 0
+        violations = []
+        for i in range(max(1, num_dists // 4)):
+            q, n = [(2, 5), (2, 6), (3, 4)][i % 3]
+            dist = random_dirichlet(q, n, rng.integers(0, 2**63), alpha=[20.0, 50.0, 100.0][i % 3])
+            screened = relation_in_context(dist, 2, 2.0, rng)
+            if screened is None:
+                skipped += 1
+                continue
+            count += len(screened[0])
+            violations += [{"check": "divergence_distance", "case": i, "report": report}
+                           for report in screened[0] if not report["holds"]]
+        patch.setattr(infometrics, "_BATCH_KEYS", batch_keys)
+        result = infometrics.property_sweep(seed, num_dists, 0)
+    assert result["counts"]["divergence_distance"] == count
+    assert result["counts"]["divergence_distance_skipped"] == skipped
+    assert repr([v for v in result["violations"] if v["check"] == "divergence_distance"]) == repr(
+        violations)
