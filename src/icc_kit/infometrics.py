@@ -248,7 +248,8 @@ def _vp_rows(rows: np.ndarray, ref: np.ndarray, p: int) -> np.ndarray:
     """v_p_distance of each row of a table (its last axis) from ref. On a
     table of several rows numpy takes the 1/p-th power as an array power,
     which may differ from one row's scalar power in the last bit."""
-    return rows.shape[-1] * np.mean(np.abs(rows - ref) ** p, axis=-1) ** (1.0 / p)
+    size = rows.shape[-1]
+    return size * (np.add.reduce(np.abs(rows - ref) ** p, axis=-1) / size) ** (1.0 / p)
 
 
 def kl_divergence(dist_a: Distribution, dist_b: Distribution) -> float:
@@ -262,7 +263,7 @@ def _kl_rows(rows: np.ndarray, refs: np.ndarray, q: int) -> list:
     of refs, as floats. Each row's terms are summed over the cells where it
     is positive, in order (_row_sums), as one law's sum adds them."""
     live = rows > 0
-    violated = np.any(live & (refs == 0), axis=1)
+    violated = (live & (refs == 0)).any(axis=1)
     live[violated] = False
     pa, pb = rows[live], refs[live]
     sums = _row_sums(pa * np.log(pa / pb), live.sum(axis=1))
@@ -281,8 +282,8 @@ def _renyi_divergence_rows(rows: np.ndarray, ref: np.ndarray, p: int, q: int) ->
     """renyi_divergence of each row of a (count, size) table from ref (one
     row, or one per row), as floats."""
     live = rows > 0
-    violated = np.any(live & (ref == 0), axis=1)
-    power_sums = np.sum(rows ** p * np.where(live & (ref > 0), ref, 1.0) ** (1.0 - p), axis=1)
+    violated = (live & (ref == 0)).any(axis=1)
+    power_sums = (rows ** p * np.where(live & (ref > 0), ref, 1.0) ** (1.0 - p)).sum(axis=1)
     return [
         math.inf if bad else _log_q(float(s), q) / (p - 1)
         for s, bad in zip(power_sums, violated)
@@ -441,7 +442,7 @@ def _conditional_encoded_laws(dists: list, codes: list, r: int):
         mass = tables.sum(axis=1)
         which, live = np.nonzero(mass > 0)
         rows = tables[which, :, live] / mass[which, live][:, None]
-        if rows.min() < 0 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
+        if rows.min() < 0 or (np.abs(rows.sum(axis=1) - 1.0) > 1e-12).any():
             raise ValueError("a conditional encoded law is not a probability table")
         k = len(batch)
         events = [(cases[s // k], batch[s % k], values[z])
@@ -852,16 +853,27 @@ def pinsker_check(dist_a: Distribution, dist_b: Distribution) -> dict:
 
 
 def _pinsker_report(v: float, d_base_q: float, q: int) -> dict:
-    tv = v / 2.0
-    d_nats = d_base_q * math.log(q)
+    (tv,), (d_nats,), (sum_holds,), (classical_holds,) = _pinsker_rows(
+        np.array([v]), np.array([d_base_q]), q)
     return {
         "v_sum": v,
         "d_base_q": d_base_q,
-        "sum_form_holds": bool(v <= math.sqrt(d_base_q / 2.0) + VERDICT_TOL),
-        "tv": tv,
-        "d_nats": d_nats,
-        "classical_form_holds": bool(tv <= math.sqrt(d_nats / 2.0) + VERDICT_TOL),
+        "sum_form_holds": bool(sum_holds),
+        "tv": float(tv),
+        "d_nats": float(d_nats),
+        "classical_form_holds": bool(classical_holds),
     }
+
+
+def _pinsker_rows(vs: np.ndarray, kls: np.ndarray, q: int) -> tuple:
+    """(tv, d_nats, sum-form verdict, classical-form verdict) arrays of
+    pinsker_check over rows with these v and base-q KL values; each square
+    root is math.sqrt's of its own float."""
+    tvs = vs / 2.0
+    d_nats = kls * math.log(q)
+    return (tvs, d_nats,
+            vs <= np.array([math.sqrt(d / 2.0) for d in kls.tolist()]) + VERDICT_TOL,
+            tvs <= np.array([math.sqrt(d / 2.0) for d in d_nats.tolist()]) + VERDICT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -938,23 +950,24 @@ def property_sweep(seed: int, num_dists: int, num_pairs: int) -> dict:
     for start in range(0, num_pairs, chunk):
         cases = range(start, min(start + chunk, num_pairs))
         for (q, n), mine, (first, second) in stacks(cases, 2):
-            pinsker = [_pinsker_report(v, d, q) for v, d in
-                       zip(_v_rows(first, second).tolist(), _kl_rows(first, second, q))]
+            vs, kls = _v_rows(first, second), np.array(_kl_rows(first, second, q))
+            classical = _pinsker_rows(vs, kls, q)[3]
             for p in (2, 3):
                 rows = [row for row, case in enumerate(mine) if 2 + case % 2 == p]
                 if not rows:
                     continue
-                anchor = abs(_uniform_entropy(q, n, p) - n) > VERDICT_TOL
                 a, b = first[rows], second[rows]
-                for row, vp, dp in zip(rows, _vp_rows(a, b, p), _renyi_divergence_rows(a, b, p, q)):
-                    case, report = mine[row], pinsker[row]
-                    checks = [
-                        ("v_le_vp", report["v_sum"] > vp + VERDICT_TOL),
-                        ("d_le_dp", report["d_base_q"] > dp + VERDICT_TOL),
-                        ("pinsker_classical", not report["classical_form_holds"]),
-                        ("uniform_entropy", anchor),
-                    ]
-                    found[case] = [{"check": check, "case": case} for check, bad in checks if bad]
+                failed = np.array([  # one row per check, one column per pair
+                    vs[rows] > _vp_rows(a, b, p) + VERDICT_TOL,
+                    kls[rows] > np.array(_renyi_divergence_rows(a, b, p, q)) + VERDICT_TOL,
+                    ~classical[rows],
+                    np.full(len(rows), abs(_uniform_entropy(q, n, p) - n) > VERDICT_TOL),
+                ])
+                for column in np.flatnonzero(failed.any(axis=0)).tolist():
+                    case = mine[rows[column]]
+                    found[case] = [{"check": check, "case": case} for check, bad in zip(
+                        ("v_le_vp", "d_le_dp", "pinsker_classical", "uniform_entropy"),
+                        failed[:, column]) if bad]
         flush(cases)
 
     relation_spaces = [(2, 5), (2, 6), (3, 4)]
