@@ -181,15 +181,16 @@ def random_dirichlet(q: int, n: int, rng_seed, alpha: float = 1.0, cap=None) -> 
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     check_cap(q ** n, cap)
-    return Distribution(q, n, _dirichlet_rows(q ** n, [rng_seed], alpha)[0], cap)
+    rows = _dirichlet_rows(np.random.default_rng(rng_seed), 1, q ** n, alpha)
+    return Distribution(q, n, rows[0], cap)
 
 
-def _dirichlet_rows(size: int, seeds, alpha: float) -> np.ndarray:
-    """(len(seeds), size) stack of random_dirichlet tables, unchecked: row i
-    is np.random.default_rng(seeds[i])'s symmetric Dirichlet draw divided by
-    its own sum (a row sum adds as the one-law sum does)."""
-    alphas = np.full(size, alpha)
-    rows = np.array([np.random.default_rng(seed).dirichlet(alphas) for seed in seeds])
+def _dirichlet_rows(rng, count: int, size: int, alpha: float) -> np.ndarray:
+    """(count, size) stack of symmetric Dirichlet draws from rng, unchecked,
+    each row divided by its own sum. One call gives the bits of count
+    one-row calls on the same generator (numpy draws a stack row by row, and
+    a row sum adds as the one-law sum does)."""
+    rows = rng.dirichlet(np.full(size, alpha), size=count)
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
 
@@ -868,12 +869,13 @@ def _pinsker_report(v: float, d_base_q: float, q: int) -> dict:
 def _pinsker_rows(vs: np.ndarray, kls: np.ndarray, q: int) -> tuple:
     """(tv, d_nats, sum-form verdict, classical-form verdict) arrays of
     pinsker_check over rows with these v and base-q KL values; each square
-    root is math.sqrt's of its own float."""
+    root is math.sqrt's of its own float, a KL that rounds below zero taken
+    as 0 (two nearly equal laws)."""
     tvs = vs / 2.0
     d_nats = kls * math.log(q)
     return (tvs, d_nats,
-            vs <= np.array([math.sqrt(d / 2.0) for d in kls.tolist()]) + VERDICT_TOL,
-            tvs <= np.array([math.sqrt(d / 2.0) for d in d_nats.tolist()]) + VERDICT_TOL)
+            vs <= np.array([math.sqrt(max(d, 0.0) / 2.0) for d in kls.tolist()]) + VERDICT_TOL,
+            tvs <= np.array([math.sqrt(max(d, 0.0) / 2.0) for d in d_nats.tolist()]) + VERDICT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -896,15 +898,16 @@ def property_sweep(seed: int, num_dists: int, num_pairs: int) -> dict:
     on random Dirichlet laws over five small sample spaces; returns counts,
     violations (in case order), all_pass and seed.
 
-    One rng, seeded by seed, gives every law's seed in this order: a seed per
+    One rng, seeded by seed, gives every seed in this order: a seed per
     entropy-gap case, then (a, b) per pair, then the relation cases' laws,
     each followed by its code seed once its screen passes (_relation_screen).
     Cases are handled a chunk at a time. A gap or pair chunk's seeds are one
-    draw, its laws drawn per sample space into one (laws, q^n) stack and
-    checked by the row-wise kernels, a chunk's stacks at most _BATCH_KEYS
-    cells in all. A relation chunk is screened law by law and then checked
-    a sample space at a time (_relation_checks), at most _BATCH_KEYS subset
-    keys in all. So memory does not grow with the counts."""
+    draw and seed one generator, which draws the chunk's laws per sample
+    space into one (laws, q^n) stack each; the row-wise kernels check them,
+    a chunk's stacks at most _BATCH_KEYS cells in all. A relation chunk is
+    screened law by law and then checked a sample space at a time
+    (_relation_checks), at most _BATCH_KEYS subset keys in all. So memory
+    does not grow with the counts."""
     rng = np.random.default_rng(seed)
     spaces = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]
     chunk = len(spaces) * max(1, _BATCH_KEYS // (2 * sum(q ** n for q, n in spaces)))
@@ -913,13 +916,17 @@ def property_sweep(seed: int, num_dists: int, num_pairs: int) -> dict:
 
     def stacks(cases, draws: int):
         """(space, its cases, one checked stack per draw of a case) for each
-        space with cases among them, after the draws' seeds in case order."""
+        space with cases among them. The chunk's seeds, drawn from rng in
+        case order, seed one generator (by their uint32 words, which
+        SeedSequence takes as one array rather than an int at a time), and
+        it draws every stack of the chunk, space by space."""
         seeds = rng.integers(0, 2 ** 63, size=(len(cases), draws))
+        laws_rng = np.random.default_rng(seeds.astype(np.uint64).view(np.uint32).ravel())
         for index, (q, n) in enumerate(spaces):
             mine = [k for k, case in enumerate(cases) if case % len(spaces) == index]
             if not mine:
                 continue
-            laws = [_dirichlet_rows(q ** n, seeds[mine, d], 1.0) for d in range(draws)]
+            laws = [_dirichlet_rows(laws_rng, len(mine), q ** n, 1.0) for _ in range(draws)]
             for stack in laws:
                 _check_laws(stack)
             yield (q, n), [cases[k] for k in mine], laws

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -596,6 +597,26 @@ def test_audit_measures_subset_entropies_once_per_distribution(monkeypatch):
     code, rows = cmd_audit(dict(AUDIT_UNIFORM, num_codes=3))
     assert len(rows) == 3 + 2
     assert len(calls) == 1
+
+
+def _readme_configs():
+    """(subcommand, config) for each JSON block that follows an
+    `icc-kit <sub> --config` block in README.md."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    blocks = re.findall(r"```(\w+)\n(.*?)```", readme, re.DOTALL)
+    for (kind, text), (next_kind, config) in zip(blocks, blocks[1:]):
+        if kind == "sh" and next_kind == "json" and re.match(r"icc-kit \S+ --config", text):
+            command = text.split()[1]
+            yield pytest.param(command, json.loads(config), id=command)
+
+
+@pytest.mark.parametrize("command,config", list(_readme_configs()))
+def test_readme_config_examples_run(tmp_path, capsys, command, config):
+    # each README example's config, written to tmp_path, with --out there too
+    argv = [command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "out")]
+    code = main(argv)
+    assert code == 0, capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

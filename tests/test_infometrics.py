@@ -1046,6 +1046,22 @@ def test_pinsker_identity_and_random():
         assert rep["tv"] <= math.sqrt(rep["d_nats"] / 2) + TOL
 
 
+def test_pinsker_of_nearly_equal_laws_takes_a_negative_kl_as_zero():
+    # a law against itself perturbed by a relative 1e-12: the KL of many such
+    # pairs rounds below zero, and Pinsker's square roots take it as 0 (the
+    # KL itself is reported as computed)
+    negative = 0
+    for seed in range(300):
+        a = random_dirichlet(2, 4, seed)
+        wiggle = 1.0 + 1e-12 * np.random.default_rng(seed).uniform(-1.0, 1.0, 16)
+        b = Distribution(2, 4, a.probs * wiggle / (a.probs * wiggle).sum())
+        report = pinsker_check(a, b)
+        assert report["d_base_q"] == kl_divergence(a, b)
+        assert report["sum_form_holds"] and report["classical_form_holds"], (seed, report)
+        negative += report["d_base_q"] < 0
+    assert negative > 50, negative
+
+
 def test_pinsker_near_disjoint_supports():
     t = 1e-6
     a = Distribution(2, 1, np.array([1 - t, t]))
@@ -1130,11 +1146,17 @@ def test_stacked_kernels_match_one_law_calls(batch_keys, data):
             assert abs(vp - v_p_distance(a, b, p)) <= 1e-15 * v_p_distance(a, b, p)
     assert any(math.isinf(d) for d in kls) == any(
         (law.probs > 0).any() and (ref.probs[law.probs > 0] == 0).any() for law, ref in zip(laws, refs))
-    seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=count, max_size=count))
+    # a stack of Dirichlet draws is the one-row calls on a generator seeded
+    # the same way (0.05 takes numpy's small-alpha path), and random_dirichlet
+    # is the one-row call on its own seed's generator
+    seed = data.draw(st.integers(0, 2**63 - 1))
     alpha = data.draw(st.sampled_from([0.05, 1.0, 30.0]))
-    draws = infometrics._dirichlet_rows(q ** n, [np.int64(seed) for seed in seeds], alpha)
-    for row, seed in zip(draws, seeds):
-        assert row.tolist() == random_dirichlet(q, n, seed, alpha=alpha).probs.tolist()
+    stack = infometrics._dirichlet_rows(np.random.default_rng(seed), count, q ** n, alpha)
+    one_rng = np.random.default_rng(seed)
+    assert stack.tobytes() == b"".join(
+        infometrics._dirichlet_rows(one_rng, 1, q ** n, alpha).tobytes() for _ in range(count))
+    assert random_dirichlet(q, n, seed, alpha=alpha).probs.tobytes() == infometrics._dirichlet_rows(
+        np.random.default_rng(seed), 1, q ** n, alpha)[0].tobytes()
 
 
 def test_a_stack_is_checked_as_each_law_is():
@@ -1175,6 +1197,36 @@ def test_one_seed_draw_of_a_chunk_equals_its_scalar_draws():
             drawn = chunk.integers(0, 2**63, size=size).ravel().tolist()
             assert drawn == [int(scalar.integers(0, 2**63)) for _ in drawn]
             assert chunk.bit_generator.state == scalar.bit_generator.state
+
+
+def test_a_chunk_draws_its_laws_from_one_generator_seeded_by_its_seeds():
+    # a gap or pair chunk's seeds (one draw from the sweep's rng) seed one
+    # generator by their uint32 words, and it draws each sample space's
+    # stacks in turn: (a, b) stacks for pairs, in case order within a space
+    spaces = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]
+    checked = []
+    check = infometrics._check_laws
+
+    def recording(laws):
+        checked.append(np.array(laws))
+        check(laws)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(infometrics, "_check_laws", recording)
+        result = infometrics.property_sweep(17, 12, 7)
+    assert result["all_pass"]
+    rng = np.random.default_rng(17)
+    expected = []
+    for count, draws in ((12, 1), (7, 2)):
+        seeds = rng.integers(0, 2**63, size=(count, draws))
+        laws_rng = np.random.default_rng(seeds.astype(np.uint64).view(np.uint32).ravel())
+        for index, (q, n) in enumerate(spaces):
+            for _ in range(draws):
+                laws = laws_rng.dirichlet(np.ones(q ** n), size=len(range(index, count, 5)))
+                expected.append(laws / laws.sum(axis=1, keepdims=True))
+    stacks = iter(checked)  # in order, among the relation cases' one-law checks
+    assert all(any(laws.shape == want.shape and laws.tobytes() == want.tobytes()
+                   for laws in stacks) for want in expected)
 
 
 @pytest.mark.parametrize("batch_keys", [1, 1000, infometrics._BATCH_KEYS],
